@@ -1,11 +1,15 @@
 """Exact linear algebra over F_p and over the integers.
 
-Rank and kernel-size computations work mod a word-size prime on int64
-arrays (products of two residues fit in 64 bits for p < 2^31).  Integer
-determinants come either from fraction-free (Bareiss) elimination or
-from residues modulo a fixed list of 31-bit primes recombined by the
-Chinese remainder theorem, with the prime count sized by the Hadamard
-bound of the input rows.
+Input is checked once, by `int_matrix`: a 2-D int64 ndarray is used as it
+is, and other input becomes int64 when its entries fit, an object array
+of Python ints otherwise (reduced mod p before any elimination).
+Elimination mod a prime p < 2^31 runs on int64 residues, where products
+of two residues fit in 64 bits.  Integer determinants come from one
+residue loop over a fixed list of 31-bit primes, sized by the Hadamard
+bound: `det_crt` recombines every residue by the Chinese remainder
+theorem, and `int_determinant_is_zero` stops at the first nonzero one.
+`det_bareiss` (fraction-free elimination in Python ints) shares no code
+with that loop and is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -29,53 +33,60 @@ def _as_rows(m: MatrixLike) -> list[list[int]]:
     return rows
 
 
-def _require_square(rows: list[list[int]]) -> int:
+def _require_square(rows: MatrixLike) -> int:
     n = len(rows)
-    if n and len(rows[0]) != n:
-        raise ValueError(f"square matrix required, got {n}x{len(rows[0])}")
+    w = rows.shape[1] if isinstance(rows, np.ndarray) else len(rows[0]) if n else 0
+    if w != n:
+        raise ValueError(f"square matrix required, got {n}x{w}")
     return n
 
 
-def _reduced_int64(m: MatrixLike, p: int) -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != 2:
-        a = a.reshape(len(m), -1)
-    if a.dtype == object:
-        a = (a % p).astype(np.int64)
-    else:
-        a = a.astype(np.int64) % p
-    return a
+def int_matrix(m: MatrixLike) -> np.ndarray:
+    """m as a 2-D array: an int64 ndarray as it is (no copy), other input as
+    int64 where every entry fits and as Python ints (dtype object) if not."""
+    if isinstance(m, np.ndarray) and m.dtype.kind in "iu" and np.can_cast(m.dtype, np.int64):
+        a = m.astype(np.int64, copy=False)
+        if a.ndim != 2:
+            raise ValueError(f"2-D matrix required, got {a.ndim} dimensions")
+        return a
+    rows = _as_rows(m)
+    if not rows:
+        return np.zeros((0, 0), dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
     """Row-reduce m mod p; returns (rank, det mod p).
 
-    det is reported as 0 for non-square or rank-deficient input.
+    det is reported as 0 for non-square or rank-deficient input.  A column
+    updates only the rows with a nonzero entry below its pivot, scaling the
+    multipliers rather than the pivot row; columns left of it go stale.
     """
     require_prime(p)
-    a = _reduced_int64(m, p)
+    a = (int_matrix(m) % p).astype(np.int64, copy=False)
     nr, nc = a.shape
-    det = 1
-    r = 0
+    det, r = 1, 0
     for c in range(nc):
-        if r >= nr:
+        if r == nr:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             det = 0
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
+        if nz[0]:
+            piv = r + int(nz[0])
+            a[r, c:], a[piv, c:] = a[piv, c:].copy(), a[r, c:].copy()
             det = -det
         pv = int(a[r, c])
         det = det * pv % p
-        a[r, c:] = a[r, c:] * pow(pv, -1, p) % p
-        below = a[r + 1 :, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = hit + r + 1
-            a[rows, c:] = (a[rows, c:] - below[hit, None] * a[r, c:]) % p
+        if nz.size > 1:
+            # entries stay below p, so f * a[r] + a[rows] < 2^63
+            rows = nz[1:] + r
+            f = a[rows, c] * (p - pow(pv, -1, p)) % p
+            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[r, c + 1 :]) % p
         r += 1
     if nr != nc or r < nr:
         det = 0
@@ -84,24 +95,19 @@ def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
 
 def fp_rank(m: MatrixLike, p: int) -> int:
     """Rank of m with entries reduced mod p.  Empty input has rank 0."""
-    if len(m) == 0 or len(m[0]) == 0:
-        return 0
     return fp_eliminate(m, p)[0]
 
 
 def fp_det(m: MatrixLike, p: int) -> int:
-    rows = _as_rows(m)
-    _require_square(rows)
-    if not rows:
-        return 1 % p
-    return fp_eliminate(rows, p)[1]
+    a = int_matrix(m)
+    _require_square(a)
+    return fp_eliminate(a, p)[1]
 
 
 def fp_kernel_size_exponent(m: MatrixLike, p: int) -> int:
     """k such that the kernel of the n x n matrix m over F_p has p^k elements."""
-    rows = _as_rows(m)
-    n = _require_square(rows)
-    return n - fp_rank(rows, p)
+    a = int_matrix(m)
+    return _require_square(a) - fp_eliminate(a, p)[0]
 
 
 def det_bareiss(m: MatrixLike) -> int:
@@ -133,15 +139,20 @@ def det_bareiss(m: MatrixLike) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def hadamard_bound(rows: list[list[int]]) -> int:
-    """Integer upper bound on |det| from row 2-norms (0 iff a zero row exists)."""
-    prod_sq = 1
-    for r in rows:
-        s = sum(x * x for x in r)
-        if s == 0:
-            return 0
-        prod_sq *= s
-    return math.isqrt(prod_sq) + 1
+def hadamard_bound(m: MatrixLike) -> int:
+    """Integer upper bound on |det| from row 2-norms (0 iff a zero row exists).
+
+    Row sums of squares are taken in int64 where width * max|x|^2 fits,
+    in Python ints otherwise; their product is always an exact Python int.
+    """
+    a = int_matrix(m)
+    fits = a.dtype != object and (
+        a.size == 0 or a.shape[1] * max(int(a.max()), -int(a.min())) ** 2 < 2**63
+    )
+    sq = (a * a).sum(axis=1).tolist() if fits else [sum(x * x for x in r) for r in a.tolist()]
+    if 0 in sq:
+        return 0
+    return math.isqrt(math.prod(sq)) + 1
 
 
 def _word_primes():
@@ -169,25 +180,26 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return r1 + m1 * t, m1 * m2
 
 
-def det_crt(m: MatrixLike) -> int:
-    """Exact determinant via residues mod 31-bit primes + CRT reconstruction."""
-    rows = _as_rows(m)
-    n = _require_square(rows)
-    if n == 0:
-        return 1
-    bound = hadamard_bound(rows)
-    if bound == 0:
-        return 0
-    res, mod = 0, 1
-    k = 0
+def _det_residues(a: np.ndarray):
+    """(p, det(a) mod p) over the CRT primes in order, until their product
+    exceeds twice the Hadamard bound, which fixes det(a) exactly."""
+    bound = hadamard_bound(a)
+    mod, k = 1, 0
     while mod <= 2 * bound:
         k += 1
         p = crt_primes(k)[-1]
-        _, dp = fp_eliminate(rows, p)
+        yield p, fp_eliminate(a, p)[1]
+        mod *= p
+
+
+def det_crt(m: MatrixLike) -> int:
+    """Exact determinant via residues mod 31-bit primes + CRT reconstruction."""
+    a = int_matrix(m)
+    _require_square(a)
+    res, mod = 0, 1
+    for p, dp in _det_residues(a):
         res, mod = _crt_pair(res, mod, dp, p)
-    if res > mod // 2:
-        res -= mod
-    return res
+    return res - mod if res > mod // 2 else res
 
 
 def int_determinant(m: MatrixLike) -> int:
@@ -202,20 +214,6 @@ def int_determinant_is_zero(m: MatrixLike) -> bool:
     accumulated until their modulus exceeds twice the Hadamard bound, which
     certifies det == 0.  Never touches floating point.
     """
-    rows = _as_rows(m)
-    n = _require_square(rows)
-    if n == 0:
-        return False
-    bound = hadamard_bound(rows)
-    if bound == 0:
-        return True
-    mod = 1
-    k = 0
-    while mod <= 2 * bound:
-        k += 1
-        p = crt_primes(k)[-1]
-        _, dp = fp_eliminate(rows, p)
-        if dp != 0:
-            return False
-        mod *= p
-    return True
+    a = int_matrix(m)
+    _require_square(a)
+    return all(dp == 0 for _, dp in _det_residues(a))

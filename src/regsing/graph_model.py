@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .common import GuardError, require_degree
+from .gfp_core import int_matrix
 
 ENUMERATION_GUARD = 10  # (n*d)! grows past desk scale beyond 10 points
 
@@ -96,11 +97,11 @@ def enumerate_all_configurations(n: int, d: int) -> Iterator[ConfigurationSample
 
 def has_identical_rows(a) -> bool:
     """True iff two rows agree exactly (a structural singularity witness)."""
-    rows = [tuple(int(x) for x in r) for r in a]
-    if rows and len(rows[0]) != len(rows):
+    a = int_matrix(a)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    rows.sort()
-    return any(rows[i] == rows[i + 1] for i in range(len(rows) - 1))
+    keys = map(tuple, a.tolist()) if a.dtype == object else map(bytes, np.ascontiguousarray(a))
+    return len(set(keys)) < len(a)
 
 
 def adjacency_csv(a) -> str:

@@ -1,10 +1,16 @@
 """Exact F_p and integer linear algebra, cross-checked by independent routes."""
 
+import copy
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from regsing.gfp_core import (
     crt_primes,
@@ -17,6 +23,7 @@ from regsing.gfp_core import (
     hadamard_bound,
     int_determinant,
     int_determinant_is_zero,
+    int_matrix,
 )
 
 
@@ -161,3 +168,78 @@ def test_elimination_reports_rank_and_det_together():
     assert rank == 1 and det == 0
     rank, det = fp_eliminate([[1, 2], [3, 4]], 5)
     assert rank == 2 and det == (1 * 4 - 2 * 3) % 5
+
+
+PRIMES = st.sampled_from([2, 3, 5, 101, 2**31 - 1])
+
+
+@st.composite
+def int_matrices(draw, square=True):
+    """Lists of rows up to 8 x 8: negative and big entries, zero and repeated rows."""
+    nr = draw(st.integers(0 if square else 1, 8))
+    nc = nr if square else draw(st.integers(0, 8).filter(lambda k: k != nr))
+    bound = draw(st.sampled_from([2, 9, 2**40, 2**80]))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr and draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [0] * nc
+    if nr >= 2 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+def forms(rows):
+    """The list of rows, and its int64 array wherever int64 holds every entry."""
+    out = [rows]
+    if all(-(2**63) <= x < 2**63 for r in rows for x in r):
+        out.append(np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0))
+    return out
+
+
+def gf_rank(rows, p):
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    dm = DomainMatrix([[sympy.ZZ(x) for x in r] for r in rows], shape, sympy.ZZ)
+    return dm.convert_to(sympy.GF(p)).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=int_matrices(), p=PRIMES)
+def test_array_and_list_inputs_agree_with_oracles(rows, p):
+    exact = det_bareiss(rows)
+    assert exact == sympy.Matrix(rows).det()
+    rank = gf_rank(rows, p)
+    for m in forms(rows):
+        before = copy.deepcopy(m)
+        assert fp_eliminate(m, p) == (rank, exact % p)
+        assert fp_det(m, p) == exact % p
+        assert det_crt(m) == exact
+        assert int_determinant_is_zero(m) == (exact == 0)
+        assert abs(exact) <= hadamard_bound(m)
+        assert np.array_equal(m, before) and type(m) is type(before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=int_matrices(square=False), p=PRIMES)
+def test_non_square_inputs(rows, p):
+    rank = gf_rank(rows, p)
+    for m in forms(rows):
+        before = copy.deepcopy(m)
+        assert fp_eliminate(m, p) == (rank, 0)
+        for fn in (lambda a: fp_det(a, p), det_crt, int_determinant_is_zero):
+            with pytest.raises(ValueError):
+                fn(m)
+        assert np.array_equal(m, before)
+
+
+def test_int_matrix_forms():
+    a = np.arange(9, dtype=np.int64).reshape(3, 3)
+    assert int_matrix(a) is a
+    assert int_matrix([]).shape == (0, 0)
+    assert int_matrix([[2**70, 1], [0, 1]]).dtype == object
+    assert int_matrix(np.eye(2, dtype=np.int32)).dtype == np.int64
+    with pytest.raises(ValueError):
+        int_matrix(np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError):
+        fp_det(np.zeros((0, 3), dtype=np.int64), 5)
+    with pytest.raises(ValueError):
+        int_matrix([[1, 2], [3]])

@@ -87,6 +87,29 @@ def test_identical_rows_witness():
     assert not has_identical_rows([[3]])
     with pytest.raises(ValueError):
         has_identical_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        has_identical_rows([[1, 2], [1]])
+    a = np.array([[1, 2, 3], [3, 1, 0], [1, 2, 3]], dtype=np.int64)
+    assert has_identical_rows(a)
+    # non-contiguous views: rows of a.T are the columns of a
+    assert not has_identical_rows(a.T)
+    assert has_identical_rows(a[:, ::-1])
+    assert not has_identical_rows(np.array([[1, 2], [1, 3]]))  # differ in the last entry only
+    assert not has_identical_rows(np.array([[0, 2], [1, 2]]))
+    assert has_identical_rows(np.array([[2**70, 1], [2**70, 1]], dtype=object))
+    # pairwise brute force on sampled adjacency matrices, n = 4..8
+    hits = 0
+    for i in range(200):
+        m = adjacency_from_permutation(sample_configuration(4 + i % 5, 3, seed=19, stream=i))
+        rows = m.tolist()
+        brute = any(rows[j] == rows[k] for j in range(len(rows)) for k in range(j))
+        assert has_identical_rows(m) == brute
+        assert has_identical_rows(rows) == brute
+        assert has_identical_rows(m.T) == any(
+            (m[:, j] == m[:, k]).all() for j in range(len(rows)) for k in range(j)
+        )
+        hits += brute
+    assert 0 < hits < 200
 
 
 def test_identical_rows_force_singularity_downstream():

@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, invariant chain, intervals."""
 
+import hashlib
 import json
 import math
 
@@ -148,3 +149,36 @@ def test_summary_fields_and_intervals():
     lo, hi = summary.rational_interval
     assert lo <= summary.rational_fraction <= hi
     assert len(records) == 40
+
+
+@pytest.mark.parametrize(
+    "n, trials, zeros, identical, records_sha, summary_sha",
+    [
+        # trials 26 and 49 are rationally singular without identical rows,
+        # so they run the full Hadamard-bounded CRT loop
+        (
+            300,
+            60,
+            2,
+            0,
+            "02fa73d298a5f7414465862d1c56b5059395c92aec168b9e31c694cca8cd6079",
+            "8d2d89ea2323961e7975e95538c03d4cb3e3dcaca785e7ebba408c2cca7e3c45",
+        ),
+        (
+            30,
+            500,
+            100,
+            23,
+            "a450ef756b01a3da79658318798a48494b9d76a2921a2787cc8200517ddaa1e1",
+            "8a0a75d5464b33c336155f15d0635fae8254015e5705ce5466366fd1a1f86e1e",
+        ),
+    ],
+)
+def test_committed_seed_golden_bytes(n, trials, zeros, identical, records_sha, summary_sha):
+    # records and summary bytes at the committed criterion-9 seed, d=3
+    cfg = ExperimentConfig(n=n, d=3, primes=(2, 5), trials=trials, seed=20240813)
+    summary, records = run_experiment(cfg)
+    assert hashlib.sha256(records_jsonl(records).encode()).hexdigest() == records_sha
+    assert hashlib.sha256(summary.to_json().encode()).hexdigest() == summary_sha
+    assert sum(r.det_zero for r in records) == zeros
+    assert sum(r.identical_rows for r in records) == identical

@@ -170,6 +170,21 @@ def test_class_partition_is_exact_split():
         type_class_partition(n, d, p, 0.0, counts)
 
 
+def test_far_class_nonempty_and_bounded_past_n80():
+    # Companion to acceptance criterion 8: at d=3, p=2, b=10 the far class
+    # is empty for every n <= 80 (10 ln n / n exceeds the largest squared
+    # deviation), so the bound is checked where the class is populated.
+    scaled = {}
+    for n in (160, 320, 640):
+        _, far, _ = type_class_partition(n, 3, 2, 10.0, walk_endpoint_counts(n, 3, 2))
+        assert far > 0, f"far class empty at n={n}"
+        scaled[n] = far * n
+    # measured: 2.5495, 2.3629, 2.2885
+    assert all(scaled[n] <= 2 * scaled[160] for n in (320, 640)), {
+        n: float(v) for n, v in scaled.items()
+    }
+
+
 def test_support_bound_holds_everywhere():
     for n, d, p in [(6, 3, 2), (4, 3, 5)]:
         counts = walk_endpoint_counts(n, d, p)
