@@ -169,9 +169,13 @@ def _cmd_lclt(args) -> int:
     return 0
 
 
-def _parse_density(raw: str, p: int) -> List[float]:
+def _parse_density(raw: str, p: int) -> List[Fraction]:
+    """Exact decimal entries, so a typed boundary density keeps its side."""
+    toks = raw.split(",")
     try:
-        vals = [float(tok) for tok in raw.split(",")]
+        for tok in toks:
+            float(tok)  # keeps float syntax: no "a/b" entries
+        vals = [Fraction(tok) for tok in toks]
     except ValueError:
         raise ValueError(f"--density must be comma-separated reals, got {raw!r}")
     if len(vals) != p:
@@ -194,7 +198,7 @@ def _cmd_rate(args) -> int:
         if stationary is not None:
             payload["stationary_rate"] = stationary.rate
             payload["stationary_moment_residual"] = stationary.moment_residual
-        dtag = "-".join(f"{x:g}" for x in nv)
+        dtag = "-".join(f"{float(x):g}" for x in nv)
         path = _out_path(args, f"rate_d{args.d}_p{args.p}_nu{dtag}.{ext}")
         if args.format == "csv":
             rows = ["field,value"] + [f"{k},{v}" for k, v in payload.items()]

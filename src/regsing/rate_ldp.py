@@ -8,24 +8,30 @@ the supremum over nonnegative weights a on the p^{d-1} step atoms subject to
 sum a_j = 1 and sum_j a_j w_j = d * nv.  The rate is <= 0 everywhere on the
 simplex, with equality exactly at the uniform density and at e_0 = (1,0,...,0).
 
-The supremum is computed through the smooth convex dual: a_j(theta) is
-proportional to exp(<theta, w_j>) and Newton iterations drive the moment
-residual below tolerance.  A closed-form stationary candidate and the AM-GM
-upper bound ln(amgm_sum) provide independent cross-checks.
+Feasibility is decided exactly: nv is feasible iff c . nv >= 0 for every
+integer facet normal c of the cone spanned by the atoms, evaluated on the
+rational value of nv.  On feasible densities the supremum is computed
+through the smooth convex dual: a_j(theta) is proportional to
+exp(<theta, w_j>) and Newton iterations drive the moment residual below
+tolerance.  A closed-form stationary candidate and the AM-GM upper bound
+ln(amgm_sum) provide independent cross-checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .common import require_coprime_degree
+from .gfp_core import det_crt
 from .walk_census import TypeVec, build_U, squared_deviation, type_vectors
 
 logger = logging.getLogger(__name__)
@@ -38,19 +44,53 @@ def _check_density(nv: Sequence[float], p: int) -> np.ndarray:
     v = np.asarray(nv, dtype=float)
     if v.shape != (p,):
         raise ValueError(f"density must have length {p}, got shape {v.shape}")
-    if (v < -1e-12).any():
+    if not (v >= -1e-12).all():
         raise ValueError("density entries must be nonnegative")
     if abs(float(v.sum()) - 1.0) > 1e-12:
         raise ValueError("density entries must sum to 1 within 1e-12")
     return np.clip(v, 0.0, None)
 
 
+@lru_cache(maxsize=None)
 def _atoms(d: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct step profiles as rows of W with their multiplicities."""
+    """Distinct step profiles as rows of W with their multiplicities (read-only)."""
     u = build_U(d, p)
     w = np.array([item[0] for item in u.items], dtype=float)
     m = np.array([item[1] for item in u.items], dtype=float)
+    w.setflags(write=False)
+    m.setflags(write=False)
     return w, m
+
+
+@lru_cache(maxsize=None)
+def facet_normals(d: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Primitive inward integer normals of the facets of the atom cone.
+
+    Each (p-1)-subset of atoms with a nonzero cofactor normal spans a
+    hyperplane; it is a facet when every atom lies on one side.
+    """
+    atoms = [w for w, _ in build_U(d, p).items]
+    normals = set()
+    for sub in itertools.combinations(atoms, p - 1):
+        c = [(-1) ** k * det_crt([w[:k] + w[k + 1 :] for w in sub]) for k in range(p)]
+        dots = [sum(a * b for a, b in zip(c, w)) for w in atoms]
+        if any(c) and not min(dots) < 0 < max(dots):
+            g = math.gcd(*c) if max(dots) > 0 else -math.gcd(*c)
+            normals.add(tuple(x // g for x in c))
+    return tuple(sorted(normals))
+
+
+def _feasible(nv: Sequence, d: int, p: int) -> bool:
+    """Exact test c . nv >= 0 over the facet normals, on nv's rational value.
+
+    The atoms all have coordinate sum d and each {nv_k = 0} is a face of
+    the cone, so this agrees with the support-restricted moment problem;
+    the test is homogeneous, so the 1e-12 sum slack does not enter.
+    """
+    q = [max(Fraction(x), 0) for x in nv]
+    den = math.lcm(*(x.denominator for x in q))
+    num = [x.numerator * (den // x.denominator) for x in q]
+    return all(sum(a * b for a, b in zip(c, num)) >= 0 for c in facet_normals(d, p))
 
 
 def _expand(values: Sequence[float], mults: np.ndarray) -> Tuple[float, ...]:
@@ -105,46 +145,32 @@ def maxent_alpha(
 ) -> RateCertificate:
     """Maximize weight entropy subject to the moment constraint at d*nv.
 
-    Atoms touching a zero coordinate of nv are forced to weight 0 before
-    solving; a linear program then certifies feasibility of the remaining
-    constraint.  Infeasible densities get rate -inf and feasible=False.
+    Feasibility is decided exactly on the rational value of nv (pass
+    Fractions for densities such as t/r that floats cannot represent);
+    infeasible densities get rate -inf and feasible=False.  Atoms touching
+    a zero coordinate of nv are forced to weight 0 before solving.
     """
     require_coprime_degree(p, d)
     nv_arr = _check_density(nv, p)
     w_all, m_all = _atoms(d, p)
-    target = d * nv_arr
+    density_t = tuple(float(x) for x in nv_arr)
+    if not _feasible(nv, d, p):
+        return RateCertificate(
+            density=density_t,
+            alpha=(0.0,) * int(m_all.sum()),
+            dual=(0.0,) * p,
+            rate=float("-inf"),
+            residual=float("inf"),
+            converged=False,
+            feasible=False,
+        )
 
+    target = d * nv_arr
     # Support restriction: coordinates with nv_k = 0 force alpha_j = 0 for
     # every atom with w_j(k) > 0, since the atoms are nonnegative.
     keep = ~((w_all > 0) & (nv_arr == 0.0)[None, :]).any(axis=1)
     w = w_all[keep]
     m = m_all[keep]
-    density_t = tuple(float(x) for x in nv_arr)
-    zero_alpha = tuple(0.0 for _ in range(int(m_all.sum())))
-    if len(w) == 0:
-        return RateCertificate(
-            density=density_t,
-            alpha=zero_alpha,
-            dual=(0.0,) * p,
-            rate=float("-inf"),
-            residual=float("inf"),
-            converged=False,
-            feasible=False,
-        )
-
-    a_eq = np.vstack([w.T, np.ones((1, len(w)))])
-    b_eq = np.append(target, 1.0)
-    lp = linprog(np.zeros(len(w)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if lp.status != 0:
-        return RateCertificate(
-            density=density_t,
-            alpha=zero_alpha,
-            dual=(0.0,) * p,
-            rate=float("-inf"),
-            residual=float("inf"),
-            converged=False,
-            feasible=False,
-        )
 
     theta = np.zeros(p)
 
@@ -395,7 +421,7 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
         ):
             n_excluded += 1
             continue
-        cert = maxent_alpha(nv, d, p)
+        cert = maxent_alpha([Fraction(x, resolution) for x in t], d, p)
         rows.append((cert.density, cert.rate, cert.feasible, cert.converged))
         if not cert.feasible:
             n_infeasible += 1

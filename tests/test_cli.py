@@ -1,5 +1,6 @@
 """Command-line interface: outputs, artifacts, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -124,6 +125,59 @@ def test_rate_certificate_and_scan(monkeypatch):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "rate_scan" and obj["all_negative"]
+
+
+def test_rate_boundary_density_parsed_exactly(monkeypatch):
+    # 0.01,0.48,0.51 lies on a facet of the atom cone; its nearest floats do not.
+    code, out, _ = run_cli(
+        ["rate", "--d", "4", "--p", "3", "--density", "0.01,0.48,0.51"], monkeypatch=monkeypatch
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["feasible"] and obj["converged"]
+    assert obj["rate"] == -0.2818028704245985
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "da50d3c47e5e6108c7cb9abc89c4611e7dec917f74470af4450b8eaca2dd5c6e"
+    )
+    code, _, err = run_cli(
+        ["rate", "--d", "3", "--p", "2", "--density", "1/2,1/2"], monkeypatch=monkeypatch
+    )
+    assert code == 2 and "comma-separated reals" in err
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "rate --d 4 --p 3 --resolution 100",
+            "55c85627f36517f65e00de6b091a6b8ecaac4f1afb4e008d7770b020a1c6bef2",
+        ),
+        (
+            "rate --d 3 --p 2 --resolution 100",
+            "aa8ac9bda11631d7a07e72afd34adc64ca0297b1951128b3b4e535360a7f905a",
+        ),
+        (
+            "rate --d 4 --p 3 --resolution 100 --format csv",
+            "5833988648fca5bf4de4f366c03e0a7c9e20055641f7b733362be705bc4696a6",
+        ),
+    ],
+)
+def test_rate_scan_golden_bytes(argv, digest, monkeypatch):
+    # digests of the stdout of the LP-decided scans, before exact feasibility
+    code, out, _ = run_cli(argv.split(), monkeypatch=monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, regsing.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):

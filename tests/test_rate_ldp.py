@@ -2,6 +2,7 @@
 
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from regsing.rate_ldp import (
     amgm_sum,
     certificate_json,
     classify_type,
+    facet_normals,
     gram_spectrum,
     grid_scan_csv,
     maxent_alpha,
@@ -18,7 +20,7 @@ from regsing.rate_ldp import (
     quadratic_expansion_check,
     stationary_alpha,
 )
-from regsing.walk_census import build_U
+from regsing.walk_census import build_U, type_vectors
 
 
 def slice_entropy_d3p2(nv0: float, spread: float = 0.0) -> float:
@@ -113,6 +115,61 @@ def test_density_validation():
         maxent_alpha([0.5, 0.5, 0.0], 3, 2)
     with pytest.raises(ValueError):
         maxent_alpha([1.2, -0.2], 3, 2)
+    with pytest.raises(ValueError):
+        amgm_sum([float("nan"), 1.0], 3, 2)
+
+
+def lp_feasible_oracle(nv, d, p):
+    """Independent oracle: the support-restricted moment LP, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    u = build_U(d, p)
+    w = np.array([wj for wj, _ in u.items], dtype=float)
+    nv = np.asarray(nv, dtype=float)
+    w = w[~((w > 0) & (nv == 0.0)[None, :]).any(axis=1)]
+    if len(w) == 0:
+        return False
+    a_eq = np.vstack([w.T, np.ones((1, len(w)))])
+    b_eq = np.append(d * nv, 1.0)
+    lp = linprog(np.zeros(len(w)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    return lp.status == 0
+
+
+def test_facet_normals():
+    assert facet_normals(3, 2) == ((0, 1), (2, -1))
+    assert facet_normals(4, 3) == ((0, 0, 1), (0, 1, 0), (3, -1, 1), (3, 1, -1))
+    assert len(facet_normals(3, 5)) == 13
+    for d, p in [(3, 2), (4, 3), (3, 5)]:
+        for c in facet_normals(d, p):
+            dots = [sum(a * b for a, b in zip(c, w)) for w, _ in build_U(d, p).items]
+            assert min(dots) == 0 and math.gcd(*c) == 1
+            # a facet holds p-1 independent atoms
+            on = np.array([w for (w, _), x in zip(build_U(d, p).items, dots) if x == 0])
+            assert np.linalg.matrix_rank(on) == p - 1
+
+
+@pytest.mark.parametrize(
+    "d,p,resolution,n_points,n_infeasible",
+    [(3, 2, 100, 101, 34), (4, 3, 40, 861, 220), (5, 3, 30, 496, 84), (3, 5, 8, 495, 370)],
+)
+def test_exact_feasibility_matches_lp_oracle(d, p, resolution, n_points, n_infeasible):
+    points = list(type_vectors(resolution, p))
+    assert len(points) == n_points
+    infeasible = 0
+    for t in points:
+        exact = maxent_alpha([Fraction(x, resolution) for x in t], d, p).feasible
+        assert exact == lp_feasible_oracle(np.array(t) / resolution, d, p), t
+        infeasible += not exact
+    assert infeasible == n_infeasible
+
+
+def test_boundary_density_decided_exactly():
+    # t = (1, 48, 51) lies on the facet 3 nv_0 + nv_1 - nv_2 = 0; the nearest
+    # floats of t/100 lie just outside it.
+    exact = maxent_alpha([Fraction(1, 100), Fraction(48, 100), Fraction(51, 100)], 4, 3)
+    assert exact.feasible and exact.converged
+    assert exact.density == (0.01, 0.48, 0.51)
+    assert not maxent_alpha([0.01, 0.48, 0.51], 4, 3).feasible
 
 
 def test_stationary_uniform_and_degenerate():
