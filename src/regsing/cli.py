@@ -83,10 +83,10 @@ def _cmd_sample(args) -> int:
 def _cmd_exact(args) -> int:
     require_coprime_degree(args.p, args.d)
     counts = walk_census.walk_endpoint_counts(args.n, args.d, args.p)
-    ks = walk_census.key_sum(args.n, args.d, args.p, counts=counts)
     e_sum, n_sum, zero_term = walk_census.type_class_partition(
         args.n, args.d, args.p, args.b_threshold, counts
     )
+    ks = e_sum + n_sum
     gap = abs(1 - ks)
     payload = {
         "kind": "exact",

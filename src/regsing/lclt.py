@@ -26,6 +26,7 @@ from .walk_census import (
     UMultiset,
     build_U,
     is_admissible,
+    is_near_uniform,
     squared_deviation,
     type_vectors,
     walk_endpoint_counts,
@@ -136,14 +137,11 @@ def lclt_error_scan(
     """
     if counts is None:
         counts = walk_endpoint_counts(n, d, p)
-    threshold = b * math.log(n) / n
     denom = p ** ((d - 1) * n)
     rows: List[Tuple[TypeVec, float, float, float]] = []
     zero_types = 0
     for t in type_vectors(n, p):
-        if not is_admissible(t, p):
-            continue
-        if float(squared_deviation(t, p)) > threshold:
+        if not is_admissible(t, p) or not is_near_uniform(t, p, b):
             continue
         c = counts.count(tuple(d * tj for tj in t))
         g = gaussian_point_mass(t, d, p).value

@@ -32,7 +32,7 @@ import numpy as np
 
 from .common import require_coprime_degree
 from .gfp_core import det_crt
-from .walk_census import TypeVec, build_U, squared_deviation, type_vectors
+from .walk_census import build_U, type_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -452,14 +452,3 @@ def grid_scan_csv(report: GridScanReport) -> str:
         lines.append(f"\"{dens}\",{rate!r},{feasible},{conv}")
     return "\n".join(lines) + "\n"
 
-
-def classify_type(t: TypeVec, b: float) -> str:
-    """Label a type vector: zero-type, equidistributed, or non-equidistributed."""
-    if b <= 0:
-        raise ValueError("b must be positive")
-    n = sum(t)
-    if t[0] == n:
-        return "zero-type"
-    if float(squared_deviation(t, len(t))) <= b * math.log(n) / n:
-        return "equidistributed"
-    return "non-equidistributed"

@@ -116,7 +116,18 @@ def _lattice_size(n: int, d: int, p: int) -> int:
 
 
 def walk_endpoint_counts(n: int, d: int, p: int, guard: int = LATTICE_GUARD) -> LatticeCounts:
-    """n-fold exact convolution of the step multiset counting measure."""
+    """Endpoint counts of the n-step walk: the coefficients of P = U^n, exact.
+
+    With x_0 = 1 the zero step w_1 is U's constant term 1, and Euler's
+    identity U * x_j dP/dx_j = n * P * x_j dU/dx_j gives, for any j with
+    f_j > 0 (J.C.P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7),
+
+        f_j * P_f = sum over steps w != w_1 of m_w * ((n + 1) * w_j - f_j) * P_{f-w}.
+
+    Points of (x_1, ..., x_{p-1}) are keyed in radix dn + 1 and visited by
+    degree; each final P_e pushes its terms into the layers above, with j
+    the first nonzero coordinate of the target, min(that of e, that of w).
+    """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     size = _lattice_size(n, d, p)
@@ -126,34 +137,62 @@ def walk_endpoint_counts(n: int, d: int, p: int, guard: int = LATTICE_GUARD) -> 
             f"over the guard of {guard}"
         )
     u = build_U(d, p)
-    if p == 2:
-        return _walk_counts_dense_p2(n, d, u)
-    cur: Dict[TypeVec, int] = {w: m for w, m in u.items}
-    for _ in range(n - 1):
-        nxt: Dict[TypeVec, int] = {}
-        for e, c in cur.items():
-            for w, m in u.items:
-                key = tuple(a + b for a, b in zip(e, w))
-                nxt[key] = nxt.get(key, 0) + c * m
-        cur = nxt
-    return LatticeCounts(n=n, d=d, p=p, counts=cur)
-
-
-def _walk_counts_dense_p2(n: int, d: int, u: UMultiset) -> LatticeCounts:
-    # dense table indexed by the second coordinate, 0..dn
-    steps = [(w[1], m) for w, m in u.items]
-    cur = [0] * (d * n + 1)
-    for s, m in steps:
-        cur[s] += m
-    for _ in range(n - 1):
-        nxt = [0] * (d * n + 1)
-        for j, c in enumerate(cur):
-            if c:
-                for s, m in steps:
-                    nxt[j + s] += c * m
-        cur = nxt
-    counts = {(d * n - j, j): c for j, c in enumerate(cur) if c}
-    return LatticeCounts(n=n, d=d, p=2, counts=counts)
+    top = d * n
+    radix = top + 1
+    # pushes[j] for a source e whose first nonzero coordinate is j (j = p-1 for
+    # the origin): (key offset, degree, a, b) per step w, the term's factor
+    # m_w * ((n+1) * w_i - f_i) = m_w * (n * w_i - e_i) at i = min(j, j_w) being
+    # a - b * e_j.  Targets past degree dn are beyond U^n's degree and skipped;
+    # every step but w_1 has degree >= 2, so no push lands in the layer being read.
+    pushes: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(p)]
+    for w, m in u.items[1:]:
+        r = w[1:]
+        offset = sum(x * radix**i for i, x in enumerate(r))
+        jw = next(i for i, x in enumerate(r) if x)
+        for j in range(p):
+            if jw < j:
+                pushes[j].append((offset, sum(r), m * n * r[jw], 0))
+            else:
+                pushes[j].append((offset, sum(r), m * n * r[j], m))
+    layers: List[Dict[int, int]] = [{} for _ in range(top + 1)]
+    layers[0][0] = 1
+    for s in range(top + 1):
+        layer = layers[s]
+        for key, acc in layer.items():
+            if not acc:  # the terms cancel: the walk cannot reach this point
+                continue
+            if key:
+                j, rest = 0, key
+                while not rest % radix:
+                    rest //= radix
+                    j += 1
+                ej = rest % radix
+                val, rem = divmod(acc, ej)
+                if rem or val < 0:
+                    raise ArithmeticError(
+                        f"power recurrence at (n,d,p)=({n},{d},{p}), degree {s}: "
+                        f"{acc} is not a positive multiple of {ej}"
+                    )
+                layer[key] = val
+            else:
+                j, ej, val = p - 1, 0, acc
+            for offset, deg, a, b in pushes[j]:
+                c = a - b * ej
+                if c and s + deg <= top:
+                    target = layers[s + deg]
+                    k = key + offset
+                    target[k] = target.get(k, 0) + c * val
+    counts: Dict[TypeVec, int] = {}
+    for s, layer in enumerate(layers):
+        for key, val in layer.items():
+            if not val:
+                continue
+            e = [top - s]
+            for _ in range(p - 1):
+                key, x = divmod(key, radix)
+                e.append(x)
+            counts[tuple(e)] = val
+    return LatticeCounts(n=n, d=d, p=p, counts=counts)
 
 
 def type_vectors(n: int, p: int) -> Iterator[TypeVec]:
@@ -178,27 +217,45 @@ def graphs_with_null_vector(t: Sequence[int], counts: LatticeCounts) -> int:
     return prefactor * counts.count(tuple(d * tj for tj in t))
 
 
+def _type_numerators(n: int, d: int, p: int, counts: LatticeCounts) -> Iterator[Tuple[TypeVec, int]]:
+    """(t, count(d*t) * prod_j (d*t_j)! / t_j!) for each reachable profile t.
+
+    Times n! / (dn)! each is profile t's kernel-pair term
+    multinomial(n, t) * count(d*t) / multinomial(dn, d*t).
+    """
+    ratio = [1]  # ratio[k] = (d*k)! / k!, exact: (dk)!/(k-1)! is an integer multiple of k
+    for k in range(1, n + 1):
+        ratio.append(ratio[-1] * math.perm(d * k, d) // k)
+    for t in type_vectors(n, p):
+        num = counts.count(tuple(d * tj for tj in t))
+        if num:
+            for tj in t:
+                num *= ratio[tj]
+            yield t, num
+
+
 def key_sum(n: int, d: int, p: int, counts: LatticeCounts | None = None) -> Fraction:
     """Normalized count of (graph, nonzero kernel vector) pairs, exact."""
     if counts is None:
         counts = walk_endpoint_counts(n, d, p)
-    total = Fraction(0)
-    denom_n = d * n
-    for t in type_vectors(n, p):
-        if t[0] == n:
-            continue
-        c = counts.count(tuple(d * tj for tj in t))
-        if c == 0:
-            continue
-        term = Fraction(multinomial(n, t) * c, multinomial(denom_n, [d * tj for tj in t]))
-        total += term
-    return total
+    total = sum(num for t, num in _type_numerators(n, d, p, counts) if t[0] != n)
+    return Fraction(_factorial(n) * total, _factorial(d * n))
 
 
 def squared_deviation(t: Sequence[int], p: int) -> Fraction:
     """sum_j (t_j/n - 1/p)^2, exact."""
     n = sum(t)
     return sum((Fraction(tj, n) - Fraction(1, p)) ** 2 for tj in t)
+
+
+def is_near_uniform(t: Sequence[int], p: int, b: float) -> bool:
+    """Profile t is in the near-uniform class: squared deviation <= b ln(n) / n.
+
+    The one near/far test of the package; the comparison is in floats, so
+    the class of a profile on the boundary is that of the float threshold.
+    """
+    n = sum(t)
+    return float(squared_deviation(t, p)) <= b * math.log(n) / n
 
 
 def type_class_partition(
@@ -213,30 +270,20 @@ def type_class_partition(
         raise ValueError("threshold b must be positive")
     if counts is None:
         counts = walk_endpoint_counts(n, d, p)
-    threshold = b * math.log(n) / n
-    e_sum = Fraction(0)
-    n_sum = Fraction(0)
-    degenerate = Fraction(0)
-    denom_n = d * n
-    for t in type_vectors(n, p):
-        c = counts.count(tuple(d * tj for tj in t))
-        if c == 0:
-            continue
-        term = Fraction(multinomial(n, t) * c, multinomial(denom_n, [d * tj for tj in t]))
+    e_num = n_num = degenerate = 0
+    for t, num in _type_numerators(n, d, p, counts):
         if t[0] == n:
-            degenerate += term
-        elif float(squared_deviation(t, p)) <= threshold:
-            e_sum += term
+            degenerate += num
+        elif is_near_uniform(t, p, b):
+            e_num += num
         else:
-            n_sum += term
-    return e_sum, n_sum, degenerate
-
-
-def support_bound_ok(t: Sequence[int], counts: LatticeCounts) -> bool:
-    """count(d*t)^2 <= (p^(d-1) * n)^(d*m) with m = n - t_0 (squared to keep d*m/2 integral)."""
-    m = counts.n - t[0]
-    c = counts.count(tuple(counts.d * tj for tj in t))
-    return c * c <= (counts.p ** (counts.d - 1) * counts.n) ** (counts.d * m)
+            n_num += num
+    scale, denom = _factorial(n), _factorial(d * n)
+    return (
+        Fraction(scale * e_num, denom),
+        Fraction(scale * n_num, denom),
+        Fraction(scale * degenerate, denom),
+    )
 
 
 @lru_cache(maxsize=None)

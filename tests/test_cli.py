@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from regsing import walk_census
 from regsing.cli import main
 
 
@@ -167,6 +168,52 @@ def test_rate_scan_golden_bytes(argv, digest, monkeypatch):
     code, out, _ = run_cli(argv.split(), monkeypatch=monkeypatch)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest,points,bits",
+    [
+        (
+            "exact --n 20 --d 3 --p 5",
+            "a4a1847e92f16edcda22d117ccdc61a6e37da365e9059194d5105743145b3561",
+            56266,
+            84,
+        ),
+        (
+            "exact --n 60 --d 4 --p 3",
+            "3992ed67a54a6093b4179eab283cefb8c93f2f49268c9ae5c48ffebd6aa7406b",
+            7321,
+            279,
+        ),
+        (
+            "exact --n 1280 --d 3 --p 2",
+            "d6acbbfd8e7d18858bd218bf28d84d003a36361f4397c8b0f48044662957510c",
+            1281,
+            2555,
+        ),
+        (
+            "exact --n 20 --d 3 --p 5 --format csv",
+            "3edfc830768921e07522bb855145b928284d24ff0ff056173a96b7d844d61f5f",
+            56266,
+            84,
+        ),
+    ],
+)
+def test_exact_golden_bytes(argv, digest, points, bits, monkeypatch):
+    # digests of the stdout of the n-fold dict convolution, before the power recurrence
+    tables = []
+    real = walk_census.walk_endpoint_counts
+
+    def recording(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(walk_census, "walk_endpoint_counts", recording)
+    code, out, _ = run_cli(argv.split(), monkeypatch=monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    (counts,) = tables
+    assert (len(counts.counts), max(counts.counts.values()).bit_length()) == (points, bits)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -11,7 +11,6 @@ from regsing.rate_ldp import (
     GridScanReport,
     amgm_sum,
     certificate_json,
-    classify_type,
     facet_normals,
     gram_spectrum,
     grid_scan_csv,
@@ -289,11 +288,3 @@ def test_certificate_json_fields():
     for key in ('"density"', '"alpha"', '"dual"', '"rate"', '"residual"', '"converged"'):
         assert key in blob
 
-
-def test_classify_type():
-    assert classify_type((100, 0), 10.0) == "zero-type"
-    assert classify_type((50, 50), 1.0) == "equidistributed"
-    assert classify_type((80, 20), 10.0) == "equidistributed"
-    assert classify_type((80, 20), 1.0) == "non-equidistributed"
-    with pytest.raises(ValueError):
-        classify_type((3, 1), 0.0)

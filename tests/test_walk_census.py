@@ -1,4 +1,4 @@
-"""Exact walk census: step multisets, convolutions, kernel-vector counts."""
+"""Exact walk census: step multisets, the power recurrence, kernel-vector counts."""
 
 import itertools
 import math
@@ -12,12 +12,12 @@ from regsing.walk_census import (
     build_U,
     graphs_with_null_vector,
     is_admissible,
+    is_near_uniform,
     key_sum,
     multinomial,
     phi,
     representative_vector,
     squared_deviation,
-    support_bound_ok,
     type_class_partition,
     type_vectors,
     walk_endpoint_counts,
@@ -83,6 +83,41 @@ def brute_endpoints(n, d, p):
         e = tuple(e)
         tally[e] = tally.get(e, 0) + 1
     return tally
+
+
+def dict_convolution_oracle(n, d, p):
+    """Independent oracle: the n-fold convolution of the step multiset, one dict per step."""
+    u = build_U(d, p)
+    cur = dict(u.items)
+    for _ in range(n - 1):
+        nxt = {}
+        for e, c in cur.items():
+            for w, m in u.items:
+                key = tuple(a + b for a, b in zip(e, w))
+                nxt[key] = nxt.get(key, 0) + c * m
+        cur = nxt
+    return cur
+
+
+# (d, p, largest n): at the largest n the oracle takes about a second.
+ORACLE_GRID = [
+    (3, 2, 256),
+    (5, 2, 256),
+    (4, 3, 54),
+    (5, 3, 33),
+    (3, 5, 16),
+    (4, 5, 10),
+    (3, 7, 8),
+    (4, 7, 5),
+    (5, 7, 4),
+]
+
+
+@pytest.mark.parametrize("d,p,top", ORACLE_GRID)
+def test_power_recurrence_against_dict_convolution(d, p, top):
+    assert math.gcd(d, p) == 1
+    for n in sorted({*range(1, min(top, 5) + 1), top // 4, top // 2, top}):
+        assert walk_endpoint_counts(n, d, p).counts == dict_convolution_oracle(n, d, p), (n, d, p)
 
 
 def test_convolution_against_sequence_enumeration():
@@ -153,6 +188,16 @@ def test_squared_deviation_exact():
     assert squared_deviation((3, 1), 2) == 2 * Fraction(1, 4) ** 2
 
 
+def test_is_near_uniform():
+    assert is_near_uniform((50, 50), 2, 1.0)
+    assert is_near_uniform((80, 20), 2, 10.0)
+    assert not is_near_uniform((80, 20), 2, 1.0)
+    assert not is_near_uniform((100, 0), 2, 1.0)
+    # squared deviations 1/150 and 49/150 against ln(100)/100 = 0.0461; the zero
+    # type and b <= 0 are type_class_partition's, checked in the split test below
+    assert is_near_uniform((40, 30, 30), 3, 1.0) and not is_near_uniform((80, 10, 10), 3, 1.0)
+
+
 def test_class_partition_is_exact_split():
     n, d, p = 14, 3, 2
     counts = walk_endpoint_counts(n, d, p)
@@ -183,6 +228,13 @@ def test_far_class_nonempty_and_bounded_past_n80():
     assert all(scaled[n] <= 2 * scaled[160] for n in (320, 640)), {
         n: float(v) for n, v in scaled.items()
     }
+
+
+def support_bound_ok(t, counts):
+    """count(d*t)^2 <= (p^(d-1) * n)^(d*m) with m = n - t_0 (squared to keep d*m/2 integral)."""
+    m = counts.n - t[0]
+    c = counts.count(tuple(counts.d * tj for tj in t))
+    return c * c <= (counts.p ** (counts.d - 1) * counts.n) ** (counts.d * m)
 
 
 def test_support_bound_holds_everywhere():
