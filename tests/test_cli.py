@@ -216,6 +216,179 @@ def test_exact_golden_bytes(argv, digest, points, bits, monkeypatch):
     assert (len(counts.counts), max(counts.counts.values()).bit_length()) == (points, bits)
 
 
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (argv, file written under REGSING_OUT_DIR, digest of stdout and of that
+# file, other files written), captured before the artifact format moved
+# into cli.py
+GOLDEN_ARTIFACTS = [
+    (
+        "sample --n 6 --d 3 --seed 9 --stream 2",
+        "sample_n6_d3_s9_t2.json",
+        "60042ffb8da4dc1b5695ff2ef24ea9390cf00d7625da3411723a029782679660",
+        {},
+    ),
+    (
+        "sample --n 6 --d 3 --seed 9 --stream 2 --format csv",
+        "sample_n6_d3_s9_t2.csv",
+        "6a81ba4dacee94dafc0d89c5b8f0b28af4c671ca27dbdea8ce8ab1185ac02b46",
+        {},
+    ),
+    (
+        "oracle --n 2 --d 3 --p 5",
+        "oracle_n2_d3_p5.json",
+        "051d1d2215d1ca90d34bc7a0c18c9324ab3588cac5dd1cfaad45debd64d6c2e6",
+        {},
+    ),
+    (
+        "oracle --n 2 --d 3 --p 5 --format csv",
+        "oracle_n2_d3_p5.csv",
+        "66bd169b4faff57efeca1398da5d00303d0d5e34f9c0329c7fab28f93ccc338a",
+        {},
+    ),
+    (
+        "lclt --n 12 --d 4 --p 3 --b-threshold 0.5",
+        "lclt_n12_d4_p3_b0.5.json",
+        "45fc550e78378ed0bfc129bc1bde8eaaf2b08885d15445df264af1815699b4f8",
+        {},
+    ),
+    (
+        "lclt --n 12 --d 4 --p 3 --b-threshold 0.5 --format csv",
+        "lclt_n12_d4_p3_b0.5.csv",
+        "9d30245d80fa876bfa0bc994e15fe5870821419d449d29da767806247776e9f3",
+        {},
+    ),
+    (
+        "exact --n 12 --d 3 --p 5",
+        "exact_n12_d3_p5.json",
+        "eca157d4caf73fb142f9e23281991e04ae617fca4bcdbb82595733617ae80e55",
+        {},
+    ),
+    (
+        "exact --n 12 --d 3 --p 5 --format csv",
+        "exact_n12_d3_p5.csv",
+        "d7f6c7be457aab1e3a71adceed7d419fb902be8b07c164dc41761c0ed6f41af5",
+        {},
+    ),
+    (
+        "rate --d 4 --p 3 --density 0.2,0.3,0.5",
+        "rate_d4_p3_nu0.2-0.3-0.5.json",
+        "ec2e9c3b9c37829bcbe33f8f8a8153d04ce29566077dca66fa25ecddd41e84ea",
+        {},
+    ),
+    (
+        "rate --d 4 --p 3 --density 0.2,0.3,0.5 --format csv",
+        "rate_d4_p3_nu0.2-0.3-0.5.csv",
+        "aa4927a314cc6bbf244bcfa907fcc0d4d4fefcf8bdc4de9bcaa5d79d0c97e430",
+        {},
+    ),
+    (
+        "rate --d 3 --p 2 --density 1,0",
+        "rate_d3_p2_nu1-0.json",
+        "73b6adbed4f61e8d47a83720732aef210d56b3e9f3539a0eec66aad23f50a9b8",
+        {},
+    ),
+    (
+        "rate --d 3 --p 2 --density 1,0 --format csv",
+        "rate_d3_p2_nu1-0.csv",
+        "7720981bb2773842370c1fa4d034997fd7c69e18732944928583c2539ea66d52",
+        {},
+    ),
+    (
+        "rate --d 3 --p 2 --density 0.1,0.9",
+        "rate_d3_p2_nu0.1-0.9.json",
+        "44ac72b7eb1ee1e1187427ca5c2396a804366cb0f2a58a0305f7dfa90269f182",
+        {},
+    ),
+    (
+        "rate --d 3 --p 2 --density 0.1,0.9 --format csv",
+        "rate_d3_p2_nu0.1-0.9.csv",
+        "18853f4561d339b6b74b97b01a00218cce4ea088cdb804b6d9f53e3cd55b1a54",
+        {},
+    ),
+    (
+        "rate --d 3 --p 2 --resolution 20",
+        "ratescan_d3_p2_r20.json",
+        "70ee066c74275ebb66737ea28ed2a77fdd2168f8f57bb63220036b57e939cb22",
+        {},
+    ),
+    (
+        "rate --d 3 --p 2 --resolution 20 --format csv",
+        "ratescan_d3_p2_r20.csv",
+        "9cb9ab399509ff2364149aeb339a4d4976c206b8301155d289142408eaee1939",
+        {},
+    ),
+    (
+        "mc --n 20 --d 3 --p 2,5 --trials 16 --seed 5",
+        "mc_n20_d3_p2-5_t16_s5.json",
+        "9a40d29dfab4d6b515972d0d82ef84d4d20f28f2a9aa485b20807276f95d3b2f",
+        {
+            "mc_n20_d3_p2-5_t16_s5.records.jsonl": (
+                "8eaa2d0277c311c57308e7537737e4ec99be2012c31633c847b213632fb2dc1c"
+            )
+        },
+    ),
+    (
+        "mc --n 20 --d 3 --p 2,5 --trials 16 --seed 5 --format csv",
+        "mc_n20_d3_p2-5_t16_s5.csv",
+        "ae9f8235872fbba2f767e06776f7ce2fedc534b3ff425e0d4efa900dbcd23c66",
+        {
+            "mc_n20_d3_p2-5_t16_s5.records.jsonl": (
+                "8eaa2d0277c311c57308e7537737e4ec99be2012c31633c847b213632fb2dc1c"
+            )
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,name,digest,others", GOLDEN_ARTIFACTS, ids=[g[0] for g in GOLDEN_ARTIFACTS]
+)
+def test_artifact_golden_bytes(argv, name, digest, others, tmp_path, monkeypatch):
+    code, out, _ = run_cli(argv.split(), env_dir=tmp_path, monkeypatch=monkeypatch)
+    assert code == 0
+    assert sha(out.encode()) == digest
+    assert {f.name: sha(f.read_bytes()) for f in tmp_path.iterdir()} == {name: digest, **others}
+
+
+REPORT_SOURCES = [
+    "sample --n 6 --d 3 --seed 9",
+    "exact --n 12 --d 3 --p 5",
+    "oracle --n 2 --d 3 --p 5",
+    "lclt --n 12 --d 4 --p 3 --b-threshold 0.5",
+    "rate --d 4 --p 3 --density 0.2,0.3,0.5",
+    "rate --d 3 --p 2 --density 0.1,0.9",
+    "rate --d 3 --p 2 --resolution 20",
+    "mc --n 20 --d 3 --p 2,5 --trials 16 --seed 5",
+]
+REPORT_CSV = "749125ec2f510974bf2b707a6c170338dae36e02992067a01acc1f518bf4b0b6"
+REPORT_JSON = "e0767ad7fdeab2f6cf2a90a98c076917a57787c166acdcf1384c2434e79de5dd"
+
+
+def test_report_golden_bytes(tmp_path, monkeypatch):
+    for argv in REPORT_SOURCES:
+        assert run_cli(argv.split(), env_dir=tmp_path, monkeypatch=monkeypatch)[0] == 0
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    # report writes into the directory it scans: REGSING_OUT_DIR, --out DIR or the cwd
+    code, out, _ = run_cli(["report"], env_dir=tmp_path, monkeypatch=monkeypatch)
+    assert code == 0 and sha(out.encode()) == REPORT_CSV
+    assert sha((tmp_path / "report.csv").read_bytes()) == REPORT_CSV
+    (tmp_path / "report.csv").unlink()
+    code, out, _ = run_cli(
+        ["report", "--format", "json", "--out", str(tmp_path)], monkeypatch=monkeypatch
+    )
+    assert code == 0 and sha(out.encode()) == REPORT_JSON
+    assert sha((tmp_path / "report.json").read_bytes()) == REPORT_JSON
+    (tmp_path / "report.json").unlink()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["report"], monkeypatch=monkeypatch)
+    assert code == 0 and sha(out.encode()) == REPORT_CSV
+    assert sha((tmp_path / "report.csv").read_bytes()) == REPORT_CSV
+
+
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, regsing.cli; print('scipy' in sys.modules)"],

@@ -1,11 +1,14 @@
 """Monte Carlo harness: reproducibility, invariant chain, intervals."""
 
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stdout
 
 import pytest
 
+from regsing.cli import main as cli_main
 from regsing.common import GuardError
 from regsing.gfp_core import det_bareiss, fp_det, fp_rank, int_determinant
 from regsing.graph_model import adjacency_from_permutation, sample_configuration
@@ -162,7 +165,7 @@ def test_summary_fields_and_intervals():
             2,
             0,
             "02fa73d298a5f7414465862d1c56b5059395c92aec168b9e31c694cca8cd6079",
-            "8d2d89ea2323961e7975e95538c03d4cb3e3dcaca785e7ebba408c2cca7e3c45",
+            "5f8c8ef374539332ff03bd6068dbc9ff236a4c3576d5f5f04cc9f32638c2fd93",
         ),
         (
             30,
@@ -170,15 +173,22 @@ def test_summary_fields_and_intervals():
             100,
             23,
             "a450ef756b01a3da79658318798a48494b9d76a2921a2787cc8200517ddaa1e1",
-            "8a0a75d5464b33c336155f15d0635fae8254015e5705ce5466366fd1a1f86e1e",
+            "db43623e724bef393d2e879ae3fafd986af7e3a66a0e8df73d808603b105d922",
         ),
     ],
 )
-def test_committed_seed_golden_bytes(n, trials, zeros, identical, records_sha, summary_sha):
-    # records and summary bytes at the committed criterion-9 seed, d=3
-    cfg = ExperimentConfig(n=n, d=3, primes=(2, 5), trials=trials, seed=20240813)
-    summary, records = run_experiment(cfg)
-    assert hashlib.sha256(records_jsonl(records).encode()).hexdigest() == records_sha
-    assert hashlib.sha256(summary.to_json().encode()).hexdigest() == summary_sha
-    assert sum(r.det_zero for r in records) == zeros
-    assert sum(r.identical_rows for r in records) == identical
+def test_committed_seed_golden_bytes(
+    n, trials, zeros, identical, records_sha, summary_sha, tmp_path, monkeypatch
+):
+    # `regsing mc` records and summary bytes at the committed criterion-9 seed, d=3
+    monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
+    out = tmp_path / "mc.json"
+    argv = f"mc --n {n} --d 3 --p 2,5 --trials {trials} --seed 20240813 --out {out}"
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(argv.split()) == 0
+    records = (tmp_path / "mc.records.jsonl").read_bytes()
+    assert hashlib.sha256(records).hexdigest() == records_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == summary_sha
+    rows = [json.loads(line) for line in records.splitlines()]
+    assert sum(r["det_zero"] for r in rows) == zeros
+    assert sum(r["identical_rows"] for r in rows) == identical
