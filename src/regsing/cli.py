@@ -201,7 +201,10 @@ def _cmd_rate(args) -> int:
         dtag = "-".join(f"{float(x):g}" for x in nv)
         path = _out_path(args, f"rate_d{args.d}_p{args.p}_nu{dtag}.{ext}")
         if args.format == "csv":
-            rows = ["field,value"] + [f"{k},{v}" for k, v in payload.items()]
+            # list cells hold commas, so they are quoted
+            rows = ["field,value"] + [
+                f'{k},"{v}"' if "," in str(v) else f"{k},{v}" for k, v in payload.items()
+            ]
             _emit("\n".join(rows), path)
         else:
             _emit(json.dumps(payload, separators=(",", ":")), path)

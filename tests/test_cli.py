@@ -1,5 +1,6 @@
 """Command-line interface: outputs, artifacts, exit codes, determinism."""
 
+import csv
 import hashlib
 import io
 import json
@@ -220,9 +221,15 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def assert_rectangular(text: str) -> None:
+    """Every row a CSV reader sees has the width of the first (the header)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows and all(len(row) == len(rows[0]) for row in rows), text
+
+
 # (argv, file written under REGSING_OUT_DIR, digest of stdout and of that
 # file, other files written), captured before the artifact format moved
-# into cli.py
+# into cli.py; the rate --density csv digests after its list cells were quoted
 GOLDEN_ARTIFACTS = [
     (
         "sample --n 6 --d 3 --seed 9 --stream 2",
@@ -281,7 +288,7 @@ GOLDEN_ARTIFACTS = [
     (
         "rate --d 4 --p 3 --density 0.2,0.3,0.5 --format csv",
         "rate_d4_p3_nu0.2-0.3-0.5.csv",
-        "aa4927a314cc6bbf244bcfa907fcc0d4d4fefcf8bdc4de9bcaa5d79d0c97e430",
+        "638d2a1003ef1b26dbf2e449c23d465179c42fb2297b4aeb8c51d913aa07d28f",
         {},
     ),
     (
@@ -293,7 +300,7 @@ GOLDEN_ARTIFACTS = [
     (
         "rate --d 3 --p 2 --density 1,0 --format csv",
         "rate_d3_p2_nu1-0.csv",
-        "7720981bb2773842370c1fa4d034997fd7c69e18732944928583c2539ea66d52",
+        "ae786d9260ea508d554180d9d3d91216e034ec5175191948ff3a6d575aee65ec",
         {},
     ),
     (
@@ -305,7 +312,7 @@ GOLDEN_ARTIFACTS = [
     (
         "rate --d 3 --p 2 --density 0.1,0.9 --format csv",
         "rate_d3_p2_nu0.1-0.9.csv",
-        "18853f4561d339b6b74b97b01a00218cce4ea088cdb804b6d9f53e3cd55b1a54",
+        "194e9a18cd1df9443f5f2faa012fb6c0505e2897acabb8b5c1767badf18b7345",
         {},
     ),
     (
@@ -351,6 +358,8 @@ def test_artifact_golden_bytes(argv, name, digest, others, tmp_path, monkeypatch
     assert code == 0
     assert sha(out.encode()) == digest
     assert {f.name: sha(f.read_bytes()) for f in tmp_path.iterdir()} == {name: digest, **others}
+    if name.endswith(".csv"):
+        assert_rectangular(out)
 
 
 REPORT_SOURCES = [
@@ -376,6 +385,7 @@ def test_report_golden_bytes(tmp_path, monkeypatch):
     code, out, _ = run_cli(["report"], env_dir=tmp_path, monkeypatch=monkeypatch)
     assert code == 0 and sha(out.encode()) == REPORT_CSV
     assert sha((tmp_path / "report.csv").read_bytes()) == REPORT_CSV
+    assert_rectangular(out)
     (tmp_path / "report.csv").unlink()
     code, out, _ = run_cli(
         ["report", "--format", "json", "--out", str(tmp_path)], monkeypatch=monkeypatch
