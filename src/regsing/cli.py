@@ -1,30 +1,25 @@
-"""Command-line entry point.
-
-Subcommands map onto the verified claims:
-
-  sample   draw one configuration-model multigraph
-  exact    exact kernel-vector census (key sum -> 1)
-  oracle   walk identity vs brute-force enumeration
-  lclt     Gaussian local-limit approximation error scan
-  rate     entropy rate-function certificates and negativity scans
-  mc       singularity probability estimates mod p and over the rationals
-  report   collate prior JSON artifacts into one summary table
+"""Command-line entry point: one subcommand per verified claim (COMMANDS below).
 
 All outputs are deterministic for a fixed seed: no timestamps, stable field
 order, records sorted by trial index.  REGSING_OUT_DIR selects the default
 artifact directory when --out is not given.
+
+The artifact format lives in this module only: each subcommand returns an
+Artifact, and `_write` renders it as compact JSON or CSV, prints it and
+writes it to its file; mc adds <stem>.records.jsonl, one record per line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from . import graph_model, lclt, mc_harness, rate_ldp, walk_census
 from .common import GuardError, require_coprime_degree
@@ -32,20 +27,63 @@ from .common import GuardError, require_coprime_degree
 OUT_DIR_ENV = "REGSING_OUT_DIR"
 
 
-def _out_path(args, default_name: str) -> Optional[Path]:
-    if getattr(args, "out", None):
+class Artifact(NamedTuple):
+    stem: str  # default file name, without the format's extension
+    payload: dict  # the JSON form, fields in output order
+    header: Optional[Sequence[str]]  # CSV header; None for a bare table
+    rows: Sequence[Sequence]  # CSV rows
+    code: int = 0  # exit status
+    records: Sequence[dict] = ()  # mc per-trial records, for the sidecar
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _fields(obj, names: str) -> dict:
+    """The named attributes of obj in order, tuples as lists (as JSON and CSV show them)."""
+    out = {}
+    for name in names.split():
+        value = getattr(obj, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _artifact_dir(args) -> Optional[Path]:
+    """--out when it names a directory, else $REGSING_OUT_DIR; report, which
+    always writes, falls back to the working directory."""
+    if args.out and Path(args.out).is_dir():
         return Path(args.out)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env) / default_name
-    return None
+    if os.environ.get(OUT_DIR_ENV):
+        return Path(os.environ[OUT_DIR_ENV])
+    return Path.cwd() if args.command == "report" else None
 
 
-def _emit(text: str, path: Optional[Path]) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text if text.endswith("\n") else text + "\n")
+def _write(args, art: Artifact) -> int:
+    if args.format == "json":
+        text = _json(art.payload) + "\n"
+    else:
+        buf = io.StringIO()
+        if art.header:
+            buf.write(",".join(art.header) + "\n")
+        # a cell holding a comma (a type, a density, a list) is quoted; report quotes all
+        quoting = csv.QUOTE_ALL if args.command == "report" else csv.QUOTE_MINIMAL
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(art.rows)
+        text = buf.getvalue()
+    sys.stdout.write(text)
+    directory = _artifact_dir(args)
+    if args.out and not Path(args.out).is_dir():
+        path = Path(args.out)
+    elif directory is not None:
+        path = directory / f"{art.stem}.{args.format}"
+    else:
+        return art.code
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    if art.records:
+        records = "".join(_json(rec) + "\n" for rec in art.records)
+        path.with_suffix("").with_suffix(".records.jsonl").write_text(records)
+    return art.code
 
 
 def _parse_primes(raw: str) -> tuple:
@@ -56,117 +94,6 @@ def _parse_primes(raw: str) -> tuple:
     if not primes:
         raise ValueError("--p must list at least one prime")
     return primes
-
-
-def _cmd_sample(args) -> int:
-    sample = graph_model.sample_configuration(args.n, args.d, args.seed, stream=args.stream)
-    a = graph_model.adjacency_from_permutation(sample)
-    ext = "csv" if args.format == "csv" else "json"
-    path = _out_path(args, f"sample_n{args.n}_d{args.d}_s{args.seed}_t{args.stream}.{ext}")
-    if args.format == "csv":
-        _emit(graph_model.adjacency_csv(a), path)
-    else:
-        payload = {
-            "kind": "sample",
-            "n": args.n,
-            "d": args.d,
-            "seed": args.seed,
-            "stream": args.stream,
-            "perm": [int(x) for x in sample.perm],
-            "adjacency": [[int(x) for x in row] for row in a],
-            "identical_rows": graph_model.has_identical_rows(a),
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), path)
-    return 0
-
-
-def _cmd_exact(args) -> int:
-    require_coprime_degree(args.p, args.d)
-    counts = walk_census.walk_endpoint_counts(args.n, args.d, args.p)
-    e_sum, n_sum, zero_term = walk_census.type_class_partition(
-        args.n, args.d, args.p, args.b_threshold, counts
-    )
-    ks = e_sum + n_sum
-    gap = abs(1 - ks)
-    payload = {
-        "kind": "exact",
-        "n": args.n,
-        "d": args.d,
-        "p": args.p,
-        "b": args.b_threshold,
-        "key_sum": str(ks),
-        "key_sum_float": float(ks),
-        "gap": float(gap),
-        "class_e_sum": str(e_sum),
-        "class_e_float": float(e_sum),
-        "class_n_sum": str(n_sum),
-        "class_n_float": float(n_sum),
-        "zero_type_term": str(zero_term),
-        "total_mass_ok": counts.total_mass_ok(),
-        "parity_ok": counts.parity_ok(),
-    }
-    ext = "csv" if args.format == "csv" else "json"
-    path = _out_path(args, f"exact_n{args.n}_d{args.d}_p{args.p}.{ext}")
-    if args.format == "csv":
-        rows = ["field,value"] + [f"{k},{v}" for k, v in payload.items()]
-        _emit("\n".join(rows), path)
-    else:
-        _emit(json.dumps(payload, separators=(",", ":")), path)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    require_coprime_degree(args.p, args.d)
-    results = walk_census.oracle_all_types(args.n, args.d, args.p)
-    rows = [
-        {"type": list(t), "walk_identity": predicted, "brute_force": brute}
-        for t, predicted, brute in results
-    ]
-    all_equal = all(r["walk_identity"] == r["brute_force"] for r in rows)
-    payload = {
-        "kind": "oracle",
-        "n": args.n,
-        "d": args.d,
-        "p": args.p,
-        "all_equal": all_equal,
-        "types": rows,
-    }
-    ext = "csv" if args.format == "csv" else "json"
-    path = _out_path(args, f"oracle_n{args.n}_d{args.d}_p{args.p}.{ext}")
-    if args.format == "csv":
-        out = ["type,walk_identity,brute_force"]
-        for r in rows:
-            out.append(f"\"{','.join(map(str, r['type']))}\",{r['walk_identity']},{r['brute_force']}")
-        _emit("\n".join(out), path)
-    else:
-        _emit(json.dumps(payload, separators=(",", ":")), path)
-    return 0 if all_equal else 1
-
-
-def _cmd_lclt(args) -> int:
-    require_coprime_degree(args.p, args.d)
-    scan = lclt.lclt_error_scan(args.n, args.d, args.p, args.b_threshold)
-    ext = "csv" if args.format == "csv" else "json"
-    btag = f"{args.b_threshold:g}"
-    path = _out_path(args, f"lclt_n{args.n}_d{args.d}_p{args.p}_b{btag}.{ext}")
-    if args.format == "csv":
-        _emit(lclt.scan_csv(scan), path)
-    else:
-        payload = {
-            "kind": "lclt",
-            "n": scan.n,
-            "d": scan.d,
-            "p": scan.p,
-            "b": scan.b,
-            "max_rel_error": scan.max_rel_error,
-            "zero_probability_types": scan.zero_probability_types,
-            "rows": [
-                {"type": list(t), "exact": e, "gaussian": g, "rel_error": r}
-                for t, e, g, r in scan.rows
-            ],
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), path)
-    return 0
 
 
 def _parse_density(raw: str, p: int) -> List[Fraction]:
@@ -183,174 +110,167 @@ def _parse_density(raw: str, p: int) -> List[Fraction]:
     return vals
 
 
-def _cmd_rate(args) -> int:
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _sample(args) -> Artifact:
+    sample = graph_model.sample_configuration(args.n, args.d, args.seed, stream=args.stream)
+    a = graph_model.adjacency_from_permutation(sample)
+    payload = {
+        "kind": "sample", **_fields(args, "n d seed stream"), "perm": sample.perm.tolist(),
+        "adjacency": a.tolist(), "identical_rows": graph_model.has_identical_rows(a),
+    }
+    stem = f"sample_n{args.n}_d{args.d}_s{args.seed}_t{args.stream}"
+    return Artifact(stem, payload, None, payload["adjacency"])
+
+
+def _exact(args) -> Artifact:
     require_coprime_degree(args.p, args.d)
-    ext = "csv" if args.format == "csv" else "json"
+    counts = walk_census.walk_endpoint_counts(args.n, args.d, args.p)
+    e_sum, n_sum, zero_term = walk_census.type_class_partition(
+        args.n, args.d, args.p, args.b_threshold, counts
+    )
+    ks = e_sum + n_sum
+    payload = {
+        "kind": "exact", **_fields(args, "n d p"), "b": args.b_threshold,
+        "key_sum": str(ks), "key_sum_float": float(ks), "gap": float(abs(1 - ks)),
+        "class_e_sum": str(e_sum), "class_e_float": float(e_sum),
+        "class_n_sum": str(n_sum), "class_n_float": float(n_sum),
+        "zero_type_term": str(zero_term),
+        "total_mass_ok": counts.total_mass_ok(), "parity_ok": counts.parity_ok(),
+    }
+    stem = f"exact_n{args.n}_d{args.d}_p{args.p}"
+    return Artifact(stem, payload, ("field", "value"), payload.items())
+
+
+def _oracle(args) -> Artifact:
+    require_coprime_degree(args.p, args.d)
+    results = walk_census.oracle_all_types(args.n, args.d, args.p)
+    all_equal = all(predicted == brute for _, predicted, brute in results)
+    types = [{"type": list(t), "walk_identity": w, "brute_force": b} for t, w, b in results]
+    payload = {"kind": "oracle", **_fields(args, "n d p"), "all_equal": all_equal, "types": types}
+    rows = [(_joined(t), w, b) for t, w, b in results]
+    stem = f"oracle_n{args.n}_d{args.d}_p{args.p}"
+    header = ("type", "walk_identity", "brute_force")
+    return Artifact(stem, payload, header, rows, 0 if all_equal else 1)
+
+
+def _lclt(args) -> Artifact:
+    require_coprime_degree(args.p, args.d)
+    scan = lclt.lclt_error_scan(args.n, args.d, args.p, args.b_threshold)
+    payload = {"kind": "lclt", **_fields(scan, "n d p b max_rel_error zero_probability_types")}
+    payload["rows"] = [
+        {"type": list(t), "exact": e, "gaussian": g, "rel_error": r} for t, e, g, r in scan.rows
+    ]
+    rows = [(_joined(t), e, g, r) for t, e, g, r in scan.rows]
+    stem = f"lclt_n{args.n}_d{args.d}_p{args.p}_b{args.b_threshold:g}"
+    return Artifact(stem, payload, ("type", "exact", "gaussian", "rel_error"), rows)
+
+
+def _rate(args) -> Artifact:
+    require_coprime_degree(args.p, args.d)
     if args.density is not None:
         nv = _parse_density(args.density, args.p)
         cert = rate_ldp.maxent_alpha(nv, args.d, args.p, tol=args.tol)
-        stationary = rate_ldp.stationary_alpha(nv, args.d, args.p) if min(nv) > 0 else None
-        payload = json.loads(rate_ldp.certificate_json(cert))
-        payload["kind"] = "rate"
-        payload["d"] = args.d
-        payload["p"] = args.p
+        payload = _fields(cert, "density alpha dual rate residual converged feasible")
+        payload.update(kind="rate", d=args.d, p=args.p)
         payload["amgm_sum"] = rate_ldp.amgm_sum(nv, args.d, args.p)
-        if stationary is not None:
-            payload["stationary_rate"] = stationary.rate
-            payload["stationary_moment_residual"] = stationary.moment_residual
+        if min(nv) > 0:
+            st = rate_ldp.stationary_alpha(nv, args.d, args.p)
+            payload.update(stationary_rate=st.rate, stationary_moment_residual=st.moment_residual)
         dtag = "-".join(f"{float(x):g}" for x in nv)
-        path = _out_path(args, f"rate_d{args.d}_p{args.p}_nu{dtag}.{ext}")
-        if args.format == "csv":
-            # list cells hold commas, so they are quoted
-            rows = ["field,value"] + [
-                f'{k},"{v}"' if "," in str(v) else f"{k},{v}" for k, v in payload.items()
-            ]
-            _emit("\n".join(rows), path)
-        else:
-            _emit(json.dumps(payload, separators=(",", ":")), path)
-        return 0
+        stem = f"rate_d{args.d}_p{args.p}_nu{dtag}"
+        return Artifact(stem, payload, ("field", "value"), payload.items())
     if args.resolution is None:
         raise ValueError("rate requires --density or --resolution")
-    report = rate_ldp.negativity_grid_scan(args.d, args.p, args.resolution)
-    path = _out_path(args, f"ratescan_d{args.d}_p{args.p}_r{args.resolution}.{ext}")
-    if args.format == "csv":
-        _emit(rate_ldp.grid_scan_csv(report), path)
-    else:
-        payload = {
-            "kind": "rate_scan",
-            "d": report.d,
-            "p": report.p,
-            "resolution": report.resolution,
-            "n_points": report.n_points,
-            "n_excluded": report.n_excluded,
-            "n_infeasible": report.n_infeasible,
-            "n_nonconverged": report.n_nonconverged,
-            "max_rate": report.max_rate,
-            "argmax": list(report.argmax),
-            "all_negative": report.all_negative,
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), path)
-    return 0 if report.all_negative else 1
+    scan = rate_ldp.negativity_grid_scan(args.d, args.p, args.resolution)
+    payload = {"kind": "rate_scan", **_fields(scan, "d p resolution n_points n_excluded")}
+    payload.update(_fields(scan, "n_infeasible n_nonconverged max_rate argmax all_negative"))
+    rows = [(_joined(f"{x:.6f}" for x in nv), *rest) for nv, *rest in scan.rows]
+    stem = f"ratescan_d{args.d}_p{args.p}_r{args.resolution}"
+    header = ("density", "rate", "feasible", "converged")
+    return Artifact(stem, payload, header, rows, 0 if scan.all_negative else 1)
 
 
-def _cmd_mc(args) -> int:
+def _wilson(fraction: float, low: float, high: float) -> dict:
+    return {"fraction": fraction, "wilson_low": low, "wilson_high": high}
+
+
+def _mc(args) -> Artifact:
     primes = _parse_primes(args.p)
-    cfg = mc_harness.ExperimentConfig(
-        n=args.n,
-        d=args.d,
-        primes=primes,
-        trials=args.trials,
-        seed=args.seed,
+    summary, records = mc_harness.run_experiment(mc_harness.ExperimentConfig(
+        n=args.n, d=args.d, primes=primes, trials=args.trials, seed=args.seed,
         parallelism=args.parallel,
-    )
-    summary, records = mc_harness.run_experiment(cfg)
+    ))
+    rational = (summary.rational_fraction, *summary.rational_interval)
+    payload = {
+        **_fields(summary, "n d trials seed"),
+        "singular_mod": {str(p): _wilson(*stats) for p, *stats in summary.per_prime},
+        "rational": _wilson(*rational),
+        "identical_rows_fraction": summary.identical_rows_fraction,
+        "kind": "mc",
+    }
+    rows = [(f"singular_mod_{p}", *stats) for p, *stats in summary.per_prime]
+    rows.append(("rational", *rational))
+    # elapsed is diagnostics only and stays out, so records match across schedules
+    lines = [
+        {"trial": r.trial, "singular_mod": {str(p): flag for p, flag in r.singular_mod},
+         **_fields(r, "det_zero identical_rows")}
+        for r in records
+    ]
     ptag = "-".join(str(q) for q in sorted(primes))
-    base = f"mc_n{args.n}_d{args.d}_p{ptag}_t{args.trials}_s{args.seed}"
-    ext = "csv" if args.format == "csv" else "json"
-    path = _out_path(args, f"{base}.{ext}")
-    if args.format == "csv":
-        rows = ["series,fraction,wilson_low,wilson_high"]
-        for p, frac, lo, hi in summary.per_prime:
-            rows.append(f"singular_mod_{p},{frac!r},{lo!r},{hi!r}")
-        lo, hi = summary.rational_interval
-        rows.append(f"rational,{summary.rational_fraction!r},{lo!r},{hi!r}")
-        _emit("\n".join(rows), path)
-    else:
-        payload = json.loads(summary.to_json())
-        payload["kind"] = "mc"
-        _emit(json.dumps(payload, separators=(",", ":")), path)
-    if path is not None:
-        rec_path = path.with_suffix("").with_suffix(".records.jsonl")
-        rec_path.write_text(mc_harness.records_jsonl(records))
-    return 0
+    stem = f"mc_n{args.n}_d{args.d}_p{ptag}_t{args.trials}_s{args.seed}"
+    header = ("series", "fraction", "wilson_low", "wilson_high")
+    return Artifact(stem, payload, header, rows, records=lines)
 
 
-def _report_rows(artifacts: List[dict]) -> List[dict]:
-    rows: List[dict] = []
-    for art in artifacts:
-        kind = art.get("kind")
-        if kind == "exact":
-            rows.append(
-                {
-                    "kind": kind,
-                    "claim": "expected nonzero kernel count over F_p tends to 1",
-                    "parameters": f"n={art['n']} d={art['d']} p={art['p']}",
-                    "value": art["key_sum_float"],
-                    "detail": f"exact {art['key_sum']}, gap {art['gap']:.6g}",
-                }
-            )
-        elif kind == "oracle":
-            rows.append(
-                {
-                    "kind": kind,
-                    "claim": "walk identity equals brute-force count for every type",
-                    "parameters": f"n={art['n']} d={art['d']} p={art['p']}",
-                    "value": art["all_equal"],
-                    "detail": f"{len(art['types'])} types",
-                }
-            )
-        elif kind == "lclt":
-            rows.append(
-                {
-                    "kind": kind,
-                    "claim": "gaussian point-mass approximation error on near-uniform types",
-                    "parameters": f"n={art['n']} d={art['d']} p={art['p']} b={art['b']:g}",
-                    "value": art["max_rel_error"],
-                    "detail": f"{len(art['rows'])} types scanned",
-                }
-            )
-        elif kind == "rate":
-            rows.append(
-                {
-                    "kind": kind,
-                    "claim": "entropy rate at a fixed density",
-                    "parameters": f"d={art.get('d', '')} p={art.get('p', '')} density={art['density']}",
-                    "value": art["rate"],
-                    "detail": f"residual {art['residual']:.3g} converged {art['converged']}",
-                }
-            )
-        elif kind == "rate_scan":
-            rows.append(
-                {
-                    "kind": kind,
-                    "claim": "rate strictly negative away from the two equality points",
-                    "parameters": f"d={art['d']} p={art['p']} resolution={art['resolution']}",
-                    "value": art["max_rate"],
-                    "detail": f"{art['n_infeasible']} infeasible, {art['n_excluded']} excluded",
-                }
-            )
-        elif kind == "mc":
-            for p, stats in sorted(art["singular_mod"].items(), key=lambda kv: int(kv[0])):
-                rows.append(
-                    {
-                        "kind": kind,
-                        "claim": f"P(singular mod {p}) bounded by 1/(p-1) asymptotically",
-                        "parameters": f"n={art['n']} d={art['d']} trials={art['trials']} seed={art['seed']}",
-                        "value": stats["fraction"],
-                        "detail": f"wilson [{stats['wilson_low']:.4f}, {stats['wilson_high']:.4f}]",
-                    }
-                )
-            rat = art["rational"]
-            rows.append(
-                {
-                    "kind": kind,
-                    "claim": "P(singular over the rationals) vanishes as n grows",
-                    "parameters": f"n={art['n']} d={art['d']} trials={art['trials']} seed={art['seed']}",
-                    "value": rat["fraction"],
-                    "detail": f"wilson [{rat['wilson_low']:.4f}, {rat['wilson_high']:.4f}]",
-                }
-            )
-    return rows
+def _mc_report_rows(a: dict) -> list:
+    params = f"n={a['n']} d={a['d']} trials={a['trials']} seed={a['seed']}"
+    series = [
+        (f"P(singular mod {p}) bounded by 1/(p-1) asymptotically", stats)
+        for p, stats in sorted(a["singular_mod"].items(), key=lambda kv: int(kv[0]))
+    ]
+    series.append(("P(singular over the rationals) vanishes as n grows", a["rational"]))
+    return [
+        (claim, params, s["fraction"], f"wilson [{s['wilson_low']:.4f}, {s['wilson_high']:.4f}]")
+        for claim, s in series
+    ]
 
 
-def _cmd_report(args) -> int:
-    if args.out and Path(args.out).is_dir():
-        src = Path(args.out)
-    elif os.environ.get(OUT_DIR_ENV):
-        src = Path(os.environ[OUT_DIR_ENV])
-    else:
-        src = Path.cwd()
-    artifacts = []
+# kind -> the report rows (claim, parameters, value, detail) of one artifact
+REPORT_ROWS = {
+    "exact": lambda a: [(
+        "expected nonzero kernel count over F_p tends to 1", f"n={a['n']} d={a['d']} p={a['p']}",
+        a["key_sum_float"], f"exact {a['key_sum']}, gap {a['gap']:.6g}",
+    )],
+    "oracle": lambda a: [(
+        "walk identity equals brute-force count for every type",
+        f"n={a['n']} d={a['d']} p={a['p']}", a["all_equal"], f"{len(a['types'])} types",
+    )],
+    "lclt": lambda a: [(
+        "gaussian point-mass approximation error on near-uniform types",
+        f"n={a['n']} d={a['d']} p={a['p']} b={a['b']:g}", a["max_rel_error"],
+        f"{len(a['rows'])} types scanned",
+    )],
+    "rate": lambda a: [(
+        "entropy rate at a fixed density",
+        f"d={a.get('d', '')} p={a.get('p', '')} density={a['density']}", a["rate"],
+        f"residual {a['residual']:.3g} converged {a['converged']}",
+    )],
+    "rate_scan": lambda a: [(
+        "rate strictly negative away from the two equality points",
+        f"d={a['d']} p={a['p']} resolution={a['resolution']}", a["max_rate"],
+        f"{a['n_infeasible']} infeasible, {a['n_excluded']} excluded",
+    )],
+    "mc": _mc_report_rows,
+}
+REPORT_HEADER = ("kind", "claim", "parameters", "value", "detail")
+
+
+def _report(args) -> Artifact:
+    src = _artifact_dir(args)
+    rows = []
     for name in sorted(os.listdir(src)):
         if not name.endswith(".json") or name.startswith("report"):
             continue
@@ -358,26 +278,69 @@ def _cmd_report(args) -> int:
             data = json.loads((src / name).read_text())
         except (OSError, json.JSONDecodeError):
             continue
-        if isinstance(data, dict) and "kind" in data:
-            artifacts.append(data)
-    rows = _report_rows(artifacts)
-    if args.format == "json":
-        text = json.dumps({"kind": "report", "rows": rows}, separators=(",", ":"))
-        target = src / "report.json"
-    else:
-        lines = ["kind,claim,parameters,value,detail"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    '"' + str(r[k]).replace('"', '""') + '"'
-                    for k in ("kind", "claim", "parameters", "value", "detail")
-                )
-            )
-        text = "\n".join(lines)
-        target = src / "report.csv"
-    out_file = Path(args.out) if args.out and not Path(args.out).is_dir() else target
-    _emit(text, out_file)
-    return 0
+        if isinstance(data, dict) and str(data.get("kind")) in REPORT_ROWS:
+            rows += [(data["kind"], *row) for row in REPORT_ROWS[data["kind"]](data)]
+    payload = {"kind": "report", "rows": [dict(zip(REPORT_HEADER, row)) for row in rows]}
+    return Artifact("report", payload, REPORT_HEADER, rows)
+
+
+B_HELP = "window parameter b of the near-uniform class (threshold b*ln(n)/n)"
+N = ("--n", dict(type=int, required=True, help="number of vertices (fibers)"))
+D = ("--d", dict(type=int, required=True, help="degree, at least 3"))
+P = ("--p", dict(type=int, required=True, help="prime modulus with gcd(p,d)=1"))
+SEED = ("--seed", dict(type=int, default=0, help="base RNG seed"))
+OUT = ("--out", dict(type=str, default=None, help="output file path"))
+FORMAT = ("--format", dict(choices=("json", "csv"), default="json"))
+
+# name -> (function, help, options in --help order, description)
+COMMANDS = {
+    "sample": (_sample, "draw one configuration-model multigraph", [
+        N, D, SEED, OUT, FORMAT,
+        ("--stream", dict(type=int, default=0, help="counter-based substream index"))],
+        "Draw a uniform permutation of n*d half-edge points and emit the d-regular adjacency "
+        "matrix it induces (all row and column sums d), plus a duplicate-row witness flag "
+        "implying singularity."),
+    "exact": (_exact, "exact kernel-vector census over F_p (key sum -> 1)", [
+        N, D, P, ("--b-threshold", dict(type=float, default=10.0, help=B_HELP)), OUT, FORMAT],
+        "Compute the exact normalized count of (graph, nonzero kernel vector) pairs over F_p "
+        "via the lattice-walk identity; the value tends to 1 as n grows. Emits the exact "
+        "fraction, its gap from 1, and the split into near-uniform and far-from-uniform "
+        "value profiles."),
+    "oracle": (_oracle, "walk identity vs brute-force enumeration", [N, D, P, OUT, FORMAT],
+        "Verify the lattice-walk counting identity against brute-force enumeration of all "
+        "(n*d)! point permutations, for every value profile; guarded to n*d <= 10."),
+    "lclt": (_lclt, "Gaussian local-limit approximation error scan", [
+        N, D, P, ("--b-threshold", dict(type=float, default=lclt.DEFAULT_B, help=B_HELP)),
+        OUT, FORMAT],
+        "Compare exact walk endpoint probabilities with the Gaussian local-limit point mass "
+        "over admissible near-uniform value profiles; the max relative error shrinks as n "
+        "grows."),
+    "rate": (_rate, "entropy rate-function certificates and negativity scans", [
+        D, P, ("--tol", dict(type=float, default=1e-10, help="moment residual tolerance")),
+        OUT, FORMAT,
+        ("--density", dict(type=str, default=None, help="comma-separated density, e.g. 0.75,0.25")),
+        ("--resolution", dict(type=int, default=None, help="simplex grid subdivisions"))],
+        "Certify the entropy rate function of value-profile densities: zero exactly at the "
+        "uniform density and at the degenerate density (1,0,...,0), strictly negative "
+        "elsewhere. --density emits one max-entropy certificate; --resolution scans the "
+        "whole simplex grid."),
+    "mc": (_mc, "Monte Carlo singularity estimates mod p and over the rationals", [
+        ("--n", dict(type=int, required=True, help="number of vertices")), D,
+        ("--p", dict(type=str, required=True, help="prime or comma-separated primes")), SEED,
+        ("--trials", dict(type=int, required=True, help="number of sampled graphs")),
+        ("--parallel", dict(type=int, default=1, help="worker processes")),
+        ("--out", dict(type=str, default=None, help="summary output path")), FORMAT],
+        "Estimate the probability that the adjacency matrix of a random d-regular digraph is "
+        "singular mod p (asymptotically at most 1/(p-1)) and singular over the rationals "
+        "(vanishing as n grows, decided by the exact integer determinant). Reproducible: "
+        "trial i uses substream i of the seeded counter-based generator."),
+    "report": (_report, "collate prior JSON artifacts into one summary table", [
+        ("--out", dict(type=str, default=None, help="directory to scan or file to write")),
+        ("--format", dict(choices=("json", "csv"), default="csv"))],
+        "Collect JSON artifacts from earlier subcommand runs and render one summary table "
+        "covering the three headline quantities: the exact kernel-count sum, the "
+        "singular-mod-p fraction, and the rational-singular fraction."),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,135 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, n=False, d=False, p=False, seed=False, b=None, tol=False):
-        if n:
-            sp.add_argument("--n", type=int, required=True, help="number of vertices (fibers)")
-        if d:
-            sp.add_argument("--d", type=int, required=True, help="degree, at least 3")
-        if p:
-            sp.add_argument("--p", type=int, required=True, help="prime modulus with gcd(p,d)=1")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        if b is not None:
-            sp.add_argument(
-                "--b-threshold",
-                type=float,
-                default=b,
-                help="window parameter b of the near-uniform class (threshold b*ln(n)/n)",
-            )
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-10, help="moment residual tolerance")
-        sp.add_argument("--out", type=str, default=None, help="output file path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser(
-        "sample",
-        help="draw one configuration-model multigraph",
-        description=(
-            "Draw a uniform permutation of n*d half-edge points and emit the "
-            "d-regular adjacency matrix it induces (all row and column sums d), "
-            "plus a duplicate-row witness flag implying singularity."
-        ),
-    )
-    add_common(sp, n=True, d=True, seed=True)
-    sp.add_argument("--stream", type=int, default=0, help="counter-based substream index")
-    sp.set_defaults(func=_cmd_sample)
-
-    sp = sub.add_parser(
-        "exact",
-        help="exact kernel-vector census over F_p",
-        description=(
-            "Compute the exact normalized count of (graph, nonzero kernel vector) "
-            "pairs over F_p via the lattice-walk identity; the value tends to 1 as "
-            "n grows. Emits the exact fraction, its gap from 1, and the split into "
-            "near-uniform and far-from-uniform value profiles."
-        ),
-    )
-    add_common(sp, n=True, d=True, p=True, b=10.0)
-    sp.set_defaults(func=_cmd_exact)
-
-    sp = sub.add_parser(
-        "oracle",
-        help="walk identity vs brute-force enumeration",
-        description=(
-            "Verify the lattice-walk counting identity against brute-force "
-            "enumeration of all (n*d)! point permutations, for every value profile; "
-            "guarded to n*d <= 10."
-        ),
-    )
-    add_common(sp, n=True, d=True, p=True)
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser(
-        "lclt",
-        help="Gaussian approximation error scan",
-        description=(
-            "Compare exact walk endpoint probabilities with the Gaussian "
-            "local-limit point mass over admissible near-uniform value profiles; "
-            "the max relative error shrinks as n grows."
-        ),
-    )
-    add_common(sp, n=True, d=True, p=True, b=lclt.DEFAULT_B)
-    sp.set_defaults(func=_cmd_lclt)
-
-    sp = sub.add_parser(
-        "rate",
-        help="entropy rate-function certificates and scans",
-        description=(
-            "Certify the entropy rate function of value-profile densities: zero "
-            "exactly at the uniform density and at the degenerate density "
-            "(1,0,...,0), strictly negative elsewhere. --density emits one "
-            "max-entropy certificate; --resolution scans the whole simplex grid."
-        ),
-    )
-    add_common(sp, d=True, p=True, tol=True)
-    sp.add_argument("--density", type=str, default=None, help="comma-separated density, e.g. 0.75,0.25")
-    sp.add_argument("--resolution", type=int, default=None, help="simplex grid subdivisions")
-    sp.set_defaults(func=_cmd_rate)
-
-    sp = sub.add_parser(
-        "mc",
-        help="Monte Carlo singularity estimates",
-        description=(
-            "Estimate the probability that the adjacency matrix of a random "
-            "d-regular digraph is singular mod p (asymptotically at most 1/(p-1)) "
-            "and singular over the rationals (vanishing as n grows, decided by the "
-            "exact integer determinant). Reproducible: trial i uses substream i of "
-            "the seeded counter-based generator."
-        ),
-    )
-    sp.add_argument("--n", type=int, required=True, help="number of vertices")
-    sp.add_argument("--d", type=int, required=True, help="degree, at least 3")
-    sp.add_argument("--p", type=str, required=True, help="prime or comma-separated primes")
-    sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sp.add_argument("--trials", type=int, required=True, help="number of sampled graphs")
-    sp.add_argument("--parallel", type=int, default=1, help="worker processes")
-    sp.add_argument("--out", type=str, default=None, help="summary output path")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=_cmd_mc)
-
-    sp = sub.add_parser(
-        "report",
-        help="collate prior artifacts into one table",
-        description=(
-            "Collect JSON artifacts from earlier subcommand runs and render one "
-            "summary table covering the three headline quantities: the exact "
-            "kernel-count sum, the singular-mod-p fraction, and the "
-            "rational-singular fraction."
-        ),
-    )
-    sp.add_argument("--out", type=str, default=None, help="directory to scan or file to write")
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-    sp.set_defaults(func=_cmd_report)
+    for name, (func, help_text, options, description) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, description=description)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _write(args, args.func(args))
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -202,11 +202,6 @@ def det_crt(m: MatrixLike) -> int:
     return res - mod if res > mod // 2 else res
 
 
-def int_determinant(m: MatrixLike) -> int:
-    """Exact integer determinant (CRT route; see det_bareiss for the other)."""
-    return det_crt(m)
-
-
 def int_determinant_is_zero(m: MatrixLike) -> bool:
     """Exact test det(m) == 0, short-circuiting on the first nonzero residue.
 

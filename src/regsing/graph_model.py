@@ -10,7 +10,6 @@ construction (loops and multi-edges are kept).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -36,29 +35,6 @@ class ConfigurationSample:
     perm: np.ndarray  # permutation of range(n*d)
     seed: Optional[int] = None
     stream: Optional[int] = None
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "d": self.d,
-                "seed": self.seed,
-                "stream": self.stream,
-                "perm": [int(x) for x in self.perm],
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "ConfigurationSample":
-        obj = json.loads(line)
-        return cls(
-            n=obj["n"],
-            d=obj["d"],
-            perm=np.asarray(obj["perm"], dtype=np.int64),
-            seed=obj["seed"],
-            stream=obj["stream"],
-        )
 
 
 def sample_configuration(n: int, d: int, seed: int, stream: int = 0) -> ConfigurationSample:
@@ -102,7 +78,3 @@ def has_identical_rows(a) -> bool:
         raise ValueError("square matrix required")
     keys = map(tuple, a.tolist()) if a.dtype == object else map(bytes, np.ascontiguousarray(a))
     return len(set(keys)) < len(a)
-
-
-def adjacency_csv(a) -> str:
-    return "\n".join(",".join(str(int(x)) for x in row) for row in a) + "\n"

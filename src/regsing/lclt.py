@@ -88,13 +88,6 @@ def characteristic_function(t: Sequence[float], d: int, p: int) -> complex:
     return acc / u.total_multiplicity
 
 
-def centered_characteristic_function(t: Sequence[float], d: int, p: int) -> complex:
-    """E[exp(i <t, X - mean>)]; expands as 1 - (d/(2p)) s^2 + O(s^3) at t = s*x
-    for unit x orthogonal to the all-ones vector."""
-    shift = sum(t) * d / p
-    return characteristic_function(t, d, p) * cmath.exp(-1j * shift)
-
-
 @dataclass(frozen=True)
 class GaussianEstimate:
     type_vector: TypeVec
@@ -154,10 +147,3 @@ def lclt_error_scan(
     return LcltScan(
         n=n, d=d, p=p, b=b, rows=rows, max_rel_error=max_err, zero_probability_types=zero_types
     )
-
-
-def scan_csv(scan: LcltScan) -> str:
-    lines = ["type,exact,gaussian,rel_error"]
-    for t, exact, gauss, err in scan.rows:
-        lines.append(f"\"{','.join(map(str, t))}\",{exact!r},{gauss!r},{err!r}")
-    return "\n".join(lines) + "\n"

@@ -10,12 +10,11 @@ seed regardless of scheduling or parallelism.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .common import GuardError, require_coprime_degree, require_degree, require_prime
 from .gfp_core import fp_det, int_determinant_is_zero
@@ -70,17 +69,6 @@ class TrialRecord:
     identical_rows: bool
     elapsed: float
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "trial": self.trial,
-                "singular_mod": {str(p): flag for p, flag in self.singular_mod},
-                "det_zero": self.det_zero,
-                "identical_rows": self.identical_rows,
-            },
-            separators=(",", ":"),
-        )
-
 
 def check_trial_invariants(rec: TrialRecord) -> None:
     """identical-rows implies det 0 implies singular mod every listed prime."""
@@ -122,27 +110,6 @@ class SummaryStats:
     rational_fraction: float
     rational_interval: Tuple[float, float]
     identical_rows_fraction: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "d": self.d,
-                "trials": self.trials,
-                "seed": self.seed,
-                "singular_mod": {
-                    str(p): {"fraction": f, "wilson_low": lo, "wilson_high": hi}
-                    for p, f, lo, hi in self.per_prime
-                },
-                "rational": {
-                    "fraction": self.rational_fraction,
-                    "wilson_low": self.rational_interval[0],
-                    "wilson_high": self.rational_interval[1],
-                },
-                "identical_rows_fraction": self.identical_rows_fraction,
-            },
-            separators=(",", ":"),
-        )
 
 
 def run_trial(n: int, d: int, seed: int, primes: Sequence[int], trial: int) -> TrialRecord:
@@ -211,7 +178,3 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecor
             records = list(pool.map(_trial_star, args, chunksize=chunk))
     records.sort(key=lambda r: r.trial)
     return summarize(cfg, records), records
-
-
-def records_jsonl(records: Sequence[TrialRecord]) -> str:
-    return "\n".join(r.to_json_line() for r in records) + "\n"

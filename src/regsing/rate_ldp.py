@@ -20,7 +20,6 @@ ln(amgm_sum) provide independent cross-checks.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -115,21 +114,6 @@ class RateCertificate:
     residual: float
     converged: bool
     feasible: bool
-
-
-def certificate_json(cert: RateCertificate) -> str:
-    return json.dumps(
-        {
-            "density": list(cert.density),
-            "alpha": list(cert.alpha),
-            "dual": list(cert.dual),
-            "rate": cert.rate,
-            "residual": cert.residual,
-            "converged": cert.converged,
-            "feasible": cert.feasible,
-        },
-        separators=(",", ":"),
-    )
 
 
 def _density_entropy_term(nv: np.ndarray, d: int) -> float:
@@ -443,12 +427,4 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
         argmax=argmax,
         rows=rows,
     )
-
-
-def grid_scan_csv(report: GridScanReport) -> str:
-    lines = ["density,rate,feasible,converged"]
-    for density, rate, feasible, conv in report.rows:
-        dens = ",".join(f"{x:.6f}" for x in density)
-        lines.append(f"\"{dens}\",{rate!r},{feasible},{conv}")
-    return "\n".join(lines) + "\n"
 

@@ -1,16 +1,19 @@
 """Configuration-model sampling: regularity, determinism, uniformity."""
 
+import io
+import json
 import math
 from collections import Counter
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from regsing.cli import main as cli_main
 from regsing.common import GuardError
 from regsing.graph_model import (
     ConfigurationSample,
-    adjacency_csv,
     adjacency_from_permutation,
     enumerate_all_configurations,
     has_identical_rows,
@@ -127,22 +130,22 @@ def test_identical_rows_force_singularity_downstream():
     assert found
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(monkeypatch):
+    # the sample artifact is one JSON line from which the sample can be rebuilt
+    monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli_main("sample --n 6 --d 3 --seed 77 --stream 4".split()) == 0
+    line = out.getvalue()
+    obj = json.loads(line)
+    back = ConfigurationSample(
+        n=obj["n"], d=obj["d"], perm=np.asarray(obj["perm"]), seed=obj["seed"], stream=obj["stream"]
+    )
     s = sample_configuration(6, 3, seed=77, stream=4)
-    line = s.to_json_line()
-    back = ConfigurationSample.from_json_line(line)
     assert back.n == s.n and back.d == s.d
     assert back.seed == 77 and back.stream == 4
     assert (back.perm == s.perm).all()
-    assert "\n" not in line
-
-
-def test_adjacency_csv_shape():
-    a = adjacency_from_permutation(sample_configuration(3, 3, seed=1))
-    text = adjacency_csv(a)
-    rows = text.strip().split("\n")
-    assert len(rows) == 3
-    assert all(len(r.split(",")) == 3 for r in rows)
+    assert (adjacency_from_permutation(back) == np.asarray(obj["adjacency"])).all()
+    assert line.count("\n") == 1 and line.endswith("\n")
 
 
 def test_degree_validation():

@@ -1,5 +1,6 @@
 """Step moments, characteristic function, Gaussian point-mass accuracy."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,13 +8,11 @@ import pytest
 
 from regsing.lclt import (
     DEFAULT_B,
-    centered_characteristic_function,
     characteristic_function,
     gaussian_point_mass,
     lclt_error_scan,
     moments,
     moments_from_multiset,
-    scan_csv,
 )
 from regsing.walk_census import build_U, squared_deviation, walk_endpoint_counts
 
@@ -77,7 +76,8 @@ def test_characteristic_function_strictly_inside_off_lines():
 
 
 def test_centered_second_order_expansion():
-    # 1 - Re cf_centered(s*x) -> (d/(2p)) s^2 for unit x orthogonal to ones
+    # 1 - Re cf_centered(s*x) -> (d/(2p)) s^2 for unit x orthogonal to ones, where
+    # cf_centered(t) = E[exp(i <t, X - mean>)] and every mean coordinate is d/p
     cases = [
         (3, 2, (1 / math.sqrt(2), -1 / math.sqrt(2))),
         (4, 3, (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)),
@@ -86,7 +86,8 @@ def test_centered_second_order_expansion():
         target = d / (2 * p)
         prev_err = None
         for s in (4e-2, 2e-2, 1e-2):
-            val = centered_characteristic_function([s * xi for xi in x], d, p)
+            t = [s * xi for xi in x]
+            val = characteristic_function(t, d, p) * cmath.exp(-1j * sum(t) * d / p)
             est = (1 - val.real) / (s * s)
             err = abs(est - target)
             assert err < 5e-3
@@ -160,10 +161,3 @@ def test_partial_near_uniform_sum_approaches_one():
         e_sum, _, _ = type_class_partition(n, 3, 2, 10.0)
         gaps.append(abs(1 - float(e_sum)))
     assert gaps[1] < gaps[0]
-
-
-def test_scan_csv_header():
-    scan = lclt_error_scan(10, 3, 2, b=0.5)
-    text = scan_csv(scan)
-    assert text.splitlines()[0] == "type,exact,gaussian,rel_error"
-    assert len(text.splitlines()) == len(scan.rows) + 1

@@ -10,14 +10,13 @@ import pytest
 
 from regsing.cli import main as cli_main
 from regsing.common import GuardError
-from regsing.gfp_core import det_bareiss, fp_det, fp_rank, int_determinant
+from regsing.gfp_core import det_bareiss, det_crt, fp_det, fp_rank
 from regsing.graph_model import adjacency_from_permutation, sample_configuration
 from regsing.mc_harness import (
     ExperimentConfig,
     InvariantError,
     TrialRecord,
     check_trial_invariants,
-    records_jsonl,
     run_experiment,
     run_trial,
     summarize,
@@ -77,19 +76,31 @@ def test_trial_flags_match_independent_recomputation():
         rows = [[int(x) for x in row] for row in a]
         exact_det = det_bareiss(rows)
         assert rec.det_zero == (exact_det == 0)
-        assert int_determinant(rows) == exact_det
+        assert det_crt(rows) == exact_det
         for p, flag in rec.singular_mod:
             assert flag == (exact_det % p == 0)
             assert flag == (fp_rank(rows, p) < 12)
             assert flag == (fp_det(rows, p) == 0)
 
 
-def test_record_serialization_is_schedule_free():
+def canonical(records):
+    """The record fields that the mc records file carries (elapsed is left out)."""
+    return [(r.trial, r.singular_mod, r.det_zero, r.identical_rows) for r in records]
+
+
+def test_record_serialization_is_schedule_free(tmp_path, monkeypatch):
     rec = run_trial(10, 3, seed=4, primes=(5,), trial=9)
-    obj = json.loads(rec.to_json_line())
+    assert rec.elapsed > 0
+    monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
+    argv = f"mc --n 10 --d 3 --p 5 --trials 10 --seed 4 --out {tmp_path / 'mc.json'}"
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(argv.split()) == 0
+    lines = (tmp_path / "mc.records.jsonl").read_text().splitlines()
+    obj = json.loads(lines[9])
     assert set(obj) == {"trial", "singular_mod", "det_zero", "identical_rows"}
     assert "elapsed" not in obj
-    assert rec.elapsed > 0
+    assert obj["trial"] == rec.trial and obj["det_zero"] == rec.det_zero
+    assert obj["singular_mod"] == {str(p): flag for p, flag in rec.singular_mod}
 
 
 def test_invariant_chain_enforced():
@@ -128,8 +139,8 @@ def test_parallel_schedules_agree():
     cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=30, seed=11, parallelism=4)
     s1, r1 = run_experiment(cfg1)
     s4, r4 = run_experiment(cfg4)
-    assert records_jsonl(r1) == records_jsonl(r4)
-    assert s1.to_json() == s4.to_json()
+    assert canonical(r1) == canonical(r4)
+    assert s1 == s4
     assert [r.trial for r in r1] == list(range(30))
 
 
@@ -138,14 +149,13 @@ def test_seeds_change_outcomes():
     cfg_b = ExperimentConfig(n=20, d=3, primes=(2,), trials=20, seed=2)
     _, ra = run_experiment(cfg_a)
     _, rb = run_experiment(cfg_b)
-    assert records_jsonl(ra) != records_jsonl(rb)
+    assert canonical(ra) != canonical(rb)
 
 
 def test_summary_fields_and_intervals():
     cfg = ExperimentConfig(n=15, d=3, primes=(2, 5), trials=40, seed=6)
     summary, records = run_experiment(cfg)
-    obj = json.loads(summary.to_json())
-    assert obj["n"] == 15 and obj["trials"] == 40
+    assert summary.n == 15 and summary.trials == 40
     for p, frac, lo, hi in summary.per_prime:
         assert 0 <= lo <= frac <= hi <= 1
         assert frac >= summary.rational_fraction

@@ -10,10 +10,8 @@ import pytest
 from regsing.rate_ldp import (
     GridScanReport,
     amgm_sum,
-    certificate_json,
     facet_normals,
     gram_spectrum,
-    grid_scan_csv,
     maxent_alpha,
     negativity_grid_scan,
     quadratic_expansion_check,
@@ -276,15 +274,5 @@ def test_negativity_scan_small():
     assert rep.n_excluded >= 2  # both equality points sit on this grid
     assert rep.n_nonconverged == 0
     assert rep.all_negative
-    text = grid_scan_csv(rep)
-    assert text.splitlines()[0] == "density,rate,feasible,converged"
     with pytest.raises(ValueError):
         negativity_grid_scan(3, 2, 5)
-
-
-def test_certificate_json_fields():
-    cert = maxent_alpha([0.75, 0.25], 3, 2)
-    blob = certificate_json(cert)
-    for key in ('"density"', '"alpha"', '"dual"', '"rate"', '"residual"', '"converged"'):
-        assert key in blob
-
