@@ -82,7 +82,7 @@ def _write(args, art: Artifact) -> int:
     path.write_text(text)
     if art.records:
         records = "".join(_json(rec) + "\n" for rec in art.records)
-        path.with_suffix("").with_suffix(".records.jsonl").write_text(records)
+        path.with_name(path.stem + ".records.jsonl").write_text(records)
     return art.code
 
 

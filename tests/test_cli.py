@@ -436,6 +436,18 @@ def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):
     assert set(summary["singular_mod"]) == {"2", "5"}
 
 
+def test_mc_records_file_keeps_the_whole_stem(tmp_path, monkeypatch):
+    # run.v1.json and run.v2.json each get their own records file
+    for name, trials in (("run.v1.json", 5), ("run.v2.json", 7)):
+        argv = f"mc --n 10 --d 3 --p 5 --trials {trials} --out {tmp_path / name}".split()
+        assert run_cli(argv, monkeypatch=monkeypatch)[0] == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "run.v1.json", "run.v1.records.jsonl", "run.v2.json", "run.v2.records.jsonl"
+    ]
+    for stem, trials in (("run.v1", 5), ("run.v2", 7)):
+        assert len((tmp_path / f"{stem}.records.jsonl").read_text().splitlines()) == trials
+
+
 def test_env_dir_and_report(tmp_path, monkeypatch):
     run_cli(["exact", "--n", "4", "--d", "3", "--p", "2"], env_dir=tmp_path, monkeypatch=monkeypatch)
     run_cli(
