@@ -5,6 +5,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -142,6 +143,15 @@ def test_parallel_schedules_agree():
     assert canonical(r1) == canonical(r4)
     assert s1 == s4
     assert [r.trial for r in r1] == list(range(30))
+
+
+def test_shorter_run_is_a_prefix_of_a_longer_one():
+    # criterion 9 takes its rational run from the first trials of its mod-5 run
+    cfg50 = ExperimentConfig(n=60, d=3, primes=(5,), trials=50, seed=20240813)
+    s50, r50 = run_experiment(cfg50)
+    _, r100 = run_experiment(replace(cfg50, trials=100))
+    assert canonical(r50) == canonical(r100[:50])
+    assert summarize(cfg50, r100[:50]) == s50
 
 
 def test_seeds_change_outcomes():
