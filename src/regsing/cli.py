@@ -110,10 +110,6 @@ def _parse_density(raw: str, p: int) -> List[Fraction]:
     return vals
 
 
-def _joined(values) -> str:
-    return ",".join(map(str, values))
-
-
 def _sample(args) -> Artifact:
     sample = graph_model.sample_configuration(args.n, args.d, args.seed, stream=args.stream)
     a = graph_model.adjacency_from_permutation(sample)
@@ -150,7 +146,7 @@ def _oracle(args) -> Artifact:
     all_equal = all(predicted == brute for _, predicted, brute in results)
     types = [{"type": list(t), "walk_identity": w, "brute_force": b} for t, w, b in results]
     payload = {"kind": "oracle", **_fields(args, "n d p"), "all_equal": all_equal, "types": types}
-    rows = [(_joined(t), w, b) for t, w, b in results]
+    rows = [(",".join(map(str, t)), w, b) for t, w, b in results]
     stem = f"oracle_n{args.n}_d{args.d}_p{args.p}"
     header = ("type", "walk_identity", "brute_force")
     return Artifact(stem, payload, header, rows, 0 if all_equal else 1)
@@ -163,7 +159,7 @@ def _lclt(args) -> Artifact:
     payload["rows"] = [
         {"type": list(t), "exact": e, "gaussian": g, "rel_error": r} for t, e, g, r in scan.rows
     ]
-    rows = [(_joined(t), e, g, r) for t, e, g, r in scan.rows]
+    rows = [(",".join(map(str, t)), e, g, r) for t, e, g, r in scan.rows]
     stem = f"lclt_n{args.n}_d{args.d}_p{args.p}_b{args.b_threshold:g}"
     return Artifact(stem, payload, ("type", "exact", "gaussian", "rel_error"), rows)
 
@@ -187,7 +183,7 @@ def _rate(args) -> Artifact:
     scan = rate_ldp.negativity_grid_scan(args.d, args.p, args.resolution)
     payload = {"kind": "rate_scan", **_fields(scan, "d p resolution n_points n_excluded")}
     payload.update(_fields(scan, "n_infeasible n_nonconverged max_rate argmax all_negative"))
-    rows = [(_joined(f"{x:.6f}" for x in nv), *rest) for nv, *rest in scan.rows]
+    rows = [(",".join(f"{x:.6f}" for x in density), *rest) for density, *rest in scan.rows]
     stem = f"ratescan_d{args.d}_p{args.p}_r{args.resolution}"
     header = ("density", "rate", "feasible", "converged")
     return Artifact(stem, payload, header, rows, 0 if scan.all_negative else 1)

@@ -403,6 +403,20 @@ def test_report_golden_bytes(tmp_path, monkeypatch):
     code, out, _ = run_cli(["report"], monkeypatch=monkeypatch)
     assert code == 0 and sha(out.encode()) == REPORT_CSV
     assert sha((tmp_path / "report.csv").read_bytes()) == REPORT_CSV
+    # --out FILE takes the table; the scanned directory is still the cwd
+    target = tmp_path / "tables" / "claims.csv"
+    code, out, _ = run_cli(["report", "--out", str(target)], monkeypatch=monkeypatch)
+    assert code == 0 and sha(out.encode()) == REPORT_CSV
+    assert sha(target.read_bytes()) == REPORT_CSV
+
+
+def test_out_naming_a_directory_takes_the_default_file_name(tmp_path, monkeypatch):
+    code, out, _ = run_cli(
+        ["exact", "--n", "3", "--d", "3", "--p", "2", "--out", str(tmp_path)], monkeypatch=monkeypatch
+    )
+    assert code == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["exact_n3_d3_p2.json"]
+    assert (tmp_path / "exact_n3_d3_p2.json").read_text() == out
 
 
 def test_cli_import_leaves_scipy_out():
