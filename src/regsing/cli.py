@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from . import graph_model, lclt, mc_harness, rate_ldp, walk_census
 from .common import GuardError, require_coprime_degree
@@ -31,9 +31,10 @@ class Artifact(NamedTuple):
     stem: str  # default file name, without the format's extension
     payload: dict  # the JSON form, fields in output order
     header: Optional[Sequence[str]]  # CSV header; None for a bare table
-    rows: Sequence[Sequence]  # CSV rows
+    rows: Iterable[Sequence]  # CSV rows, read only for --format csv
     code: int = 0  # exit status
     records: Sequence[dict] = ()  # mc per-trial records, for the sidecar
+    quoting: int = csv.QUOTE_MINIMAL  # a cell holding a comma (a type, a list) is quoted
 
 
 def _json(obj) -> str:
@@ -66,9 +67,7 @@ def _write(args, art: Artifact) -> int:
         buf = io.StringIO()
         if art.header:
             buf.write(",".join(art.header) + "\n")
-        # a cell holding a comma (a type, a density, a list) is quoted; report quotes all
-        quoting = csv.QUOTE_ALL if args.command == "report" else csv.QUOTE_MINIMAL
-        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(art.rows)
+        csv.writer(buf, lineterminator="\n", quoting=art.quoting).writerows(art.rows)
         text = buf.getvalue()
     sys.stdout.write(text)
     directory = _artifact_dir(args)
@@ -146,7 +145,7 @@ def _oracle(args) -> Artifact:
     all_equal = all(predicted == brute for _, predicted, brute in results)
     types = [{"type": list(t), "walk_identity": w, "brute_force": b} for t, w, b in results]
     payload = {"kind": "oracle", **_fields(args, "n d p"), "all_equal": all_equal, "types": types}
-    rows = [(",".join(map(str, t)), w, b) for t, w, b in results]
+    rows = ((",".join(map(str, t)), w, b) for t, w, b in results)
     stem = f"oracle_n{args.n}_d{args.d}_p{args.p}"
     header = ("type", "walk_identity", "brute_force")
     return Artifact(stem, payload, header, rows, 0 if all_equal else 1)
@@ -159,7 +158,7 @@ def _lclt(args) -> Artifact:
     payload["rows"] = [
         {"type": list(t), "exact": e, "gaussian": g, "rel_error": r} for t, e, g, r in scan.rows
     ]
-    rows = [(",".join(map(str, t)), e, g, r) for t, e, g, r in scan.rows]
+    rows = ((",".join(map(str, t)), e, g, r) for t, e, g, r in scan.rows)
     stem = f"lclt_n{args.n}_d{args.d}_p{args.p}_b{args.b_threshold:g}"
     return Artifact(stem, payload, ("type", "exact", "gaussian", "rel_error"), rows)
 
@@ -183,7 +182,7 @@ def _rate(args) -> Artifact:
     scan = rate_ldp.negativity_grid_scan(args.d, args.p, args.resolution)
     payload = {"kind": "rate_scan", **_fields(scan, "d p resolution n_points n_excluded")}
     payload.update(_fields(scan, "n_infeasible n_nonconverged max_rate argmax all_negative"))
-    rows = [(",".join(f"{x:.6f}" for x in density), *rest) for density, *rest in scan.rows]
+    rows = ((",".join(f"{x:.6f}" for x in density), *rest) for density, *rest in scan.rows)
     stem = f"ratescan_d{args.d}_p{args.p}_r{args.resolution}"
     header = ("density", "rate", "feasible", "converged")
     return Artifact(stem, payload, header, rows, 0 if scan.all_negative else 1)
@@ -277,7 +276,7 @@ def _report(args) -> Artifact:
         if isinstance(data, dict) and str(data.get("kind")) in REPORT_ROWS:
             rows += [(data["kind"], *row) for row in REPORT_ROWS[data["kind"]](data)]
     payload = {"kind": "report", "rows": [dict(zip(REPORT_HEADER, row)) for row in rows]}
-    return Artifact("report", payload, REPORT_HEADER, rows)
+    return Artifact("report", payload, REPORT_HEADER, rows, quoting=csv.QUOTE_ALL)
 
 
 B_HELP = "window parameter b of the near-uniform class (threshold b*ln(n)/n)"

@@ -60,7 +60,8 @@ class TrialRecord:
     """Outcome of one sampled graph.
 
     elapsed is wall-clock diagnostics only and is excluded from the
-    canonical serialization, which must be identical across schedules.
+    canonical records `regsing mc` writes, which must be identical across
+    schedules.
     """
 
     trial: int
