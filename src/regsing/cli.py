@@ -33,7 +33,7 @@ class Artifact(NamedTuple):
     header: Optional[Sequence[str]]  # CSV header; None for a bare table
     rows: Iterable[Sequence]  # CSV rows, read only for --format csv
     code: int = 0  # exit status
-    records: Sequence[dict] = ()  # mc per-trial records, for the sidecar
+    records: Iterable[dict] = ()  # mc per-trial records, for the sidecar; read if written
     quoting: int = csv.QUOTE_MINIMAL  # a cell holding a comma (a type, a list) is quoted
 
 
@@ -209,11 +209,11 @@ def _mc(args) -> Artifact:
     rows = [(f"singular_mod_{p}", *stats) for p, *stats in summary.per_prime]
     rows.append(("rational", *rational))
     # elapsed is diagnostics only and stays out, so records match across schedules
-    lines = [
+    lines = (
         {"trial": r.trial, "singular_mod": {str(p): flag for p, flag in r.singular_mod},
          **_fields(r, "det_zero identical_rows")}
         for r in records
-    ]
+    )
     ptag = "-".join(str(q) for q in sorted(primes))
     stem = f"mc_n{args.n}_d{args.d}_p{ptag}_t{args.trials}_s{args.seed}"
     header = ("series", "fraction", "wilson_low", "wilson_high")
