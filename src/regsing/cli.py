@@ -1,4 +1,4 @@
-"""Command-line entry point: one subcommand per verified claim (COMMANDS below).
+"""Command-line entry point; the subcommands (COMMANDS below) map onto the verified claims.
 
 All outputs are deterministic for a fixed seed: no timestamps, stable field
 order, records sorted by trial index.  REGSING_OUT_DIR selects the default
