@@ -86,13 +86,11 @@ def _write(args, art: Artifact) -> int:
 
 
 def _parse_primes(raw: str) -> tuple:
+    # str.split always yields a token, so an empty --p fails in int("")
     try:
-        primes = tuple(int(tok) for tok in raw.split(","))
+        return tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise ValueError(f"--p must be an integer or comma-separated integers, got {raw!r}")
-    if not primes:
-        raise ValueError("--p must list at least one prime")
-    return primes
 
 
 def _parse_density(raw: str, p: int) -> List[Fraction]:
