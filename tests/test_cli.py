@@ -110,11 +110,6 @@ def test_lclt_csv_and_json(tmp_path, monkeypatch):
     obj = json.loads(out)
     assert obj["kind"] == "lclt" and obj["b"] == 0.5
     assert obj["max_rel_error"] > 0 and len(obj["rows"]) > 0
-    code, out, _ = run_cli(
-        ["lclt", "--n", "16", "--d", "3", "--p", "2", "--b-threshold", "0.5", "--format", "csv"],
-        monkeypatch=monkeypatch,
-    )
-    assert len(out.splitlines()) == len(obj["rows"]) + 1  # a header, then one row per type
 
 
 def test_rate_certificate_and_scan(monkeypatch):
@@ -124,7 +119,6 @@ def test_rate_certificate_and_scan(monkeypatch):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "rate" and obj["converged"]
-    assert list(obj)[:7] == ["density", "alpha", "dual", "rate", "residual", "converged", "feasible"]
     assert obj["rate"] < 0
     assert obj["amgm_sum"] < 1
     code, out, _ = run_cli(

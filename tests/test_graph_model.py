@@ -148,6 +148,18 @@ def test_json_roundtrip(monkeypatch):
     assert line.count("\n") == 1 and line.endswith("\n")
 
 
+def test_adjacency_csv_shape(monkeypatch):
+    monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli_main("sample --n 3 --d 3 --seed 1 --format csv".split()) == 0
+    text = out.getvalue()
+    rows = text.strip().split("\n")
+    assert len(rows) == 3
+    assert all(len(r.split(",")) == 3 for r in rows)
+    a = adjacency_from_permutation(sample_configuration(3, 3, seed=1))
+    assert [[int(x) for x in r.split(",")] for r in rows] == a.tolist()
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         sample_configuration(5, 2, seed=0)

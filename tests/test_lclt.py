@@ -1,11 +1,15 @@
 """Step moments, characteristic function, Gaussian point-mass accuracy."""
 
 import cmath
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from regsing.cli import main as cli_main
 from regsing.lclt import (
     DEFAULT_B,
     characteristic_function,
@@ -161,3 +165,17 @@ def test_partial_near_uniform_sum_approaches_one():
         e_sum, _, _ = type_class_partition(n, 3, 2, 10.0)
         gaps.append(abs(1 - float(e_sum)))
     assert gaps[1] < gaps[0]
+
+
+def test_scan_csv_header(monkeypatch):
+    monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
+    argv = "lclt --n 10 --d 3 --p 2 --b-threshold 0.5".split()
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli_main(argv) == 0
+    obj = json.loads(out.getvalue())
+    assert len(obj["rows"]) == len(lclt_error_scan(10, 3, 2, b=0.5).rows)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli_main(argv + ["--format", "csv"]) == 0
+    text = out.getvalue()
+    assert text.splitlines()[0] == "type,exact,gaussian,rel_error"
+    assert len(text.splitlines()) == len(obj["rows"]) + 1  # a header, then one row per type

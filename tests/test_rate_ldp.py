@@ -1,12 +1,16 @@
 """Rate function: dual solver optimality, closed forms, spectra, negativity."""
 
+import io
+import json
 import logging
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from regsing.cli import main as cli_main
 from regsing.rate_ldp import (
     GridScanReport,
     amgm_sum,
@@ -276,3 +280,13 @@ def test_negativity_scan_small():
     assert rep.all_negative
     with pytest.raises(ValueError):
         negativity_grid_scan(3, 2, 5)
+
+
+def test_certificate_json_fields(monkeypatch):
+    monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli_main("rate --d 3 --p 2 --density 0.75,0.25".split()) == 0
+    obj = json.loads(out.getvalue())
+    assert list(obj)[:7] == ["density", "alpha", "dual", "rate", "residual", "converged", "feasible"]
+    cert = maxent_alpha([0.75, 0.25], 3, 2)
+    assert obj["rate"] == cert.rate and obj["converged"] == cert.converged
