@@ -165,7 +165,7 @@ def _rate(args) -> Artifact:
     require_coprime_degree(args.p, args.d)
     if args.density is not None:
         nv = _parse_density(args.density, args.p)
-        cert = rate_ldp.maxent_alpha(nv, args.d, args.p, tol=args.tol)
+        cert = rate_ldp.maxent_alpha(nv, args.d, args.p)
         payload = _fields(cert, "density alpha dual rate residual converged feasible")
         payload.update(kind="rate", d=args.d, p=args.p)
         payload["amgm_sum"] = rate_ldp.amgm_sum(nv, args.d, args.p)
@@ -263,16 +263,21 @@ REPORT_HEADER = ("kind", "claim", "parameters", "value", "detail")
 
 def _report(args) -> Artifact:
     src = _artifact_dir(args)
+    try:
+        names = sorted(os.listdir(src))
+    except OSError as exc:
+        raise ValueError(f"report cannot list the artifact directory {src}: {exc.strerror}")
     rows = []
-    for name in sorted(os.listdir(src)):
+    for name in names:
         if not name.endswith(".json") or name.startswith("report"):
             continue
+        # an unreadable file, or an artifact lacking a field its rows need, is skipped
         try:
             data = json.loads((src / name).read_text())
-        except (OSError, json.JSONDecodeError):
+            if isinstance(data, dict) and str(data.get("kind")) in REPORT_ROWS:
+                rows += [(data["kind"], *row) for row in REPORT_ROWS[data["kind"]](data)]
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             continue
-        if isinstance(data, dict) and str(data.get("kind")) in REPORT_ROWS:
-            rows += [(data["kind"], *row) for row in REPORT_ROWS[data["kind"]](data)]
     payload = {"kind": "report", "rows": [dict(zip(REPORT_HEADER, row)) for row in rows]}
     return Artifact("report", payload, REPORT_HEADER, rows, quoting=csv.QUOTE_ALL)
 
@@ -309,8 +314,7 @@ COMMANDS = {
         "over admissible near-uniform value profiles; the max relative error shrinks as n "
         "grows."),
     "rate": (_rate, "entropy rate-function certificates and negativity scans", [
-        D, P, ("--tol", dict(type=float, default=1e-10, help="moment residual tolerance")),
-        OUT, FORMAT,
+        D, P, OUT, FORMAT,
         ("--density", dict(type=str, default=None, help="comma-separated density, e.g. 0.75,0.25")),
         ("--resolution", dict(type=int, default=None, help="simplex grid subdivisions"))],
         "Certify the entropy rate function of value-profile densities: zero exactly at the "

@@ -9,7 +9,9 @@ residue loop over a fixed list of 31-bit primes, sized by the Hadamard
 bound: `det_crt` recombines every residue by the Chinese remainder
 theorem, and `int_determinant_is_zero` stops at the first nonzero one.
 `det_bareiss` (fraction-free elimination in Python ints) shares no code
-with that loop and is kept as its independent oracle.
+with that loop and is its independent test oracle; it is also the cheaper
+route for tiny matrices, such as the cofactor minors of
+`rate_ldp.facet_normals`, where the residue loop's setup dominates.
 """
 
 from __future__ import annotations

@@ -42,6 +42,8 @@ class ExperimentConfig:
         for p in self.primes:
             require_prime(p)
             require_coprime_degree(p, self.d)
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"primes must be distinct, got {self.primes}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.trials < 1:

@@ -30,13 +30,17 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .common import require_coprime_degree
-from .gfp_core import det_crt
+from .gfp_core import det_bareiss
 from .walk_census import build_U, type_vectors
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
 MAX_NEWTON_ITER = 200
+# quadratic_expansion_check: |delta| and the seeded zero-sum directions
+QUADRATIC_RADIUS = 1e-3
+QUADRATIC_SAMPLES = 8
+QUADRATIC_SEED = 20240801
 
 
 def _check_density(nv: Sequence[float], p: int) -> np.ndarray:
@@ -71,7 +75,7 @@ def facet_normals(d: int, p: int) -> Tuple[Tuple[int, ...], ...]:
     atoms = [w for w, _ in build_U(d, p).items]
     normals = set()
     for sub in itertools.combinations(atoms, p - 1):
-        c = [(-1) ** k * det_crt([w[:k] + w[k + 1 :] for w in sub]) for k in range(p)]
+        c = [(-1) ** k * det_bareiss([w[:k] + w[k + 1 :] for w in sub]) for k in range(p)]
         dots = [sum(a * b for a, b in zip(c, w)) for w in atoms]
         if any(c) and not min(dots) < 0 < max(dots):
             g = math.gcd(*c) if max(dots) > 0 else -math.gcd(*c)
@@ -92,11 +96,8 @@ def _feasible(nv: Sequence, d: int, p: int) -> bool:
     return all(sum(a * b for a, b in zip(c, num)) >= 0 for c in facet_normals(d, p))
 
 
-def _expand(values: Sequence[float], mults: np.ndarray) -> Tuple[float, ...]:
-    out: List[float] = []
-    for v, m in zip(values, mults):
-        out.extend([float(v)] * int(m))
-    return tuple(out)
+def _expand(values: np.ndarray, mults: np.ndarray) -> Tuple[float, ...]:
+    return tuple(np.repeat(values, mults.astype(int)).tolist())
 
 
 @dataclass(frozen=True)
@@ -116,17 +117,7 @@ class RateCertificate:
     feasible: bool
 
 
-def _density_entropy_term(nv: np.ndarray, d: int) -> float:
-    return (d - 1) * float(sum(x * math.log(x) for x in nv if x > 0.0))
-
-
-def maxent_alpha(
-    nv: Sequence[float],
-    d: int,
-    p: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_NEWTON_ITER,
-) -> RateCertificate:
+def maxent_alpha(nv: Sequence[float], d: int, p: int) -> RateCertificate:
     """Maximize weight entropy subject to the moment constraint at d*nv.
 
     Feasibility is decided exactly on the rational value of nv (pass
@@ -156,59 +147,52 @@ def maxent_alpha(
     w = w_all[keep]
     m = m_all[keep]
 
-    theta = np.zeros(p)
-
-    def dual_value(th: np.ndarray) -> float:
+    def tilt(th: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Grouped masses m_j exp(<th, w_j> - max) and the dual value at th."""
         s = w @ th
         c = s.max()
-        return c + math.log(float(np.sum(m * np.exp(s - c)))) - float(th @ target)
-
-    converged = False
-    for _ in range(max_iter):
-        s = w @ theta
-        c = s.max()
         z = m * np.exp(s - c)
+        return z, c + math.log(float(np.sum(z))) - float(th @ target)
+
+    def moments(th: np.ndarray):
+        z, dual = tilt(th)
         prob = z / z.sum()
         mean = prob @ w
-        grad = mean - target
-        if float(np.abs(grad).max()) < tol:
+        return prob, mean, mean - target, dual
+
+    theta = np.zeros(p)
+    prob, mean, grad, g0 = moments(theta)
+    converged = False
+    for _ in range(MAX_NEWTON_ITER):
+        if float(np.abs(grad).max()) < DEFAULT_TOL:
             converged = True
             break
         hess = (w * prob[:, None]).T @ w - np.outer(mean, mean)
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        g0 = dual_value(theta)
         slope = float(grad @ step)
         # Absolute noise allowance keeps full Newton steps near the optimum,
         # where true dual decrease is below float resolution.
         noise = 1e-15 * (1.0 + abs(g0))
         t = 1.0
-        while t > 1e-14 and dual_value(theta + t * step) > g0 + 1e-4 * t * slope + noise:
+        while t > 1e-14 and tilt(theta + t * step)[1] > g0 + 1e-4 * t * slope + noise:
             t *= 0.5
         theta = theta + t * step
-    else:
-        s = w @ theta
-        c = s.max()
-        z = m * np.exp(s - c)
-        prob = z / z.sum()
-        mean = prob @ w
-        grad = mean - target
+        prob, mean, grad, g0 = moments(theta)
 
     # Per-atom weights: prob is the grouped mass, each atom in the group
     # carries prob/mult.
     atom_weight = prob / m
     entropy = -float(np.sum(prob * np.log(np.where(atom_weight > 0, atom_weight, 1.0))))
-    rate = entropy + _density_entropy_term(nv_arr, d)
-    residual = float(np.abs(grad).max())
-
-    alpha_kept = iter(atom_weight)
-    alpha_groups = [next(alpha_kept) if k else 0.0 for k in keep]
+    density_term = (d - 1) * float(sum(x * math.log(x) for x in nv_arr if x > 0.0))
+    alpha_groups = np.zeros(len(keep))
+    alpha_groups[keep] = atom_weight
     return RateCertificate(
         density=density_t,
         alpha=_expand(alpha_groups, m_all),
         dual=tuple(float(x) for x in theta),
-        rate=rate,
-        residual=residual,
-        converged=converged and residual < tol,
+        rate=entropy + density_term,
+        residual=float(np.abs(grad).max()),
+        converged=converged,
         feasible=True,
     )
 
@@ -240,20 +224,23 @@ def _geometric_factor(nv: np.ndarray, w_row: np.ndarray, d: int) -> float:
     return acc
 
 
-def amgm_sum(nv: Sequence[float], d: int, p: int) -> float:
-    """sum_j mult_j prod_k nv_k^{((d-1)/d) w_j(k)}; <= 1, = 1 iff uniform or e_0."""
+def _amgm_factors(nv: Sequence[float], d: int, p: int):
+    """The checked density, the atoms and each atom's prod_k nv_k^{((d-1)/d) w_j(k)}."""
     require_coprime_degree(p, d)
     nv_arr = _check_density(nv, p)
     w, m = _atoms(d, p)
-    return float(sum(mj * _geometric_factor(nv_arr, wj, d) for wj, mj in zip(w, m)))
+    return nv_arr, w, m, np.array([_geometric_factor(nv_arr, wj, d) for wj in w])
+
+
+def amgm_sum(nv: Sequence[float], d: int, p: int) -> float:
+    """sum_j mult_j prod_k nv_k^{((d-1)/d) w_j(k)}; <= 1, = 1 iff uniform or e_0."""
+    _, _, m, factors = _amgm_factors(nv, d, p)
+    return float(sum(m * factors))
 
 
 def stationary_alpha(nv: Sequence[float], d: int, p: int) -> StationaryWeights:
     """Lagrange stationary weights; the rate equals -(d-2+lam) = ln(amgm_sum)."""
-    require_coprime_degree(p, d)
-    nv_arr = _check_density(nv, p)
-    w, m = _atoms(d, p)
-    factors = np.array([_geometric_factor(nv_arr, wj, d) for wj in w])
+    nv_arr, w, m, factors = _amgm_factors(nv, d, p)
     s = float((m * factors).sum())
     if s <= 0.0:
         raise ValueError("no step atom is supported on the density; weights undefined")
@@ -287,30 +274,19 @@ def gram_spectrum(d: int, p: int) -> GramSpectrum:
     is {d^2 p^{d-2}} plus d p^{d-2} repeated p-1 times.
     """
     require_coprime_degree(p, d)
-    u = build_U(d, p)
-    gram = [[0] * p for _ in range(p)]
-    for w, mult in u.items:
-        for i in range(p):
-            if w[i] == 0:
-                continue
-            for j in range(p):
-                gram[i][j] += mult * w[i] * w[j]
-    eig = np.linalg.eigvalsh(np.array(gram, dtype=float))[::-1]
+    w, m = (a.astype(np.int64) for a in _atoms(d, p))
+    gram = (w.T * m) @ w
+    eig = np.linalg.eigvalsh(gram.astype(float))[::-1]
     leading = d * d * p ** (d - 2)
     repeated = d * p ** (d - 2)
     logger.info(
-        "gram spectrum d=%d p=%d: repeated eigenvalue %d has multiplicity p-1 = %d, "
-        "not d-1 = %d",
-        d,
-        p,
-        repeated,
-        p - 1,
-        d - 1,
+        "gram spectrum d=%d p=%d: repeated eigenvalue %d has multiplicity p-1 = %d, not d-1 = %d",
+        d, p, repeated, p - 1, d - 1,
     )
     return GramSpectrum(
         d=d,
         p=p,
-        matrix=tuple(tuple(row) for row in gram),
+        matrix=tuple(map(tuple, gram.tolist())),
         eigenvalues=tuple(float(x) for x in eig),
         leading=leading,
         repeated=repeated,
@@ -327,24 +303,22 @@ class QuadraticReport:
     max_ratio_error: float  # max |ratio - 4|
 
 
-def quadratic_expansion_check(
-    d: int, p: int, radius: float = 1e-3, samples: int = 8, seed: int = 20240801
-) -> QuadraticReport:
+def quadratic_expansion_check(d: int, p: int) -> QuadraticReport:
     """rate(uniform + delta) = -(p/2) sum delta_j^2 + O(|delta|^3).
 
     Halving delta must scale the rate by about 1/4; the ratio
     rate(s)/rate(s/2) is reported for random zero-sum directions.
     """
     require_coprime_degree(p, d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(QUADRATIC_SEED)
     uniform = np.full(p, 1.0 / p)
     ratios: List[float] = []
     coeffs: List[float] = []
-    for _ in range(samples):
+    for _ in range(QUADRATIC_SAMPLES):
         g = rng.standard_normal(p)
         g -= g.mean()
         g /= np.linalg.norm(g)
-        delta = radius * g
+        delta = QUADRATIC_RADIUS * g
         r_full = maxent_alpha(uniform + delta, d, p).rate
         r_half = maxent_alpha(uniform + delta / 2, d, p).rate
         ratios.append(r_full / r_half)
@@ -352,7 +326,7 @@ def quadratic_expansion_check(
     return QuadraticReport(
         d=d,
         p=p,
-        radius=radius,
+        radius=QUADRATIC_RADIUS,
         ratios=tuple(ratios),
         coefficients=tuple(coeffs),
         max_ratio_error=max(abs(r - 4.0) for r in ratios),

@@ -31,15 +31,6 @@ def _factorial(k: int) -> int:
     return math.factorial(k)
 
 
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    if sum(parts) != n or any(x < 0 for x in parts):
-        raise ValueError(f"parts {parts} do not partition {n}")
-    out = _factorial(n)
-    for x in parts:
-        out //= _factorial(x)
-    return out
-
-
 def phi(a: Sequence[int], p: int) -> TypeVec:
     """Value-frequency profile of a tuple over F_p."""
     counts = [0] * p
@@ -66,9 +57,6 @@ class UMultiset:
     @property
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.items)
-
-    def as_dict(self) -> Dict[TypeVec, int]:
-        return dict(self.items)
 
 
 def build_U(d: int, p: int) -> UMultiset:

@@ -71,6 +71,35 @@ def test_rate_requires_density_or_resolution(monkeypatch):
     assert "--density" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "mc --n 10 --d 3 --p 2,x --trials 2",
+            "--p must be an integer or comma-separated integers, got '2,x'",
+        ),
+        ("mc --n 10 --d 3 --p 5,5 --trials 2", "primes must be distinct, got (5, 5)"),
+        ("mc --n 10 --d 3 --p 5 --trials 2 --parallel 0", "parallelism must be positive"),
+        ("mc --n 0 --d 3 --p 5 --trials 2", "n must be positive"),
+        ("rate --d 3 --p 2 --density 0.5,0.3,0.2", "--density must have 2 entries"),
+        ("sample --n 0 --d 3", "n=0 must be >= 1"),
+        ("exact --n 0 --d 3 --p 2", "n=0 must be >= 1"),
+    ],
+)
+def test_invalid_input_exits_2_with_its_message(argv, message, tmp_path, monkeypatch):
+    code, out, err = run_cli(argv.split(), env_dir=tmp_path, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rate_has_no_tol_option():
+    with redirect_stderr(io.StringIO()) as err:
+        with pytest.raises(SystemExit) as exc:
+            main("rate --d 3 --p 2 --density 0.5,0.5 --tol 1e-3".split())
+    assert exc.value.code == 2 and "--tol" in err.getvalue()
+
+
 def test_sample_artifact_deterministic(tmp_path, monkeypatch):
     args = ["sample", "--n", "6", "--d", "3", "--seed", "9", "--out", str(tmp_path / "s.json")]
     code1, out1, _ = run_cli(args, monkeypatch=monkeypatch)
@@ -402,6 +431,27 @@ def test_report_golden_bytes(tmp_path, monkeypatch):
     code, out, _ = run_cli(["report", "--out", str(target)], monkeypatch=monkeypatch)
     assert code == 0 and sha(out.encode()) == REPORT_CSV
     assert sha(target.read_bytes()) == REPORT_CSV
+
+
+def test_report_skips_an_artifact_missing_a_field(tmp_path, monkeypatch):
+    argv = "exact --n 3 --d 3 --p 2".split()
+    assert run_cli(argv, env_dir=tmp_path, monkeypatch=monkeypatch)[0] == 0
+    (tmp_path / "short_exact.json").write_text('{"kind":"exact","n":1}')
+    (tmp_path / "short_mc.json").write_text('{"kind":"mc","n":1,"d":3,"trials":2,"seed":0}')
+    code, out, err = run_cli(["report"], env_dir=tmp_path, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    header, *rows = out.strip().split("\n")
+    assert header == "kind,claim,parameters,value,detail"
+    assert len(rows) == 1 and '"n=3 d=3 p=2"' in rows[0]
+
+
+def test_report_on_a_missing_directory_exits_2(tmp_path, monkeypatch):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(["report"], env_dir=missing, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: report cannot list the artifact directory")
+    assert str(missing) in err
+    assert not missing.exists()
 
 
 def test_out_naming_a_directory_takes_the_default_file_name(tmp_path, monkeypatch):

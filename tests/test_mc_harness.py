@@ -34,6 +34,8 @@ def test_config_validation():
         ExperimentConfig(n=5, d=2, primes=(5,), trials=10, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=5, d=3, primes=(5,), trials=0, seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(n=5, d=3, primes=(2, 5, 2), trials=10, seed=0)  # eliminated twice
     with pytest.raises(GuardError):
         ExperimentConfig(n=3000, d=3, primes=(5,), trials=2000, seed=0)
 

@@ -139,8 +139,9 @@ def lp_feasible_oracle(nv, d, p):
 def test_facet_normals():
     assert facet_normals(3, 2) == ((0, 1), (2, -1))
     assert facet_normals(4, 3) == ((0, 0, 1), (0, 1, 0), (3, -1, 1), (3, 1, -1))
-    assert len(facet_normals(3, 5)) == 13
-    for d, p in [(3, 2), (4, 3), (3, 5)]:
+    assert len(facet_normals(3, 5)) == len(facet_normals(4, 5)) == 13
+    assert len(facet_normals(3, 7)) == 31
+    for d, p in [(3, 2), (4, 3), (3, 5), (4, 5), (3, 7)]:
         for c in facet_normals(d, p):
             dots = [sum(a * b for a, b in zip(c, w)) for w, _ in build_U(d, p).items]
             assert min(dots) == 0 and math.gcd(*c) == 1
