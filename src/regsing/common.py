@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 
-# Residues are kept in machine words; (p-1)^2 must fit in int64.
+# Listed primes: residues are kept in machine words, and an elimination mod p
+# needs p(p-1) < 2^63.  Only the CRT primes are smaller (below 2^29, see
+# gfp_core.CRT_PRIME_BOUND), so that one of them times p <= 5 still fits.
 MAX_PRIME = 2**31
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -2,12 +2,26 @@
 
 Input is checked once, by `int_matrix`: a 2-D int64 ndarray is used as it
 is, and other input becomes int64 when its entries fit, an object array
-of Python ints otherwise (reduced mod p before any elimination).
-Elimination mod a prime p < 2^31 runs on int64 residues, where products
-of two residues fit in 64 bits.  Integer determinants come from one
-residue loop over a fixed list of 31-bit primes, sized by the Hadamard
-bound: `det_crt` recombines every residue by the Chinese remainder
-theorem, and `int_determinant_is_zero` stops at the first nonzero one.
+of Python ints otherwise (reduced mod M before any elimination).
+
+One elimination loop, `_eliminate`, runs on int64 residues mod M, where
+M is a listed prime p < 2^31 (`fp_eliminate`, `fp_det`) or the product of
+distinct primes (`fp_dets`).  A row update adds a residue to a product of
+two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
+one size rule.  A pivot must be a unit mod M.  When no candidate in a
+column is one, the primes split (D5 dynamic evaluation: Della Dora,
+Dicrescenzo and Duval, EUROCAL 1985): a prime dividing every candidate
+has det 0 and drops out, and the rest go on over the remaining block,
+together or, when each prime still sees a nonzero candidate, one at a
+time.
+
+Integer determinants come from one residue loop over a fixed list of
+CRT primes, the largest primes below 2^29, sized by the Hadamard bound:
+`det_crt` recombines every residue by the Chinese remainder theorem, and
+`int_determinant_is_zero` stops at the first nonzero one.  The bound
+keeps 5q inside the size rule, so a Monte Carlo trial decides its listed
+prime p <= 5 and the first CRT prime q in one elimination mod pq
+(`fused_prime`, `fp_dets`) and hands the residue mod q to the zero test.
 `det_bareiss` (fraction-free elimination in Python ints) shares no code
 with that loop and is its independent test oracle; it is also the cheaper
 route for tiny matrices, such as the cofactor minors of
@@ -21,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import MAX_PRIME, is_prime, require_prime
+from .common import is_prime, require_prime
 
 MatrixLike = Sequence[Sequence[int]]
 
@@ -60,17 +74,34 @@ def int_matrix(m: MatrixLike) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
-def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
-    """Row-reduce m mod p; returns (rank, det mod p).
+def _fits_int64(mod: int) -> bool:
+    """Residues mod `mod` can be eliminated in int64: (mod-1) + (mod-1)^2 < 2^63."""
+    return mod * (mod - 1) < 2**63
 
-    det is reported as 0 for non-square or rank-deficient input.  A column
-    updates only the rows with a nonzero entry below its pivot, scaling the
-    multipliers rather than the pivot row; columns left of it go stale.
+
+def _residues(m: MatrixLike, primes: tuple[int, ...]) -> np.ndarray:
+    """m reduced mod the product of distinct primes, as int64 (always a copy)."""
+    for p in primes:
+        require_prime(p)
+    mod = math.prod(primes)
+    if len(set(primes)) != len(primes) or not _fits_int64(mod):
+        raise ValueError(f"primes {primes} must be distinct with product M, M(M-1) < 2^63")
+    return (int_matrix(m) % mod).astype(np.int64, copy=False)
+
+
+def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list:
+    """Row-reduce the residues a mod M = prod(primes) in place; returns
+    (rank, det * det(a)) mod each prime, in the order of primes.
+
+    det is 0 for non-square or rank-deficient a.  A column updates only the
+    rows with a nonzero entry below its pivot, scaling the multipliers
+    rather than the pivot row; columns left of it go stale.  A column with
+    no unit pivot hands over to `_split`, which never happens with one
+    prime; a prime dropped there reports rank None.
     """
-    require_prime(p)
-    a = (int_matrix(m) % p).astype(np.int64, copy=False)
+    mod = math.prod(primes)
     nr, nc = a.shape
-    det, r = 1, 0
+    r = 0
     for c in range(nc):
         if r == nr:
             break
@@ -78,21 +109,67 @@ def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
         if nz.size == 0:
             det = 0
             continue
-        if nz[0]:
-            piv = r + int(nz[0])
+        piv = r + int(nz[0])
+        if math.gcd(int(a[piv, c]), mod) != 1:
+            units = nz[np.gcd(a[r + nz, c], mod) == 1]
+            if units.size == 0:
+                return _split(a[r:, c:], primes, det, r)
+            piv = r + int(units[0])
+        if piv != r:
             a[r, c:], a[piv, c:] = a[piv, c:].copy(), a[r, c:].copy()
             det = -det
+            if piv != r + nz[0]:
+                nz = a[r:, c].nonzero()[0]
         pv = int(a[r, c])
-        det = det * pv % p
+        det = det * pv % mod
         if nz.size > 1:
-            # entries stay below p, so f * a[r] + a[rows] < 2^63
+            # entries stay below M, so f * a[r] + a[rows] <= (M-1)^2 + (M-1) < 2^63
             rows = nz[1:] + r
-            f = a[rows, c] * (p - pow(pv, -1, p)) % p
-            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[r, c + 1 :]) % p
+            f = a[rows, c] * (mod - pow(pv, -1, mod)) % mod
+            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[r, c + 1 :]) % mod
         r += 1
     if nr != nc or r < nr:
         det = 0
-    return r, det % p
+    return [(r, det % p) for p in primes]
+
+
+def _split(block: np.ndarray, primes: tuple[int, ...], det: int, r: int) -> list:
+    """_eliminate's result once no entry of block's first column is a unit
+    mod M, with r rows reduced above block (the D5 split).  A prime dividing
+    the whole column has det 0; the others finish block together, or one at
+    a time when none divides it."""
+    dead = [p for p in primes if not (block[:, 0] % p).any()]
+    groups = [tuple(p for p in primes if p not in dead)] if dead else [(p,) for p in primes]
+    out = {p: (None, 0) for p in dead}
+    for g in groups:
+        mod = math.prod(g)
+        for p, (rank, dp) in zip(g, _eliminate(block % mod, g, det % mod)):
+            out[p] = (None if rank is None else r + rank, dp)
+    return [out[p] for p in primes]
+
+
+def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
+    """Row-reduce m mod p; returns (rank, det mod p).
+
+    det is reported as 0 for non-square or rank-deficient input.
+    """
+    return _eliminate(_residues(m, (p,)), (p,))[0]
+
+
+def fp_dets(m: MatrixLike, primes: Sequence[int]) -> tuple[int, ...]:
+    """det(m) mod each of distinct primes, from one elimination mod their
+    product M, which must satisfy M(M-1) < 2^63."""
+    primes = tuple(primes)
+    a = _residues(m, primes)
+    _require_square(a)
+    return tuple(dp for _, dp in _eliminate(a, primes))
+
+
+def fused_prime(primes: Sequence[int]) -> int | None:
+    """The largest of primes whose product with the first CRT prime can be
+    eliminated in int64 (p <= 5), or None; `fp_dets` decides both at once."""
+    q = crt_primes(1)[0]
+    return max((p for p in primes if _fits_int64(p * q)), default=None)
 
 
 def fp_rank(m: MatrixLike, p: int) -> int:
@@ -101,9 +178,7 @@ def fp_rank(m: MatrixLike, p: int) -> int:
 
 
 def fp_det(m: MatrixLike, p: int) -> int:
-    a = int_matrix(m)
-    _require_square(a)
-    return fp_eliminate(a, p)[1]
+    return fp_dets(m, (p,))[0]
 
 
 def fp_kernel_size_exponent(m: MatrixLike, p: int) -> int:
@@ -157,15 +232,20 @@ def hadamard_bound(m: MatrixLike) -> int:
     return math.isqrt(math.prod(sq)) + 1
 
 
+# CRT primes stay below 2^29 so that the first one times a listed prime
+# p <= 5 is still a modulus `_eliminate` can run in int64.
+CRT_PRIME_BOUND = 2**29
+
+
 def _word_primes():
-    q = MAX_PRIME - 1
+    q = CRT_PRIME_BOUND - 1
     while True:
         if is_prime(q):
             yield q
         q -= 1
 
 
-# Deterministic CRT prime list, largest primes below 2^31, extended on demand.
+# Deterministic CRT prime list, largest primes below 2^29, extended on demand.
 _CRT_PRIMES: list[int] = []
 _CRT_GEN = _word_primes()
 
@@ -182,20 +262,27 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return r1 + m1 * t, m1 * m2
 
 
-def _det_residues(a: np.ndarray):
-    """(p, det(a) mod p) over the CRT primes in order, until their product
-    exceeds twice the Hadamard bound, which fixes det(a) exactly."""
+def _det_residues(a: np.ndarray, first: int | None = None):
+    """(q, det(a) mod q) over the CRT primes in order, until their product
+    exceeds twice the Hadamard bound, which fixes det(a) exactly.
+
+    first, if given, is det(a) mod the first CRT prime and is used as it is.
+    The bound is computed only after the first residue, so a consumer that
+    stops at a nonzero first residue never pays for it.
+    """
+    q = crt_primes(1)[0]
+    yield q, fp_eliminate(a, q)[1] if first is None else first
     bound = hadamard_bound(a)
-    mod, k = 1, 0
+    mod, k = q, 1
     while mod <= 2 * bound:
         k += 1
-        p = crt_primes(k)[-1]
-        yield p, fp_eliminate(a, p)[1]
-        mod *= p
+        q = crt_primes(k)[-1]
+        yield q, fp_eliminate(a, q)[1]
+        mod *= q
 
 
 def det_crt(m: MatrixLike) -> int:
-    """Exact determinant via residues mod 31-bit primes + CRT reconstruction."""
+    """Exact determinant via residues mod the CRT primes + CRT reconstruction."""
     a = int_matrix(m)
     _require_square(a)
     res, mod = 0, 1
@@ -204,13 +291,14 @@ def det_crt(m: MatrixLike) -> int:
     return res - mod if res > mod // 2 else res
 
 
-def int_determinant_is_zero(m: MatrixLike) -> bool:
+def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
     """Exact test det(m) == 0, short-circuiting on the first nonzero residue.
 
     A single nonzero residue certifies det != 0; otherwise residues are
     accumulated until their modulus exceeds twice the Hadamard bound, which
-    certifies det == 0.  Never touches floating point.
+    certifies det == 0.  first, if given, is det(m) mod crt_primes(1)[0]
+    (say from `fp_dets`).  Never touches floating point.
     """
     a = int_matrix(m)
     _require_square(a)
-    return all(dp == 0 for _, dp in _det_residues(a))
+    return all(dp == 0 for _, dp in _det_residues(a, first))

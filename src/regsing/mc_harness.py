@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .common import GuardError, require_coprime_degree, require_degree, require_prime
-from .gfp_core import fp_det, int_determinant_is_zero
+from .gfp_core import crt_primes, fp_det, fp_dets, fused_prime, int_determinant_is_zero
 from .graph_model import adjacency_from_permutation, has_identical_rows, sample_configuration
 
 # Caps n*trials so a typo cannot schedule days of elimination work.
@@ -121,13 +121,22 @@ def run_trial(n: int, d: int, seed: int, primes: Sequence[int], trial: int) -> T
     The determinant of the sampled matrix is decided once; singularity mod a
     listed prime reads the determinant residue at that prime (reduction
     commutes with the determinant), not a separate rational elimination.
+    The listed prime named by `fused_prime` (the largest p <= 5) shares one
+    elimination with the first CRT prime q, mod p*q; its residue mod q is
+    handed to the zero test, which alone still decides det_zero.  Every
+    other listed prime gets its own `fp_det`.
     """
     t0 = time.perf_counter()
     sample = sample_configuration(n, d, seed, stream=trial)
     a = adjacency_from_permutation(sample)
     identical = has_identical_rows(a)
-    singular = tuple((p, fp_det(a, p) == 0) for p in sorted(primes))
-    det_zero = int_determinant_is_zero(a)
+    fused = fused_prime(primes)
+    residue = {p: fp_det(a, p) for p in primes if p != fused}
+    first = None
+    if fused is not None:
+        residue[fused], first = fp_dets(a, (fused, crt_primes(1)[0]))
+    singular = tuple((p, residue[p] == 0) for p in sorted(primes))
+    det_zero = int_determinant_is_zero(a, first)
     rec = TrialRecord(
         trial=trial,
         singular_mod=singular,

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,14 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from regsing import gfp_core
 from regsing.gfp_core import (
+    CRT_PRIME_BOUND,
     crt_primes,
     det_bareiss,
     det_crt,
     fp_det,
+    fp_dets,
     fp_eliminate,
     fp_kernel_size_exponent,
     fp_rank,
+    fused_prime,
     hadamard_bound,
     int_determinant_is_zero,
     int_matrix,
@@ -149,15 +154,22 @@ def test_prime_validation():
         fp_det([[1]], 1)
 
 
+def is_prime_by_trial_division(q):
+    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+
 def test_crt_prime_list_deterministic():
     primes = crt_primes(4)
-    assert primes[0] == 2**31 - 1
+    # the list starts at the largest prime below 2^29
+    assert CRT_PRIME_BOUND == 2**29
+    assert not any(is_prime_by_trial_division(x) for x in range(primes[0] + 1, 2**29))
     assert primes == sorted(primes, reverse=True)
     assert len(set(primes)) == 4
     for q in primes:
-        assert q < 2**31
-        # each listed modulus is prime, checked by trial division
-        assert all(q % f for f in range(2, math.isqrt(q) + 1))
+        assert q < 2**29
+        assert is_prime_by_trial_division(q)
+    # 5 q is an int64 elimination modulus, M (M - 1) < 2^63, and 7 q is not
+    assert fused_prime([2, 3, 5, 7]) == 5
 
 
 def test_elimination_reports_rank_and_det_together():
@@ -241,3 +253,79 @@ def test_int_matrix_forms():
         fp_det(np.zeros((0, 3), dtype=np.int64), 5)
     with pytest.raises(ValueError):
         int_matrix([[1, 2], [3]])
+
+
+Q = crt_primes(1)[0]
+
+
+@st.composite
+def fused_cases(draw):
+    """Square matrices up to 6 x 6 whose first column leans towards one D5
+    branch mod 5Q: any entries, multiples of 5, multiples of Q, or a mix of
+    multiples of 5 and of Q.  Later columns mix small entries and multiples
+    of Q, so a split can also come later."""
+    n = draw(st.integers(1, 6))
+    small = st.integers(-9, 9)
+    first = {
+        "none": small,
+        "p": st.integers(-3, 3).map(lambda k: 5 * k),
+        "q": st.integers(-3, 3).map(lambda k: Q * k),
+        "split": st.one_of(st.integers(-3, 3).map(lambda k: 5 * k), st.integers(-3, 3).map(lambda k: Q * k)),
+    }[draw(st.sampled_from(["none", "p", "q", "split"]))]
+    rest = st.one_of(small, st.integers(-3, 3).map(lambda k: Q * k))
+    return [[draw(first)] + draw(st.lists(rest, min_size=n - 1, max_size=n - 1)) for _ in range(n)]
+
+
+def test_fused_elimination_matches_separate_eliminations():
+    """fp_dets mod 5Q against one elimination per prime, Bareiss and sympy,
+    with every D5 branch taken: no split, 5 dropped, Q dropped, true split."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=fused_cases())
+    def check(rows):
+        exact = det_bareiss(rows)
+        assert exact == sympy.Matrix(rows).det()
+        with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
+            got = fp_dets(rows, (5, Q))
+            ranks = gfp_core._eliminate(gfp_core._residues(rows, (5, Q)), (5, Q))
+        assert got == (exact % 5, exact % Q)
+        assert got == (fp_eliminate(rows, 5)[1], fp_eliminate(rows, Q)[1])
+        assert fp_dets(rows, (Q, 5)) == got[::-1]
+        for p, (rank, dp) in zip((5, Q), ranks):
+            # a prime dropped as soon as its det is known to be 0 has no rank
+            assert rank is None or rank == gf_rank(rows, p)
+            assert dp == exact % p
+        if not spy.call_count:
+            seen.add("none")
+        else:
+            col = spy.call_args_list[0].args[0][:, 0]
+            seen.add("p" if not (col % 5).any() else "q" if not (col % Q).any() else "split")
+
+    check()
+    assert seen == {"none", "p", "q", "split"}
+
+
+def test_fused_residue_mod_q_does_not_decide_mod_5():
+    # first column all multiples of Q: Q is dropped, and det = -3Q is not 0 mod 5
+    rows = [[Q, 1, 0], [2 * Q, 0, 1], [0, 1, 1]]
+    assert det_bareiss(rows) == -3 * Q
+    d5, dq = fp_dets(rows, (5, Q))
+    assert dq == 0 and d5 == (-3 * Q) % 5 != 0
+    # handing the zero test a zero first residue does not make det zero
+    assert not int_determinant_is_zero(rows, dq)
+    assert int_determinant_is_zero([[Q, 2 * Q], [1, 2]], 0)
+
+
+def test_listed_primes_beyond_fusion_take_their_own_elimination():
+    rnd = random.Random(23)
+    for p in (7, 101, 2**31 - 1):
+        assert fused_prime([p]) is None
+        with pytest.raises(ValueError):
+            fp_dets([[1]], (p, Q))
+        for _ in range(10):
+            n = rnd.randrange(1, 6)
+            rows = [[rnd.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            assert fp_det(rows, p) == det_bareiss(rows) % p
+    with pytest.raises(ValueError):
+        fp_dets([[1]], (5, 5))
