@@ -11,21 +11,20 @@ two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
 one size rule.  A pivot must be a unit mod M.  When no candidate in a
 column is one, the primes split (D5 dynamic evaluation: Della Dora,
 Dicrescenzo and Duval, EUROCAL 1985): a prime dividing every candidate
-has det 0 and drops out, and the rest go on over the remaining block,
-together or, when each prime still sees a nonzero candidate, one at a
-time.
+has det 0 and drops out, and every other prime finishes the remaining
+block alone.
 
-Integer determinants come from one residue loop over a fixed list of
-CRT primes, the largest primes below 2^29, sized by the Hadamard bound:
-`det_crt` recombines every residue by the Chinese remainder theorem, and
-`int_determinant_is_zero` stops at the first nonzero one.  The bound
-keeps 5q inside the size rule, so a Monte Carlo trial decides its listed
-prime p <= 5 and the first CRT prime q in one elimination mod pq
-(`fused_prime`, `fp_dets`) and hands the residue mod q to the zero test.
-`det_bareiss` (fraction-free elimination in Python ints) shares no code
-with that loop and is its independent test oracle; it is also the cheaper
-route for tiny matrices, such as the cofactor minors of
-`rate_ldp.facet_normals`, where the residue loop's setup dominates.
+`int_determinant_is_zero` decides det == 0 by one residue loop over a
+fixed list of CRT primes, the largest primes below 2^29: it stops at the
+first nonzero residue, and otherwise until the primes' product exceeds
+twice the Hadamard bound.  The bound keeps 5q inside the size rule, so a
+Monte Carlo trial decides its listed prime p <= 5 and the first CRT prime
+q in one elimination mod pq (`fused_prime`, `fp_dets`) and hands the
+residue mod q to the zero test.  `det_bareiss` (fraction-free elimination
+in Python ints) is the one exact determinant: it shares no code with the
+residue loop, so it is that loop's independent test oracle, and it is the
+cheaper route for tiny matrices, such as the cofactor minors of
+`rate_ldp.facet_normals`.
 """
 
 from __future__ import annotations
@@ -136,16 +135,16 @@ def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list:
 def _split(block: np.ndarray, primes: tuple[int, ...], det: int, r: int) -> list:
     """_eliminate's result once no entry of block's first column is a unit
     mod M, with r rows reduced above block (the D5 split).  A prime dividing
-    the whole column has det 0; the others finish block together, or one at
-    a time when none divides it."""
-    dead = [p for p in primes if not (block[:, 0] % p).any()]
-    groups = [tuple(p for p in primes if p not in dead)] if dead else [(p,) for p in primes]
-    out = {p: (None, 0) for p in dead}
-    for g in groups:
-        mod = math.prod(g)
-        for p, (rank, dp) in zip(g, _eliminate(block % mod, g, det % mod)):
-            out[p] = (None if rank is None else r + rank, dp)
-    return [out[p] for p in primes]
+    the whole column has det 0 and no rank; every other prime finishes block
+    alone."""
+    out = []
+    for p in primes:
+        if (block[:, 0] % p).any():
+            rank, dp = _eliminate(block % p, (p,), det % p)[0]
+            out.append((r + rank, dp))
+        else:
+            out.append((None, 0))
+    return out
 
 
 def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
@@ -172,19 +171,8 @@ def fused_prime(primes: Sequence[int]) -> int | None:
     return max((p for p in primes if _fits_int64(p * q)), default=None)
 
 
-def fp_rank(m: MatrixLike, p: int) -> int:
-    """Rank of m with entries reduced mod p.  Empty input has rank 0."""
-    return fp_eliminate(m, p)[0]
-
-
 def fp_det(m: MatrixLike, p: int) -> int:
     return fp_dets(m, (p,))[0]
-
-
-def fp_kernel_size_exponent(m: MatrixLike, p: int) -> int:
-    """k such that the kernel of the n x n matrix m over F_p has p^k elements."""
-    a = int_matrix(m)
-    return _require_square(a) - fp_eliminate(a, p)[0]
 
 
 def det_bareiss(m: MatrixLike) -> int:
@@ -256,49 +244,26 @@ def crt_primes(count: int) -> list[int]:
     return _CRT_PRIMES[:count]
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    # x = r1 (mod m1), x = r2 (mod m2), gcd(m1, m2) = 1
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    return r1 + m1 * t, m1 * m2
+def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
+    """Exact test det(m) == 0, stopping at the first nonzero residue.
 
-
-def _det_residues(a: np.ndarray, first: int | None = None):
-    """(q, det(a) mod q) over the CRT primes in order, until their product
-    exceeds twice the Hadamard bound, which fixes det(a) exactly.
-
-    first, if given, is det(a) mod the first CRT prime and is used as it is.
-    The bound is computed only after the first residue, so a consumer that
-    stops at a nonzero first residue never pays for it.
+    A single nonzero residue mod a CRT prime certifies det != 0; zero
+    residues are taken until their primes' product exceeds twice the
+    Hadamard bound, which certifies det == 0.  first, if given, is det(m)
+    mod crt_primes(1)[0] (say from `fp_dets`).  The bound is computed only
+    after a zero first residue.  Never touches floating point.
     """
+    a = int_matrix(m)
+    _require_square(a)
     q = crt_primes(1)[0]
-    yield q, fp_eliminate(a, q)[1] if first is None else first
+    if (fp_eliminate(a, q)[1] if first is None else first) != 0:
+        return False
     bound = hadamard_bound(a)
     mod, k = q, 1
     while mod <= 2 * bound:
         k += 1
         q = crt_primes(k)[-1]
-        yield q, fp_eliminate(a, q)[1]
+        if fp_eliminate(a, q)[1] != 0:
+            return False
         mod *= q
-
-
-def det_crt(m: MatrixLike) -> int:
-    """Exact determinant via residues mod the CRT primes + CRT reconstruction."""
-    a = int_matrix(m)
-    _require_square(a)
-    res, mod = 0, 1
-    for p, dp in _det_residues(a):
-        res, mod = _crt_pair(res, mod, dp, p)
-    return res - mod if res > mod // 2 else res
-
-
-def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
-    """Exact test det(m) == 0, short-circuiting on the first nonzero residue.
-
-    A single nonzero residue certifies det != 0; otherwise residues are
-    accumulated until their modulus exceeds twice the Hadamard bound, which
-    certifies det == 0.  first, if given, is det(m) mod crt_primes(1)[0]
-    (say from `fp_dets`).  Never touches floating point.
-    """
-    a = int_matrix(m)
-    _require_square(a)
-    return all(dp == 0 for _, dp in _det_residues(a, first))
+    return True

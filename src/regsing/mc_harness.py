@@ -22,6 +22,8 @@ from .graph_model import adjacency_from_permutation, has_identical_rows, sample_
 
 # Caps n*trials so a typo cannot schedule days of elimination work.
 WORKLOAD_GUARD = 5_000_000
+# Normal quantile of every reported interval: 95 % two-sided.
+WILSON_Z = 1.96
 
 
 class InvariantError(RuntimeError):
@@ -85,17 +87,17 @@ def check_trial_invariants(rec: TrialRecord) -> None:
         )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """Wilson score interval for a binomial proportion at z = WILSON_Z."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     # The bounds are exactly 0 (resp. 1) at the empty (resp. full) success
     # count; snapping removes float fuzz in the last ulp.
     low = 0.0 if successes == 0 else max(0.0, center - half)

@@ -103,7 +103,7 @@ def _lattice_size(n: int, d: int, p: int) -> int:
     return math.comb(d * n + p - 1, p - 1)
 
 
-def walk_endpoint_counts(n: int, d: int, p: int, guard: int = LATTICE_GUARD) -> LatticeCounts:
+def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
     """Endpoint counts of the n-step walk: the coefficients of P = U^n, exact.
 
     With x_0 = 1 the zero step w_1 is U's constant term 1, and Euler's
@@ -119,10 +119,10 @@ def walk_endpoint_counts(n: int, d: int, p: int, guard: int = LATTICE_GUARD) -> 
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     size = _lattice_size(n, d, p)
-    if size > guard:
+    if size > LATTICE_GUARD:
         raise GuardError(
             f"endpoint lattice has C({d * n}+{p - 1},{p - 1}) = {size} points, "
-            f"over the guard of {guard}"
+            f"over the guard of {LATTICE_GUARD}"
         )
     u = build_U(d, p)
     top = d * n

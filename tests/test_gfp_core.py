@@ -18,12 +18,9 @@ from regsing.gfp_core import (
     CRT_PRIME_BOUND,
     crt_primes,
     det_bareiss,
-    det_crt,
     fp_det,
     fp_dets,
     fp_eliminate,
-    fp_kernel_size_exponent,
-    fp_rank,
     fused_prime,
     hadamard_bound,
     int_determinant_is_zero,
@@ -57,22 +54,22 @@ def minor_rank_oracle(rows, p):
 
 def test_identity_rank():
     eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-    assert fp_rank(eye, 7) == 5
+    assert fp_eliminate(eye, 7)[0] == 5
     assert fp_det(eye, 7) == 1
 
 
 def test_duplicate_rows_rank():
-    assert fp_rank([[1, 1], [1, 1]], 2) == 1
+    assert fp_eliminate([[1, 1], [1, 1]], 2)[0] == 1
 
 
 def test_rank_against_minor_oracle():
     m = [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
-    assert fp_rank(m, 3) == minor_rank_oracle(m, 3)
+    assert fp_eliminate(m, 3)[0] == minor_rank_oracle(m, 3)
     rnd = random.Random(7)
     for _ in range(25):
         rows = [[rnd.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
         for p in (2, 3, 5):
-            assert fp_rank(rows, p) == minor_rank_oracle(rows, p)
+            assert fp_eliminate(rows, p)[0] == minor_rank_oracle(rows, p)
 
 
 def test_rank_transpose_invariant():
@@ -81,7 +78,7 @@ def test_rank_transpose_invariant():
         rows = [[rnd.randrange(-9, 10) for _ in range(4)] for _ in range(3)]
         cols = [list(c) for c in zip(*rows)]
         for p in (2, 7):
-            assert fp_rank(rows, p) == fp_rank(cols, p)
+            assert fp_eliminate(rows, p)[0] == fp_eliminate(cols, p)[0]
 
 
 def test_fp_det_matches_bareiss_mod_p():
@@ -99,9 +96,12 @@ def test_bareiss_and_crt_agree():
     for _ in range(30):
         n = rnd.randrange(1, 7)
         rows = [[rnd.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        assert det_bareiss(rows) == det_crt(rows)
+        exact = det_bareiss(rows)
+        assert exact == sympy.Matrix(rows).det()
+        assert int_determinant_is_zero(rows) == (exact == 0)
     dup = [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
-    assert det_bareiss(dup) == det_crt(dup) == 0
+    assert det_bareiss(dup) == sympy.Matrix(dup).det() == 0
+    assert int_determinant_is_zero(dup)
 
 
 def test_integer_zero_test():
@@ -131,19 +131,9 @@ def test_big_entry_reduction():
         assert fp_det(rows, p) == det_bareiss(rows) % p
 
 
-def test_kernel_size_exponent():
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert fp_kernel_size_exponent(eye, 5) == 0
-    zero = [[0] * 4 for _ in range(4)]
-    assert fp_kernel_size_exponent(zero, 5) == 4
-    with pytest.raises(ValueError):
-        fp_kernel_size_exponent([[1, 2, 3], [4, 5, 6]], 5)
-
-
 def test_empty_and_edge_cases():
-    assert fp_rank([], 7) == 0
-    assert det_bareiss([]) == 1
-    assert det_crt([]) == 1
+    assert fp_eliminate([], 7)[0] == 0
+    assert det_bareiss([]) == sympy.Matrix([]).det() == 1
     assert not int_determinant_is_zero([])
 
 
@@ -222,7 +212,7 @@ def test_array_and_list_inputs_agree_with_oracles(rows, p):
         before = copy.deepcopy(m)
         assert fp_eliminate(m, p) == (rank, exact % p)
         assert fp_det(m, p) == exact % p
-        assert det_crt(m) == exact
+        assert det_bareiss(m) == exact
         assert int_determinant_is_zero(m) == (exact == 0)
         assert abs(exact) <= hadamard_bound(m)
         assert np.array_equal(m, before) and type(m) is type(before)
@@ -235,7 +225,7 @@ def test_non_square_inputs(rows, p):
     for m in forms(rows):
         before = copy.deepcopy(m)
         assert fp_eliminate(m, p) == (rank, 0)
-        for fn in (lambda a: fp_det(a, p), det_crt, int_determinant_is_zero):
+        for fn in (lambda a: fp_det(a, p), det_bareiss, int_determinant_is_zero):
             with pytest.raises(ValueError):
                 fn(m)
         assert np.array_equal(m, before)
@@ -291,6 +281,7 @@ def test_fused_elimination_matches_separate_eliminations():
             ranks = gfp_core._eliminate(gfp_core._residues(rows, (5, Q)), (5, Q))
         assert got == (exact % 5, exact % Q)
         assert got == (fp_eliminate(rows, 5)[1], fp_eliminate(rows, Q)[1])
+        assert int_determinant_is_zero(rows, got[1]) == (exact == 0)
         assert fp_dets(rows, (Q, 5)) == got[::-1]
         for p, (rank, dp) in zip((5, Q), ranks):
             # a prime dropped as soon as its det is known to be 0 has no rank
@@ -304,6 +295,44 @@ def test_fused_elimination_matches_separate_eliminations():
 
     check()
     assert seen == {"none", "p", "q", "split"}
+
+
+@st.composite
+def three_prime_cases(draw):
+    """Square matrices up to 6 x 6 whose first column holds multiples of 2,
+    of 3, of 5, or a mix of them, so no entry of it is a unit mod 30."""
+    n = draw(st.integers(1, 6))
+    mults = [st.integers(-4, 4).map(f.__mul__) for f in (2, 3, 5)]
+    first = draw(st.sampled_from(mults + [st.one_of(mults)]))
+    small = st.integers(-9, 9)
+    return [[draw(first)] + draw(st.lists(small, min_size=n - 1, max_size=n - 1)) for _ in range(n)]
+
+
+def test_three_prime_split_finishes_each_survivor_alone():
+    """fp_dets mod 2 * 3 * 5 against one elimination per prime and Bareiss,
+    with a split that drops one prime and leaves two survivors."""
+    primes = (2, 3, 5)
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=three_prime_cases())
+    def check(rows):
+        exact = det_bareiss(rows)
+        with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
+            got = fp_dets(rows, primes)
+            ranks = gfp_core._eliminate(gfp_core._residues(rows, primes), primes)
+        assert got == tuple(exact % p for p in primes)
+        assert got == tuple(fp_eliminate(rows, p)[1] for p in primes)
+        for p, (rank, dp) in zip(primes, ranks):
+            assert rank is None or rank == gf_rank(rows, p)
+            assert dp == exact % p
+        if spy.call_count:
+            col = spy.call_args_list[0].args[0][:, 0]
+            seen.add(sum(not (col % p).any() for p in primes))
+
+    check()
+    # one prime dead with two survivors, and a split with all three alive
+    assert {0, 1} <= seen
 
 
 def test_fused_residue_mod_q_does_not_decide_mod_5():

@@ -149,7 +149,7 @@ def test_key_sum_p2_closed_form():
 
 def test_lattice_guard():
     with pytest.raises(GuardError):
-        walk_endpoint_counts(2000, 3, 5, guard=1000)
+        walk_endpoint_counts(2000, 3, 5)
 
 
 def test_key_sum_values():
