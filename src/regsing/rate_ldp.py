@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .common import require_coprime_degree
+from .common import GuardError, require_coprime_degree
 from .gfp_core import det_bareiss
-from .walk_census import build_U, type_vectors
+from .walk_census import LATTICE_GUARD, build_U, type_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +83,17 @@ def facet_normals(d: int, p: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(normals))
 
 
+def _in_cone(num: np.ndarray, d: int, p: int) -> np.ndarray:
+    """The facet test c . num >= 0 for every facet normal c, per row of num.
+
+    num holds integer numerators: a grid of type vectors summing to r as
+    int64 (exact, as |c . t| <= r max|c|), or one object row of Python ints.
+    """
+    return (num @ np.array(facet_normals(d, p)).T >= 0).all(axis=-1)
+
+
 def _feasible(nv: Sequence, d: int, p: int) -> bool:
-    """Exact test c . nv >= 0 over the facet normals, on nv's rational value.
+    """The facet test on nv's rational value.
 
     The atoms all have coordinate sum d and each {nv_k = 0} is a face of
     the cone, so this agrees with the support-restricted moment problem;
@@ -92,8 +101,8 @@ def _feasible(nv: Sequence, d: int, p: int) -> bool:
     """
     q = [max(Fraction(x), 0) for x in nv]
     den = math.lcm(*(x.denominator for x in q))
-    num = [x.numerator * (den // x.denominator) for x in q]
-    return all(sum(a * b for a, b in zip(c, num)) >= 0 for c in facet_normals(d, p))
+    num = np.array([x.numerator * (den // x.denominator) for x in q], dtype=object)
+    return bool(_in_cone(num, d, p))
 
 
 def _expand(values: np.ndarray, mults: np.ndarray) -> Tuple[float, ...]:
@@ -115,6 +124,75 @@ class RateCertificate:
     residual: float
     converged: bool
     feasible: bool
+    newton_steps: int  # Newton directions solved; 0 when infeasible
+
+
+class _Solution(NamedTuple):
+    alpha: np.ndarray  # per-atom weight of each distinct profile
+    theta: np.ndarray
+    rate: float
+    residual: float
+    converged: bool
+    steps: int
+
+
+def _newton(nv: np.ndarray, d: int, p: int) -> _Solution:
+    """Damped Newton on the dual at a checked, feasible float density nv."""
+    w_all, m_all = _atoms(d, p)
+    target = d * nv
+    # Support restriction: coordinates with nv_k = 0 force alpha_j = 0 for
+    # every atom with w_j(k) > 0, since the atoms are nonnegative.
+    keep = ~((w_all > 0) & (nv == 0.0)[None, :]).any(axis=1)
+    w = w_all[keep]
+    m = m_all[keep]
+
+    def tilt(th: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Grouped masses m_j exp(<th, w_j> - max) and the dual value at th."""
+        s = w @ th
+        c = s.max()
+        z = m * np.exp(s - c)
+        return z, c + math.log(float(z.sum())) - float(th @ target)
+
+    theta = np.zeros(p)
+    z, g0 = tilt(theta)
+    converged = False
+    steps = 0
+    while True:
+        prob = z / z.sum()
+        mean = prob @ w
+        grad = mean - target
+        if steps == MAX_NEWTON_ITER:
+            break
+        if float(np.abs(grad).max()) < DEFAULT_TOL:
+            converged = True
+            break
+        steps += 1
+        hess = (w * prob[:, None]).T @ w - mean[:, None] * mean
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        slope = float(grad @ step)
+        # Absolute noise allowance keeps full Newton steps near the optimum,
+        # where true dual decrease is below float resolution.
+        noise = 1e-15 * (1.0 + abs(g0))
+        # Backtrack to sufficient decrease; once t <= 1e-14 the point is taken
+        # untested.  The taken point's (z, dual) carry into the next step.
+        t = 1.0
+        while True:
+            trial = theta + t * step
+            z, g = tilt(trial)
+            if t <= 1e-14 or not g > g0 + 1e-4 * t * slope + noise:
+                break
+            t *= 0.5
+        theta, g0 = trial, g
+
+    # Per-atom weights: prob is the grouped mass, each atom in the group
+    # carries prob/mult.
+    weight = prob / m
+    entropy = -float(np.sum(prob * np.log(np.where(weight > 0, weight, 1.0))))
+    density_term = (d - 1) * float(sum(x * math.log(x) for x in nv if x > 0.0))
+    alpha = np.zeros(len(keep))
+    alpha[keep] = weight
+    residual = float(np.abs(grad).max())
+    return _Solution(alpha, theta, entropy + density_term, residual, converged, steps)
 
 
 def maxent_alpha(nv: Sequence[float], d: int, p: int) -> RateCertificate:
@@ -127,7 +205,7 @@ def maxent_alpha(nv: Sequence[float], d: int, p: int) -> RateCertificate:
     """
     require_coprime_degree(p, d)
     nv_arr = _check_density(nv, p)
-    w_all, m_all = _atoms(d, p)
+    _, m_all = _atoms(d, p)
     density_t = tuple(float(x) for x in nv_arr)
     if not _feasible(nv, d, p):
         return RateCertificate(
@@ -138,62 +216,18 @@ def maxent_alpha(nv: Sequence[float], d: int, p: int) -> RateCertificate:
             residual=float("inf"),
             converged=False,
             feasible=False,
+            newton_steps=0,
         )
-
-    target = d * nv_arr
-    # Support restriction: coordinates with nv_k = 0 force alpha_j = 0 for
-    # every atom with w_j(k) > 0, since the atoms are nonnegative.
-    keep = ~((w_all > 0) & (nv_arr == 0.0)[None, :]).any(axis=1)
-    w = w_all[keep]
-    m = m_all[keep]
-
-    def tilt(th: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Grouped masses m_j exp(<th, w_j> - max) and the dual value at th."""
-        s = w @ th
-        c = s.max()
-        z = m * np.exp(s - c)
-        return z, c + math.log(float(np.sum(z))) - float(th @ target)
-
-    def moments(th: np.ndarray):
-        z, dual = tilt(th)
-        prob = z / z.sum()
-        mean = prob @ w
-        return prob, mean, mean - target, dual
-
-    theta = np.zeros(p)
-    prob, mean, grad, g0 = moments(theta)
-    converged = False
-    for _ in range(MAX_NEWTON_ITER):
-        if float(np.abs(grad).max()) < DEFAULT_TOL:
-            converged = True
-            break
-        hess = (w * prob[:, None]).T @ w - np.outer(mean, mean)
-        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        # Absolute noise allowance keeps full Newton steps near the optimum,
-        # where true dual decrease is below float resolution.
-        noise = 1e-15 * (1.0 + abs(g0))
-        t = 1.0
-        while t > 1e-14 and tilt(theta + t * step)[1] > g0 + 1e-4 * t * slope + noise:
-            t *= 0.5
-        theta = theta + t * step
-        prob, mean, grad, g0 = moments(theta)
-
-    # Per-atom weights: prob is the grouped mass, each atom in the group
-    # carries prob/mult.
-    atom_weight = prob / m
-    entropy = -float(np.sum(prob * np.log(np.where(atom_weight > 0, atom_weight, 1.0))))
-    density_term = (d - 1) * float(sum(x * math.log(x) for x in nv_arr if x > 0.0))
-    alpha_groups = np.zeros(len(keep))
-    alpha_groups[keep] = atom_weight
+    sol = _newton(nv_arr, d, p)
     return RateCertificate(
         density=density_t,
-        alpha=_expand(alpha_groups, m_all),
-        dual=tuple(float(x) for x in theta),
-        rate=entropy + density_term,
-        residual=float(np.abs(grad).max()),
-        converged=converged,
+        alpha=_expand(sol.alpha, m_all),
+        dual=tuple(float(x) for x in sol.theta),
+        rate=sol.rate,
+        residual=sol.residual,
+        converged=sol.converged,
         feasible=True,
+        newton_steps=sol.steps,
     )
 
 
@@ -342,6 +376,7 @@ class GridScanReport:
     n_excluded: int  # within 2/resolution of an equality point
     n_infeasible: int
     n_nonconverged: int
+    newton_steps: int  # summed over the solved points
     max_rate: float  # over included feasible points
     argmax: Tuple[float, ...]
     rows: List[Tuple[Tuple[float, ...], float, bool, bool]]  # (density, rate, feasible, converged)
@@ -356,39 +391,49 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
 
     Grid points within Euclidean distance 2/resolution of either equality
     point (uniform, e_0) are excluded; the maximum rate over the rest must
-    be strictly negative.
+    be strictly negative.  Each row equals maxent_alpha's certificate at
+    t/resolution: feasibility is decided for the whole grid in one facet
+    test, and each feasible point goes straight to the Newton solve.
     """
     require_coprime_degree(p, d)
     if resolution < 10:
         raise ValueError("resolution must be at least 10")
+    n_points = math.comb(resolution + p - 1, p - 1)
+    if n_points > LATTICE_GUARD:
+        raise GuardError(
+            f"density grid has C({resolution}+{p - 1},{p - 1}) = {n_points} points, "
+            f"over the guard of {LATTICE_GUARD}"
+        )
+    types = np.array(list(type_vectors(resolution, p)), dtype=np.int64)
+    feasible = _in_cone(types, d, p)
     uniform = np.full(p, 1.0 / p)
     e0 = np.zeros(p)
     e0[0] = 1.0
     cutoff = 2.0 / resolution
     rows: List[Tuple[Tuple[float, ...], float, bool, bool]] = []
-    n_excluded = n_infeasible = n_nonconverged = 0
+    n_excluded = n_infeasible = n_nonconverged = newton_steps = 0
     max_rate = float("-inf")
     argmax: Tuple[float, ...] = ()
-    n_points = 0
-    for t in type_vectors(resolution, p):
-        n_points += 1
-        nv = np.array(t, dtype=float) / resolution
+    for nv, ok in zip(types / resolution, feasible.tolist()):
         if (
             float(np.linalg.norm(nv - uniform)) < cutoff
             or float(np.linalg.norm(nv - e0)) < cutoff
         ):
             n_excluded += 1
             continue
-        cert = maxent_alpha([Fraction(x, resolution) for x in t], d, p)
-        rows.append((cert.density, cert.rate, cert.feasible, cert.converged))
-        if not cert.feasible:
+        density = tuple(nv.tolist())
+        if not ok:
+            rows.append((density, float("-inf"), False, False))
             n_infeasible += 1
             continue
-        if not cert.converged:
+        sol = _newton(nv, d, p)
+        rows.append((density, sol.rate, True, sol.converged))
+        newton_steps += sol.steps
+        if not sol.converged:
             n_nonconverged += 1
-        if cert.rate > max_rate:
-            max_rate = cert.rate
-            argmax = cert.density
+        if sol.rate > max_rate:
+            max_rate = sol.rate
+            argmax = density
     return GridScanReport(
         d=d,
         p=p,
@@ -397,8 +442,8 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
         n_excluded=n_excluded,
         n_infeasible=n_infeasible,
         n_nonconverged=n_nonconverged,
+        newton_steps=newton_steps,
         max_rate=max_rate,
         argmax=argmax,
         rows=rows,
     )
-

@@ -49,6 +49,14 @@ def test_oracle_guard_exit_code(monkeypatch):
     assert "refused" in err
 
 
+def test_rate_scan_guard_exit_code(monkeypatch):
+    # C(1004, 4) ~ 4.2e10 grid points: refused before the grid is built
+    argv = ["rate", "--d", "3", "--p", "5", "--resolution", "1000"]
+    code, out, err = run_cli(argv, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert "refused" in err and str(walk_census.LATTICE_GUARD) in err
+
+
 def test_bad_coprimality_exit_code(monkeypatch):
     code, _, err = run_cli(["exact", "--n", "3", "--d", "3", "--p", "3"], monkeypatch=monkeypatch)
     assert code == 2

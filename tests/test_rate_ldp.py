@@ -150,6 +150,11 @@ def test_facet_normals():
             assert np.linalg.matrix_rank(on) == p - 1
 
 
+# Newton step totals of the per-point solve (one lstsq call per step) on the
+# scans run below; (3, 5, 8) is below the scan's minimum resolution: LP only
+SCAN_NEWTON_STEPS = {(3, 2, 100): 282, (4, 3, 40): 3585, (5, 3, 30): 2241}
+
+
 @pytest.mark.parametrize(
     "d,p,resolution,n_points,n_infeasible",
     [(3, 2, 100, 101, 34), (4, 3, 40, 861, 220), (5, 3, 30, 496, 84), (3, 5, 8, 495, 370)],
@@ -157,12 +162,29 @@ def test_facet_normals():
 def test_exact_feasibility_matches_lp_oracle(d, p, resolution, n_points, n_infeasible):
     points = list(type_vectors(resolution, p))
     assert len(points) == n_points
-    infeasible = 0
+    certs = {}
     for t in points:
-        exact = maxent_alpha([Fraction(x, resolution) for x in t], d, p).feasible
-        assert exact == lp_feasible_oracle(np.array(t) / resolution, d, p), t
-        infeasible += not exact
-    assert infeasible == n_infeasible
+        cert = maxent_alpha([Fraction(x, resolution) for x in t], d, p)
+        assert cert.feasible == lp_feasible_oracle(np.array(t) / resolution, d, p), t
+        certs[cert.density] = cert
+    assert sum(not c.feasible for c in certs.values()) == n_infeasible
+    if (d, p, resolution) not in SCAN_NEWTON_STEPS:
+        return
+    # the scan decides feasibility for the whole grid at once and solves
+    # feasible points directly; every row must equal the certificate
+    scan = negativity_grid_scan(d, p, resolution)
+    assert scan.n_points == n_points and len(scan.rows) == n_points - scan.n_excluded
+    assert len({row[0] for row in scan.rows}) == len(scan.rows)
+    solved = []
+    for density, rate, feasible, converged in scan.rows:
+        cert = certs[density]
+        assert (feasible, converged) == (cert.feasible, cert.converged), density
+        assert rate.hex() == cert.rate.hex(), density
+        solved.append(cert)
+    assert scan.n_infeasible == sum(not c.feasible for c in solved)
+    # the scan follows the per-point solve's Newton trajectory at every point
+    steps = SCAN_NEWTON_STEPS[d, p, resolution]
+    assert scan.newton_steps == sum(c.newton_steps for c in solved) == steps
 
 
 def test_boundary_density_decided_exactly():
@@ -172,6 +194,21 @@ def test_boundary_density_decided_exactly():
     assert exact.feasible and exact.converged
     assert exact.density == (0.01, 0.48, 0.51)
     assert not maxent_alpha([0.01, 0.48, 0.51], 4, 3).feasible
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="support is restricted on coordinate faces only; off-facet atoms keep up to 1e-11",
+)
+def test_facet_density_puts_no_weight_off_the_facet():
+    # On the facet 3 nv_0 + nv_1 - nv_2 = 0 every feasible weight vector lives
+    # on the facet's atoms, so each atom with c . w > 0 must get weight 0.
+    c = (3, 1, -1)
+    cert = maxent_alpha([Fraction(1, 100), Fraction(48, 100), Fraction(51, 100)], 4, 3)
+    atoms = [w for w, mult in build_U(4, 3).items for _ in range(mult)]
+    off = [a for w, a in zip(atoms, cert.alpha) if sum(x * y for x, y in zip(c, w)) > 0]
+    assert off and max(off) == 0.0
 
 
 def test_stationary_uniform_and_degenerate():
@@ -291,3 +328,5 @@ def test_certificate_json_fields(monkeypatch):
     assert list(obj)[:7] == ["density", "alpha", "dual", "rate", "residual", "converged", "feasible"]
     cert = maxent_alpha([0.75, 0.25], 3, 2)
     assert obj["rate"] == cert.rate and obj["converged"] == cert.converged
+    # the step count is solver diagnostics, kept out of the canonical payload
+    assert cert.newton_steps > 0 and "newton_steps" not in obj
