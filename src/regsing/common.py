@@ -55,6 +55,13 @@ def require_coprime_degree(p: int, d: int) -> None:
         raise ValueError(f"gcd(p={p}, d={d}) must be 1")
 
 
+def require_word(name: str, value: int) -> int:
+    """value in [0, 2^64): a Philox key word, which must not alias another."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name}={value} must lie in [0, 2^64)")
+    return value
+
+
 def require_degree(d: int) -> int:
     if d < 3:
         raise ValueError(f"degree d={d} must be >= 3")

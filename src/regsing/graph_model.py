@@ -16,15 +16,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .common import GuardError, require_degree
+from .common import GuardError, require_degree, require_word
 from .gfp_core import int_matrix
 
 ENUMERATION_GUARD = 10  # (n*d)! grows past desk scale beyond 10 points
 
 
 def philox_generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based RNG; (seed, stream) pairs give independent streams."""
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    """Counter-based RNG; (seed, stream) pairs give independent streams.
+    Both must lie in [0, 2^64), so that no two pairs share a key."""
+    key = np.array([require_word("seed", seed), require_word("stream", stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -89,6 +89,12 @@ def test_rate_requires_density_or_resolution(monkeypatch):
         ("mc --n 10 --d 3 --p 5,5 --trials 2", "primes must be distinct, got (5, 5)"),
         ("mc --n 10 --d 3 --p 5 --trials 2 --parallel 0", "parallelism must be positive"),
         ("mc --n 0 --d 3 --p 5 --trials 2", "n must be positive"),
+        ("mc --n 10 --d 3 --p 5 --trials 2 --seed -1", "seed=-1 must lie in [0, 2^64)"),
+        (
+            "mc --n 10 --d 3 --p 5 --trials 2 --seed 18446744073709551616",
+            "seed=18446744073709551616 must lie in [0, 2^64)",
+        ),
+        ("sample --n 4 --d 3 --stream -1", "stream=-1 must lie in [0, 2^64)"),
         ("rate --d 3 --p 2 --density 0.5,0.3,0.2", "--density must have 2 entries"),
         ("sample --n 0 --d 3", "n=0 must be >= 1"),
         ("exact --n 0 --d 3 --p 2", "n=0 must be >= 1"),

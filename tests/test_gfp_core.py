@@ -20,6 +20,7 @@ from regsing.gfp_core import (
     det_bareiss,
     fp_det,
     fp_dets,
+    fp_dets_stack,
     fp_eliminate,
     fused_prime,
     hadamard_bound,
@@ -358,3 +359,53 @@ def test_listed_primes_beyond_fusion_take_their_own_elimination():
             assert fp_det(rows, p) == det_bareiss(rows) % p
     with pytest.raises(ValueError):
         fp_dets([[1]], (5, 5))
+
+
+@st.composite
+def stacks(draw):
+    """Stacks of up to 6 square matrices up to 8 x 8.  Each lane draws its
+    entries from small integers, multiples of 5, or a mix with multiples of
+    Q, and may get a zero column and a duplicate row; a lane whose column
+    holds only multiples of 5 or of Q takes the D5 split mod 5Q."""
+    n = draw(st.integers(1, 8))
+    small = st.integers(-3, 3)
+    fives = st.integers(-4, 4).map(lambda k: 5 * k)
+    mixed = st.one_of(small, fives, st.integers(-2, 2).map(lambda k: Q * k))
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        entry = draw(st.sampled_from([small, fives, mixed]))
+        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[j] = 0
+        if n >= 2 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            rows[i] = list(rows[j])
+        lanes.append(rows)
+    return lanes
+
+
+@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
+def test_stacked_elimination_matches_per_matrix(primes):
+    """fp_dets_stack against Bareiss and per-matrix fp_dets on every lane,
+    with D5 split lanes and lanes without a split in one stack mod 5Q."""
+    mixed = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes=stacks())
+    def check(lanes):
+        with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
+            got = fp_dets_stack(np.array(lanes, dtype=np.int64), primes)
+        assert got.shape == (len(lanes), len(primes))
+        for rows, dets in zip(lanes, got.tolist()):
+            exact = det_bareiss(rows)
+            assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+        mixed.append(0 < spy.call_count < len(lanes))
+
+    check()
+    assert any(mixed) == (len(primes) > 1)
+    with pytest.raises(ValueError, match="square"):
+        fp_dets_stack(np.zeros((2, 3, 4), dtype=np.int64), primes)
+    with pytest.raises(ValueError, match="square"):
+        fp_dets_stack(np.zeros((3, 3), dtype=np.int64), primes)

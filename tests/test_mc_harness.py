@@ -6,6 +6,7 @@ import json
 import math
 from contextlib import redirect_stdout
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 import sympy
@@ -40,6 +41,11 @@ def test_config_validation():
         ExperimentConfig(n=5, d=3, primes=(2, 5, 2), trials=10, seed=0)  # eliminated twice
     with pytest.raises(GuardError):
         ExperimentConfig(n=3000, d=3, primes=(5,), trials=2000, seed=0)
+    # Philox keys are 64-bit words: -1 and 2^64 would alias 2^64 - 1 and 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            ExperimentConfig(n=5, d=3, primes=(5,), trials=10, seed=seed)
+    ExperimentConfig(n=5, d=3, primes=(5,), trials=10, seed=2**64 - 1)
 
 
 def test_wilson_interval_boundaries():
@@ -170,13 +176,26 @@ def test_summary_monotonicity_guard():
 
 
 def test_parallel_schedules_agree():
+    # at n = 25 the trials run as one stacked block of 26 and one of 4
     cfg1 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=30, seed=11, parallelism=1)
     cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=30, seed=11, parallelism=4)
-    s1, r1 = run_experiment(cfg1)
+    with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
+        s1, r1 = run_experiment(cfg1)
+    assert [c.args[-1] for c in spy.call_args_list] == [range(0, 26), range(26, 30)]
     s4, r4 = run_experiment(cfg4)
     assert canonical(r1) == canonical(r4)
+    assert canonical(r1) == canonical([run_trial(25, 3, 11, (2, 5), t) for t in range(30)])
     assert s1 == s4
     assert [r.trial for r in r1] == list(range(30))
+
+
+def test_blocks_hold_at_least_min_stack_trials():
+    # 2^14 // 64^2 = 4 trials a block at n = 64; 3 at n = 73 is too few to stack
+    for n, blocks in ((64, [range(0, 4), range(4, 5)]), (73, [range(0, 1), range(1, 2)])):
+        cfg = ExperimentConfig(n=n, d=3, primes=(5,), trials=blocks[-1].stop, seed=2)
+        with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
+            run_experiment(cfg)
+        assert [c.args[-1] for c in spy.call_args_list] == blocks
 
 
 def test_shorter_run_is_a_prefix_of_a_longer_one():
