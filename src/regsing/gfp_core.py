@@ -213,7 +213,9 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
         rows = c + 1 + (col[:, 1:] != 0).any(axis=0).nonzero()[0]
         if rows.size:
             # entries stay below M, so f * a[c] + a[rows] <= (M-1)^2 + (M-1) < 2^63
-            neg_inv = [mod - pow(x, -1, mod) if ok else 0 for x, ok in zip(pv.tolist(), live.tolist())]
+            neg_inv = [
+                mod - pow(x, -1, mod) if ok else 0 for x, ok in zip(pv.tolist(), live.tolist())
+            ]
             f = _reduce(a[:, rows, c] * np.array(neg_inv, dtype=np.int64)[:, None], mod)
             t = f[:, :, None] * a[:, c, None, c + 1 :]
             t += a[:, rows, c + 1 :]
