@@ -19,13 +19,16 @@ square matrices and decides det mod each prime for all of them in one
 sweep, so a column step costs one set of numpy calls for the whole stack.
 It keeps `_eliminate`'s size rule, unit pivot and multiplier scaling and
 its hand-over to `_split`; a matrix with no nonzero pivot candidate in a
-column stays in the stack as a dead lane.  It updates the rows where any matrix has a nonzero
-entry, which is nearly every row once the stack is large, so it pays off
-only for small matrices, where per-call overhead dominates; at n = 300 it
-runs about twice as slow as `_eliminate`, whose sparse row updates touch
-only a few percent of the entries.  `mc_harness.run_experiment` chooses
+column stays in the stack as a dead lane.  Like `_eliminate` it updates
+only each matrix's own rows with a nonzero entry below the pivot, so its
+arithmetic is the per-matrix loop's and the stack saves only calls.  That
+wins while the calls dominate: per trial, eliminating n = 30 adjacency
+matrices mod 2 and mod 5q took 0.13x the per-matrix time in stacks of
+72, n = 64 0.3x in stacks of 16 and n = 128 0.8x in stacks of 4; stacks
+of 3 broke even and stacks of 2 ran 1.3x slower (n = 150-181), and one
+matrix at n = 300 twice as slow.  `mc_harness.run_experiment` chooses
 between the two from n: it stacks STACK_ENTRIES // n^2 trials when that
-is at least MIN_STACK (n <= 64), and runs trials one by one otherwise.
+is at least MIN_STACK (n <= 128), and runs trials one by one otherwise.
 
 `int_determinant_is_zero` decides det == 0 by one residue loop over a
 fixed list of CRT primes, the largest primes below 2^29: it stops at the
@@ -179,11 +182,11 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
 
     `_eliminate`'s rules, one column at a time for the whole stack: the pivot
     is the first unit at or below the diagonal, multipliers are scaled, and
-    the rows updated are those where any matrix has a nonzero entry below
-    the pivot.  A matrix with no nonzero candidate has det 0 and stays in
-    the stack as a dead lane (its multipliers are 0); one whose candidates
-    are nonzero but none a unit hands its block to `_split` and is then
-    dead too.
+    each live matrix updates only its own rows with a nonzero entry below
+    the pivot, taken as (matrix, row) pairs.  A matrix with no nonzero
+    candidate has det 0 and stays in the stack as a dead lane that is no
+    longer updated; one whose candidates are nonzero but none a unit hands
+    its block to `_split` and is then dead too.
     """
     mod = math.prod(primes)
     b, n, _ = a.shape
@@ -210,16 +213,18 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
             det[sw] = (mod - det[sw]) % mod
         pv = a[:, c, c]
         det = det * pv % mod
-        rows = c + 1 + (col[:, 1:] != 0).any(axis=0).nonzero()[0]
-        if rows.size:
-            # entries stay below M, so f * a[c] + a[rows] <= (M-1)^2 + (M-1) < 2^63
-            neg_inv = [
-                mod - pow(x, -1, mod) if ok else 0 for x, ok in zip(pv.tolist(), live.tolist())
-            ]
-            f = _reduce(a[:, rows, c] * np.array(neg_inv, dtype=np.int64)[:, None], mod)
-            t = f[:, :, None] * a[:, c, None, c + 1 :]
-            t += a[:, rows, c + 1 :]
-            a[:, rows, c + 1 :] = _reduce(t, mod)
+        ks, rs = ((a[:, c + 1 :, c] != 0) & live[:, None]).nonzero()
+        if ks.size:
+            # entries stay below M, so f * a[k, c] + a[k, r] <= (M-1)^2 + (M-1) < 2^63
+            neg_inv = np.array(
+                [mod - pow(x, -1, mod) if ok else 0 for x, ok in zip(pv.tolist(), live.tolist())],
+                dtype=np.int64,
+            )
+            rs += c + 1
+            f = _reduce(a[ks, rs, c] * neg_inv[ks], mod)
+            t = f[:, None] * a[:, c, c + 1 :][ks]
+            t += a[ks, rs, c + 1 :]
+            a[ks, rs, c + 1 :] = _reduce(t, mod)
     return np.where(live[:, None], det[:, None] % np.array(primes), out)
 
 
@@ -250,7 +255,7 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         raise ValueError(f"int64 stack required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
-    return _eliminate_stack(stack.astype(np.int64) % mod, primes)
+    return _eliminate_stack(stack.astype(np.int64, copy=False) % mod, primes)
 
 
 def fused_prime(primes: Sequence[int]) -> int | None:

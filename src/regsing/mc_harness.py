@@ -8,14 +8,15 @@ streams keyed by (seed, trial index), so results are byte-identical for a
 fixed seed regardless of blocking, scheduling or parallelism.
 
 Trials run in blocks of STACK_ENTRIES // n^2 when that is at least
-MIN_STACK (n <= 64), and of one trial otherwise: the size is chosen from n
-alone.  A block of several trials stacks its adjacency matrices and
-decides every listed prime, and the first CRT prime, with one stacked
-elimination (`gfp_core.fp_dets_stack`) per modulus, so that a column step
-costs one set of numpy calls for the whole block; the duplicate-row
-witness and the integer zero test still run per matrix.  A block of one
-trial is `run_trial`.  A record's elapsed is then the block's wall time
-divided by its size: diagnostics only, never in the canonical records.
+MIN_STACK (n <= 128), and of one trial otherwise: the size is chosen from
+n alone.  A block of several trials writes its adjacency matrices into one
+stack and decides every listed prime, and the first CRT prime, with one
+stacked elimination (`gfp_core.fp_dets_stack`) per modulus, so that a
+column step costs one set of numpy calls for the whole block; the
+duplicate-row witness and the integer zero test still run per matrix.  A
+block of one trial is `run_trial`.  A record's elapsed is then the block's
+wall time divided by its size: diagnostics only, never in the canonical
+records.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ from .graph_model import adjacency_from_permutation, has_identical_rows, sample_
 WORKLOAD_GUARD = 5_000_000
 # Normal quantile of every reported interval: 95 % two-sided.
 WILSON_Z = 1.96
-# Matrix entries in one stacked elimination: 18 matrices at n = 30.
-STACK_ENTRIES = 2**14
-# Fewest matrices a stack must hold to beat the per-matrix loop, whose sparse
-# row updates win once a stack is too small to spread the per-column numpy
-# calls: stacks of 3 at n = 70 and of 2 at n = 80 and 90 made 240 trials
-# 10 %, 48 % and 46 % slower.  So trials are stacked only up to n = 64.
+# Matrix entries in one stacked elimination: 72 matrices at n = 30, 16 at
+# n = 64, 4 at n = 128.  2000 trials at n = 30 (p = 2, 5) took about 0.85,
+# 0.6, 0.45 and 0.4-0.5 CPU s in-process at 2^14, 2^15, 2^16 and 2^17, and
+# 2^17 raised peak memory by 1.1 MB over 2^16 for little or no gain.
+STACK_ENTRIES = 2**16
+# Fewest matrices a stack must hold to beat the per-matrix loop: with the
+# same row updates, a stack saves only numpy calls per column, which stacks
+# of 4 at n = 120-128 still cut by a fifth, while stacks of 3 (n = 129-147)
+# broke even and stacks of 2 (n = 150-181) ran 1.3x slower.  So trials are
+# stacked only up to n = 128.
 MIN_STACK = 4
 
 
@@ -189,16 +194,17 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     if len(trials) == 1:
         return [run_trial(n, d, seed, primes, trials[0])]
     t0 = time.perf_counter()
-    mats = [adjacency_from_permutation(sample_configuration(n, d, seed, stream=t)) for t in trials]
-    identical = [has_identical_rows(a) for a in mats]
-    stack = np.stack(mats)
+    stack = np.empty((len(trials), n, n), dtype=np.int64)
+    for k, t in enumerate(trials):
+        stack[k] = adjacency_from_permutation(sample_configuration(n, d, seed, stream=t))
+    identical = [has_identical_rows(a) for a in stack]
     fused = fused_prime(primes)
     residue = {p: fp_dets_stack(stack, (p,))[:, 0].tolist() for p in primes if p != fused}
-    first = [None] * len(mats)
+    first = [None] * len(trials)
     if fused is not None:
         residue[fused], first = fp_dets_stack(stack, (fused, crt_primes(1)[0])).T.tolist()
-    det_zero = [int_determinant_is_zero(a, f) for a, f in zip(mats, first)]
-    elapsed = (time.perf_counter() - t0) / len(mats)
+    det_zero = [int_determinant_is_zero(a, f) for a, f in zip(stack, first)]
+    elapsed = (time.perf_counter() - t0) / len(trials)
     records = []
     for k, trial in enumerate(trials):
         rec = TrialRecord(

@@ -363,18 +363,27 @@ def test_listed_primes_beyond_fusion_take_their_own_elimination():
 
 @st.composite
 def stacks(draw):
-    """Stacks of up to 6 square matrices up to 8 x 8.  Each lane draws its
-    entries from small integers, multiples of 5, or a mix with multiples of
-    Q, and may get a zero column and a duplicate row; a lane whose column
-    holds only multiples of 5 or of Q takes the D5 split mod 5Q."""
+    """Stacks of up to 12 square matrices up to 8 x 8 whose lanes hit
+    different rows in one column.  A lane is sparse, the 0..3 adjacency of a
+    1- to 3-regular multigraph (a sum of permutation matrices), or dense,
+    drawing its entries from small integers, multiples of 5, or a mix with
+    multiples of Q.  Any lane may get a zero column and a duplicate row,
+    which kill it at the start of the sweep or midway; a dense lane whose
+    column holds only multiples of 5 or of Q takes the D5 split mod 5Q."""
     n = draw(st.integers(1, 8))
     small = st.integers(-3, 3)
     fives = st.integers(-4, 4).map(lambda k: 5 * k)
     mixed = st.one_of(small, fives, st.integers(-2, 2).map(lambda k: Q * k))
     lanes = []
-    for _ in range(draw(st.integers(1, 6))):
-        entry = draw(st.sampled_from([small, fives, mixed]))
-        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.integers(1, 12))):
+        entry = draw(st.sampled_from([None, small, fives, mixed]))
+        if entry is None:
+            rows = [[0] * n for _ in range(n)]
+            for _ in range(draw(st.integers(1, 3))):
+                for i, j in enumerate(draw(st.permutations(range(n)))):
+                    rows[i][j] += 1
+        else:
+            rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
         if draw(st.booleans()):
             j = draw(st.integers(0, n - 1))
             for row in rows:

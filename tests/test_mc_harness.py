@@ -176,26 +176,30 @@ def test_summary_monotonicity_guard():
 
 
 def test_parallel_schedules_agree():
-    # at n = 25 the trials run as one stacked block of 26 and one of 4
-    cfg1 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=30, seed=11, parallelism=1)
-    cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=30, seed=11, parallelism=4)
+    # at n = 25 the trials run as one stacked block of 104 and one of 6
+    cfg1 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=110, seed=11, parallelism=1)
+    cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=110, seed=11, parallelism=4)
     with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
         s1, r1 = run_experiment(cfg1)
-    assert [c.args[-1] for c in spy.call_args_list] == [range(0, 26), range(26, 30)]
+    assert [c.args[-1] for c in spy.call_args_list] == [range(0, 104), range(104, 110)]
     s4, r4 = run_experiment(cfg4)
     assert canonical(r1) == canonical(r4)
-    assert canonical(r1) == canonical([run_trial(25, 3, 11, (2, 5), t) for t in range(30)])
+    assert canonical(r1) == canonical([run_trial(25, 3, 11, (2, 5), t) for t in range(110)])
     assert s1 == s4
-    assert [r.trial for r in r1] == list(range(30))
+    assert [r.trial for r in r1] == list(range(110))
 
 
 def test_blocks_hold_at_least_min_stack_trials():
-    # 2^14 // 64^2 = 4 trials a block at n = 64; 3 at n = 73 is too few to stack
-    for n, blocks in ((64, [range(0, 4), range(4, 5)]), (73, [range(0, 1), range(1, 2)])):
-        cfg = ExperimentConfig(n=n, d=3, primes=(5,), trials=blocks[-1].stop, seed=2)
+    # 2^16 // 128^2 = 4 trials a block at n = 128; 3 at n = 129 is too few to
+    # stack.  The smallest stack, mod 2 and mod 5q, decides as run_trial does.
+    for n, blocks in ((128, [range(0, 4), range(4, 5)]), (129, [range(0, 1), range(1, 2)])):
+        cfg = ExperimentConfig(n=n, d=3, primes=(2, 5), trials=blocks[-1].stop, seed=2)
         with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
-            run_experiment(cfg)
+            _, records = run_experiment(cfg)
         assert [c.args[-1] for c in spy.call_args_list] == blocks
+        assert canonical(records) == canonical(
+            [run_trial(n, 3, 2, (2, 5), t) for t in range(blocks[-1].stop)]
+        )
 
 
 def test_shorter_run_is_a_prefix_of_a_longer_one():
