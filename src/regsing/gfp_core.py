@@ -14,28 +14,29 @@ Dicrescenzo and Duval, EUROCAL 1985): a prime dividing every candidate
 has det 0 and drops out, and every other prime finishes the remaining
 block alone.
 
-A second loop, `_eliminate_stack` (`fp_dets_stack`), takes a stack of B
-square matrices and decides det mod each prime for all of them in one
-sweep, so a column step costs one set of numpy calls for the whole stack.
-It keeps `_eliminate`'s size rule, unit pivot and multiplier scaling and
-its hand-over to `_split`; a matrix with no nonzero pivot candidate in a
+A second loop, `_eliminate_stack`, takes a stack of B square matrices
+and decides det mod each prime for all of them in one sweep, so a column
+step costs one set of numpy calls for the whole stack.  It keeps
+`_eliminate`'s size rule, unit pivot and multiplier scaling and its
+hand-over to `_split`; a matrix with no nonzero pivot candidate in a
 column stays in the stack as a dead lane.  Like `_eliminate` it updates
 only each matrix's own rows with a nonzero entry below the pivot, so its
 arithmetic is the per-matrix loop's and the stack saves only calls.  That
 wins while the calls dominate: per trial, eliminating n = 30 adjacency
 matrices mod 2 and mod 5q took 0.13x the per-matrix time in stacks of
-72, n = 64 0.3x in stacks of 16 and n = 128 0.8x in stacks of 4; stacks
-of 3 broke even and stacks of 2 ran 1.3x slower (n = 150-181), and one
-matrix at n = 300 twice as slow.  `mc_harness.run_experiment` chooses
-between the two from n: it stacks STACK_ENTRIES // n^2 trials when that
-is at least MIN_STACK (n <= 128), and runs trials one by one otherwise.
+72, n = 64 0.3x in stacks of 16 and n = 120-128 0.8x in stacks of 4;
+stacks of 3 broke even (n = 129-147), stacks of 2 ran 1.3x slower
+(n = 150-181), and one matrix at n = 300 twice as slow.  So
+`fp_dets_stack`, the one entry to both loops for a stack, runs
+`_eliminate` on each matrix of a stack of fewer than MIN_STACK and
+`_eliminate_stack` on a larger one.
 
 `int_determinant_is_zero` decides det == 0 by one residue loop over a
 fixed list of CRT primes, the largest primes below 2^29: it stops at the
 first nonzero residue, and otherwise until the primes' product exceeds
 twice the Hadamard bound.  The bound keeps 5q inside the size rule, so a
 Monte Carlo trial decides its listed prime p <= 5 and the first CRT prime
-q in one elimination mod pq (`fused_prime`, `fp_dets`) and hands the
+q in one elimination mod pq (`fused_prime`, `fp_dets_stack`) and hands the
 residue mod q to the zero test.  `det_bareiss` (fraction-free elimination
 in Python ints) is the one exact determinant: it shares no code with the
 residue loop, so it is that loop's independent test oracle, and it is the
@@ -53,6 +54,9 @@ import numpy as np
 from .common import is_prime, require_prime
 
 MatrixLike = Sequence[Sequence[int]]
+
+# Fewest matrices `fp_dets_stack` eliminates in one sweep (see the module docstring).
+MIN_STACK = 4
 
 
 def _as_rows(m: MatrixLike) -> list[list[int]]:
@@ -247,15 +251,21 @@ def fp_dets(m: MatrixLike, primes: Sequence[int]) -> tuple[int, ...]:
 
 def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """det mod each of distinct primes for every matrix of an integer array of
-    shape (B, n, n); row k is fp_dets(stack[k], primes), from one elimination
-    sweep mod M over the whole stack, with M(M-1) < 2^63 as for fp_dets."""
+    shape (B, n, n), as a (B, len(primes)) int64 array whose row k is
+    fp_dets(stack[k], primes), with M(M-1) < 2^63 as for fp_dets.  A stack
+    of MIN_STACK or more matrices is eliminated in one sweep mod M, a
+    smaller one matrix by matrix."""
     primes = tuple(primes)
     mod = _modulus(primes)
     if stack.dtype.kind not in "iu" or not np.can_cast(stack.dtype, np.int64):
         raise ValueError(f"int64 stack required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
-    return _eliminate_stack(stack.astype(np.int64, copy=False) % mod, primes)
+    a = stack.astype(np.int64, copy=False) % mod
+    if len(a) >= MIN_STACK:
+        return _eliminate_stack(a, primes)
+    dets = [[dp for _, dp in _eliminate(m, primes)] for m in a]
+    return np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
 
 
 def fused_prime(primes: Sequence[int]) -> int | None:

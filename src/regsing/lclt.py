@@ -88,24 +88,15 @@ def characteristic_function(t: Sequence[float], d: int, p: int) -> complex:
     return acc / u.total_multiplicity
 
 
-@dataclass(frozen=True)
-class GaussianEstimate:
-    type_vector: TypeVec
-    admissible: bool
-    value: float
-
-
-def gaussian_point_mass(t: Sequence[int], d: int, p: int) -> GaussianEstimate:
+def gaussian_point_mass(t: Sequence[int], d: int, p: int) -> float:
     """Gaussian approximation to P(walk endpoint = d*t); 0 is exact when inadmissible."""
-    t = tuple(t)
     n = sum(t)
     q = float(squared_deviation(t, p))
-    value = (
+    return (
         p**1.5
         * (p / (2 * math.pi * d * n)) ** ((p - 1) / 2)
         * math.exp(-(d * p * n / 2) * q)
     )
-    return GaussianEstimate(type_vector=t, admissible=is_admissible(t, p), value=value)
 
 
 @dataclass
@@ -137,7 +128,7 @@ def lclt_error_scan(
         if not is_admissible(t, p) or not is_near_uniform(t, p, b):
             continue
         c = counts.count(tuple(d * tj for tj in t))
-        g = gaussian_point_mass(t, d, p).value
+        g = gaussian_point_mass(t, d, p)
         if c == 0:
             zero_types += 1
             continue

@@ -7,16 +7,14 @@ through the integer determinant.  Trials use independent counter-based
 streams keyed by (seed, trial index), so results are byte-identical for a
 fixed seed regardless of blocking, scheduling or parallelism.
 
-Trials run in blocks of STACK_ENTRIES // n^2 when that is at least
-MIN_STACK (n <= 128), and of one trial otherwise: the size is chosen from
-n alone.  A block of several trials writes its adjacency matrices into one
-stack and decides every listed prime, and the first CRT prime, with one
-stacked elimination (`gfp_core.fp_dets_stack`) per modulus, so that a
-column step costs one set of numpy calls for the whole block; the
-duplicate-row witness and the integer zero test still run per matrix.  A
-block of one trial is `run_trial`.  A record's elapsed is then the block's
-wall time divided by its size: diagnostics only, never in the canonical
-records.
+Trials run in blocks of max(1, STACK_ENTRIES // n^2), and `run_block`
+alone decides them: it writes a block's adjacency matrices into one stack
+and decides every listed prime, and the first CRT prime, with one
+`gfp_core.fp_dets_stack` call per modulus, which picks the elimination
+kernel from the stack's size.  The duplicate-row witness and the integer
+zero test run per matrix.  `run_trial` is a block of one trial.  A
+record's elapsed is the block's wall time divided by its size:
+diagnostics only, never in the canonical records.
 """
 
 from __future__ import annotations
@@ -31,14 +29,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .common import GuardError, require_coprime_degree, require_degree, require_prime, require_word
-from .gfp_core import (
-    crt_primes,
-    fp_det,
-    fp_dets,
-    fp_dets_stack,
-    fused_prime,
-    int_determinant_is_zero,
-)
+# fp_det is not called here; perfbench/worker.py wraps mc_harness.fp_det by name.
+from .gfp_core import crt_primes, fp_det, fp_dets_stack, fused_prime, int_determinant_is_zero
 from .graph_model import adjacency_from_permutation, has_identical_rows, sample_configuration
 
 # Caps n*trials so a typo cannot schedule days of elimination work.
@@ -50,12 +42,6 @@ WILSON_Z = 1.96
 # 0.6, 0.45 and 0.4-0.5 CPU s in-process at 2^14, 2^15, 2^16 and 2^17, and
 # 2^17 raised peak memory by 1.1 MB over 2^16 for little or no gain.
 STACK_ENTRIES = 2**16
-# Fewest matrices a stack must hold to beat the per-matrix loop: with the
-# same row updates, a stack saves only numpy calls per column, which stacks
-# of 4 at n = 120-128 still cut by a fifth, while stacks of 3 (n = 129-147)
-# broke even and stacks of 2 (n = 150-181) ran 1.3x slower.  So trials are
-# stacked only up to n = 128.
-MIN_STACK = 4
 
 
 class InvariantError(RuntimeError):
@@ -151,48 +137,23 @@ class SummaryStats:
 
 
 def run_trial(n: int, d: int, seed: int, primes: Sequence[int], trial: int) -> TrialRecord:
-    """One sampled graph: per-prime residues and the exact integer-zero test.
-
-    The determinant of the sampled matrix is decided once; singularity mod a
-    listed prime reads the determinant residue at that prime (reduction
-    commutes with the determinant), not a separate rational elimination.
-    The listed prime named by `fused_prime` (the largest p <= 5) shares one
-    elimination with the first CRT prime q, mod p*q; its residue mod q is
-    handed to the zero test, which alone still decides det_zero.  Every
-    other listed prime gets its own `fp_det`.
-    """
-    t0 = time.perf_counter()
-    sample = sample_configuration(n, d, seed, stream=trial)
-    a = adjacency_from_permutation(sample)
-    identical = has_identical_rows(a)
-    fused = fused_prime(primes)
-    residue = {p: fp_det(a, p) for p in primes if p != fused}
-    first = None
-    if fused is not None:
-        residue[fused], first = fp_dets(a, (fused, crt_primes(1)[0]))
-    singular = tuple((p, residue[p] == 0) for p in sorted(primes))
-    det_zero = int_determinant_is_zero(a, first)
-    rec = TrialRecord(
-        trial=trial,
-        singular_mod=singular,
-        det_zero=det_zero,
-        identical_rows=identical,
-        elapsed=time.perf_counter() - t0,
-    )
-    check_trial_invariants(rec)
-    return rec
+    """One sampled graph, decided as a block of one trial."""
+    return run_block(n, d, seed, primes, range(trial, trial + 1))[0]
 
 
 def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -> List[TrialRecord]:
-    """The trials of one block, decided as `run_trial` decides each one.
+    """The sampled graphs of one block: per-prime residues and the exact
+    integer-zero test, one record per trial in the order of trials.
 
-    Each listed prime not fused gets one `fp_dets_stack` over the block's
-    stacked adjacency matrices, and the fused prime shares one with the
-    first CRT prime q, whose residues go to the per-matrix zero test.  A
-    block of one trial is `run_trial` itself.
+    The determinant of each sampled matrix is decided once; singularity mod
+    a listed prime reads the determinant residue at that prime (reduction
+    commutes with the determinant), not a separate rational elimination.
+    The listed prime named by `fused_prime` (the largest p <= 5) shares one
+    `fp_dets_stack` over the block's stacked adjacency matrices with the
+    first CRT prime q, mod p*q; its residues mod q go to the per-matrix
+    zero test, which alone still decides det_zero.  Every other listed
+    prime gets its own `fp_dets_stack`.
     """
-    if len(trials) == 1:
-        return [run_trial(n, d, seed, primes, trials[0])]
     t0 = time.perf_counter()
     stack = np.empty((len(trials), n, n), dtype=np.int64)
     for k, t in enumerate(trials):
@@ -247,12 +208,9 @@ def summarize(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> SummaryS
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecord]]:
-    """All trials of one experiment, in blocks of STACK_ENTRIES // n^2 trials,
-    or of one if that is below MIN_STACK; records come back sorted by trial
-    index."""
-    size = STACK_ENTRIES // (cfg.n * cfg.n)
-    if size < MIN_STACK:
-        size = 1
+    """All trials of one experiment, in blocks of max(1, STACK_ENTRIES // n^2)
+    trials; records come back in trial order."""
+    size = max(1, STACK_ENTRIES // (cfg.n * cfg.n))
     blocks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
     work = partial(run_block, cfg.n, cfg.d, cfg.seed, cfg.primes)
     if cfg.parallelism == 1:
@@ -261,5 +219,4 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecor
         chunk = max(1, len(blocks) // (cfg.parallelism * 8))
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             records = [rec for recs in pool.map(work, blocks, chunksize=chunk) for rec in recs]
-    records.sort(key=lambda r: r.trial)
     return summarize(cfg, records), records

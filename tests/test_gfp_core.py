@@ -397,15 +397,17 @@ def stacks(draw):
 
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
 def test_stacked_elimination_matches_per_matrix(primes):
-    """fp_dets_stack against Bareiss and per-matrix fp_dets on every lane,
-    with D5 split lanes and lanes without a split in one stack mod 5Q."""
+    """The stacked sweep `_eliminate_stack`, at every stack size from 1, against
+    Bareiss and per-matrix fp_dets on every lane, with D5 split lanes and
+    lanes without a split in one stack mod 5Q."""
     mixed = []
+    mod = math.prod(primes)
 
     @settings(max_examples=150, deadline=None)
     @given(lanes=stacks())
     def check(lanes):
         with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-            got = fp_dets_stack(np.array(lanes, dtype=np.int64), primes)
+            got = gfp_core._eliminate_stack(np.array(lanes, dtype=np.int64) % mod, primes)
         assert got.shape == (len(lanes), len(primes))
         for rows, dets in zip(lanes, got.tolist()):
             exact = det_bareiss(rows)
@@ -418,3 +420,25 @@ def test_stacked_elimination_matches_per_matrix(primes):
         fp_dets_stack(np.zeros((2, 3, 4), dtype=np.int64), primes)
     with pytest.raises(ValueError, match="square"):
         fp_dets_stack(np.zeros((3, 3), dtype=np.int64), primes)
+
+
+@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
+def test_stack_kernel_choice_at_min_stack(primes):
+    """fp_dets_stack runs the per-matrix loop below MIN_STACK matrices and the
+    stacked sweep from MIN_STACK on; both sides agree with per-matrix fp_dets
+    and Bareiss, on lanes that include D5 splits mod 5Q."""
+    rnd = random.Random(17)
+    lanes = [
+        [[rnd.choice((0, 1, 2, 5, -5, Q)) for _ in range(6)] for _ in range(6)]
+        for _ in range(gfp_core.MIN_STACK)
+    ]
+    for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
+        with mock.patch.object(
+            gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
+        ) as spy:
+            got = fp_dets_stack(np.array(lanes[:b], dtype=np.int64), primes)
+        assert spy.called == (b >= gfp_core.MIN_STACK)
+        assert got.shape == (b, len(primes)) and got.dtype == np.int64
+        for rows, dets in zip(lanes, got.tolist()):
+            exact = det_bareiss(rows)
+            assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)

@@ -18,7 +18,7 @@ from regsing.lclt import (
     moments,
     moments_from_multiset,
 )
-from regsing.walk_census import build_U, squared_deviation, walk_endpoint_counts
+from regsing.walk_census import build_U, is_admissible, squared_deviation, walk_endpoint_counts
 
 
 def test_moment_closed_forms():
@@ -102,19 +102,19 @@ def test_centered_second_order_expansion():
 
 def test_gaussian_point_mass_values():
     n = 52
+    assert is_admissible((26, 26), 2)
     g = gaussian_point_mass((26, 26), 3, 2)
-    assert g.admissible
-    assert g.value == pytest.approx(2**1.5 * (2 / (2 * math.pi * 3 * n)) ** 0.5)
+    assert g == pytest.approx(2**1.5 * (2 / (2 * math.pi * 3 * n)) ** 0.5)
+    assert not is_admissible((25, 25), 2)  # parity: 25 odd
     bad = gaussian_point_mass((25, 25), 3, 2)
-    assert not bad.admissible  # parity: 25 odd
-    assert bad.value > 0  # formula value regardless; exact probability is 0
+    assert bad > 0  # formula value regardless; exact probability is 0
 
 
 def test_gaussian_matches_exact_at_moderate_deviation():
     counts = walk_endpoint_counts(50, 3, 2)
     exact = Fraction(counts.count((78, 72)), 2 ** (2 * 50))
     g = gaussian_point_mass((26, 24), 3, 2)
-    assert abs(g.value - float(exact)) / float(exact) < 0.1
+    assert abs(g - float(exact)) / float(exact) < 0.1
 
 
 def test_error_scan_window_and_exactness():

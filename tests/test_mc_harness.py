@@ -122,6 +122,18 @@ def test_layer_entry_points_stay_module_attributes():
     a = adjacency_from_permutation(sample_configuration(8, 3, 1, stream=0))
     assert type(mc_harness.int_determinant_is_zero(a)) is bool
     assert type(mc_harness.int_determinant_is_zero([[1, 1], [1, 1]])) is bool
+    # perfbench/worker.py's check_mc rebuilds records with all five keyword
+    # fields and checks them as below
+    rec = mc_harness.TrialRecord(
+        trial=0,
+        singular_mod=((2, True), (5, False)),
+        det_zero=False,
+        identical_rows=False,
+        elapsed=0.0,
+    )
+    mc_harness.check_trial_invariants(rec)
+    with pytest.raises(mc_harness.InvariantError):
+        mc_harness.check_trial_invariants(replace(rec, det_zero=True))
 
 
 def canonical(records):
@@ -189,10 +201,14 @@ def test_parallel_schedules_agree():
     assert [r.trial for r in r1] == list(range(110))
 
 
-def test_blocks_hold_at_least_min_stack_trials():
-    # 2^16 // 128^2 = 4 trials a block at n = 128; 3 at n = 129 is too few to
-    # stack.  The smallest stack, mod 2 and mod 5q, decides as run_trial does.
-    for n, blocks in ((128, [range(0, 4), range(4, 5)]), (129, [range(0, 1), range(1, 2)])):
+def test_blocks_follow_the_block_rule():
+    # max(1, 2^16 // n^2) trials a block: 4 at n = 128, 3 at n = 129 and 1 at
+    # n = 300, and every block, mod 2 and mod 5q, decides as run_trial does
+    for n, blocks in (
+        (128, [range(0, 4), range(4, 5)]),
+        (129, [range(0, 3), range(3, 4)]),
+        (300, [range(0, 1), range(1, 2)]),
+    ):
         cfg = ExperimentConfig(n=n, d=3, primes=(2, 5), trials=blocks[-1].stop, seed=2)
         with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
             _, records = run_experiment(cfg)
