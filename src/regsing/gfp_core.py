@@ -8,11 +8,11 @@ One elimination loop, `_eliminate`, runs on int64 residues mod M, where
 M is a listed prime p < 2^31 (`fp_eliminate`, `fp_det`) or the product of
 distinct primes (`fp_dets`).  A row update adds a residue to a product of
 two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
-one size rule.  A pivot must be a unit mod M.  When no candidate in a
-column is one, the primes split (D5 dynamic evaluation: Della Dora,
-Dicrescenzo and Duval, EUROCAL 1985): a prime dividing every candidate
-has det 0 and drops out, and every other prime finishes the remaining
-block alone.
+one size rule.  It also forces M < 2^32, so a residue fits in uint32.  A
+pivot must be a unit mod M.  When no candidate in a column is one, the
+primes split (D5 dynamic evaluation: Della Dora, Dicrescenzo and Duval,
+EUROCAL 1985): a prime dividing every candidate has det 0 and drops out,
+and every other prime finishes the remaining block alone.
 
 A second loop, `_eliminate_stack`, takes a stack of B square matrices
 and decides det mod each prime for all of them in one sweep, so a column
@@ -21,15 +21,19 @@ step costs one set of numpy calls for the whole stack.  It keeps
 hand-over to `_split`; a matrix with no nonzero pivot candidate in a
 column stays in the stack as a dead lane.  Like `_eliminate` it updates
 only each matrix's own rows with a nonzero entry below the pivot, so its
-arithmetic is the per-matrix loop's and the stack saves only calls.  That
-wins while the calls dominate: per trial, eliminating n = 30 adjacency
-matrices mod 2 and mod 5q took 0.13x the per-matrix time in stacks of
-72, n = 64 0.3x in stacks of 16 and n = 120-128 0.8x in stacks of 4;
-stacks of 3 broke even (n = 129-147), stacks of 2 ran 1.3x slower
-(n = 150-181), and one matrix at n = 300 twice as slow.  So
-`fp_dets_stack`, the one entry to both loops for a stack, runs
-`_eliminate` on each matrix of a stack of fewer than MIN_STACK and
-`_eliminate_stack` on a larger one.
+arithmetic is the per-matrix loop's and the stack saves only calls.  Its
+stack holds uint32 residues, and every product is formed in int64 through
+int64 multipliers; `_split` hands `_eliminate` an int64 block, because
+NumPy keeps a uint32 array times a Python int in uint32, where it wraps.
+The stack wins while the calls dominate: per matrix, eliminating d = 3
+adjacency matrices mod 5q took 0.15x the per-matrix time at n = 30 in
+stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
+0.63x at n = 300 in stacks of 8, 0.62x at n = 300 in stacks of 6 and
+0.72x at n = 600 in stacks of 8; at n = 300 stacks of 4 took 0.8x, stacks
+of 3 broke even and stacks of 2 ran 1.25x slower.  So `fp_dets_stack`,
+the one entry to both loops for a stack, runs `_eliminate` on each
+matrix of a stack of fewer than MIN_STACK and `_eliminate_stack` on a
+larger one.
 
 `int_determinant_is_zero` decides det == 0 by one residue loop over a
 fixed list of CRT primes, the largest primes below 2^29: it stops at the
@@ -165,7 +169,8 @@ def _split(block: np.ndarray, primes: tuple[int, ...], det: int, r: int) -> list
     out = []
     for p in primes:
         if (block[:, 0] % p).any():
-            rank, dp = _eliminate(block % p, (p,), det % p)[0]
+            # int64, so that _eliminate's products of residues cannot wrap
+            rank, dp = _eliminate(block.astype(np.int64) % p, (p,), det % p)[0]
             out.append((r + rank, dp))
         else:
             out.append((None, 0))
@@ -181,8 +186,8 @@ def _reduce(x: np.ndarray, mod: int) -> np.ndarray:
 
 def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     """det mod each prime of every square matrix in the stack a, residues mod
-    M = prod(primes) of shape (B, n, n), row-reduced in place; returns a
-    (B, len(primes)) int64 array.
+    M = prod(primes) of shape (B, n, n) (uint32 from `fp_dets_stack`),
+    row-reduced in place; returns a (B, len(primes)) int64 array.
 
     `_eliminate`'s rules, one column at a time for the whole stack: the pivot
     is the first unit at or below the diagonal, multipliers are scaled, and
@@ -219,7 +224,8 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
         det = det * pv % mod
         ks, rs = ((a[:, c + 1 :, c] != 0) & live[:, None]).nonzero()
         if ks.size:
-            # entries stay below M, so f * a[k, c] + a[k, r] <= (M-1)^2 + (M-1) < 2^63
+            # entries stay below M, so f * a[k, c] + a[k, r] <= (M-1)^2 + (M-1) < 2^63;
+            # neg_inv and so f are int64, which keeps every product out of uint32
             neg_inv = np.array(
                 [mod - pow(x, -1, mod) if ok else 0 for x, ok in zip(pv.tolist(), live.tolist())],
                 dtype=np.int64,
@@ -252,19 +258,27 @@ def fp_dets(m: MatrixLike, primes: Sequence[int]) -> tuple[int, ...]:
 def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """det mod each of distinct primes for every matrix of an integer array of
     shape (B, n, n), as a (B, len(primes)) int64 array whose row k is
-    fp_dets(stack[k], primes), with M(M-1) < 2^63 as for fp_dets.  A stack
-    of MIN_STACK or more matrices is eliminated in one sweep mod M, a
-    smaller one matrix by matrix."""
+    fp_dets(stack[k], primes), with M(M-1) < 2^63 as for fp_dets.  The
+    residues are a uint32 copy of the stack; an unsigned stack is reduced
+    only if its dtype holds M or more.  A stack of MIN_STACK or more
+    matrices is eliminated in one sweep mod M, a smaller one matrix by
+    matrix in int64."""
     primes = tuple(primes)
     mod = _modulus(primes)
     if stack.dtype.kind not in "iu" or not np.can_cast(stack.dtype, np.int64):
-        raise ValueError(f"int64 stack required, got dtype {stack.dtype}")
+        raise ValueError(f"integer stack within int64 required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
-    a = stack.astype(np.int64, copy=False) % mod
+    if stack.dtype.kind == "u":
+        a = stack.astype(np.uint32)
+        if np.iinfo(stack.dtype).max >= mod:
+            np.remainder(a, mod, out=a)
+    else:
+        # reduced in int64 first: a negative entry would wrap in uint32
+        a = (stack.astype(np.int64, copy=False) % mod).astype(np.uint32)
     if len(a) >= MIN_STACK:
         return _eliminate_stack(a, primes)
-    dets = [[dp for _, dp in _eliminate(m, primes)] for m in a]
+    dets = [[dp for _, dp in _eliminate(m.astype(np.int64), primes)] for m in a]
     return np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
 
 
@@ -354,10 +368,12 @@ def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
     A single nonzero residue mod a CRT prime certifies det != 0; zero
     residues are taken until their primes' product exceeds twice the
     Hadamard bound, which certifies det == 0.  first, if given, is det(m)
-    mod crt_primes(1)[0] (say from `fp_dets`).  The bound is computed only
-    after a zero first residue.  Never touches floating point.
+    mod crt_primes(1)[0] (say from `fp_dets`); a nonzero one answers after
+    the shape check alone, without an int64 copy of a narrow array.  The
+    bound is computed only after a zero first residue.  Never touches
+    floating point.
     """
-    a = int_matrix(m)
+    a = m if first and isinstance(m, np.ndarray) and m.ndim == 2 else int_matrix(m)
     _require_square(a)
     q = crt_primes(1)[0]
     if (fp_eliminate(a, q)[1] if first is None else first) != 0:

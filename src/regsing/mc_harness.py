@@ -7,14 +7,16 @@ through the integer determinant.  Trials use independent counter-based
 streams keyed by (seed, trial index), so results are byte-identical for a
 fixed seed regardless of blocking, scheduling or parallelism.
 
-Trials run in blocks of max(1, STACK_ENTRIES // n^2), and `run_block`
-alone decides them: it writes a block's adjacency matrices into one stack
-and decides every listed prime, and the first CRT prime, with one
-`gfp_core.fp_dets_stack` call per modulus, which picks the elimination
-kernel from the stack's size.  The duplicate-row witness and the integer
-zero test run per matrix.  `run_trial` is a block of one trial.  A
-record's elapsed is the block's wall time divided by its size:
-diagnostics only, never in the canonical records.
+Trials run in blocks of max(MIN_LANES, STACK_ENTRIES // n^2), so every
+block but a run's last is eliminated in one stacked sweep at every n.
+`run_block` alone decides them: it writes a block's adjacency matrices
+into one stack of the narrowest unsigned dtype that holds d (uint8 for
+d <= 255) and decides every listed prime, and the first CRT prime, with
+one `gfp_core.fp_dets_stack` call per modulus, which picks the
+elimination kernel from the stack's size.  The duplicate-row witness and
+the integer zero test run per matrix, on the narrow lanes.  `run_trial`
+is a block of one trial.  A record's elapsed is the block's wall time
+divided by its size: diagnostics only, never in the canonical records.
 """
 
 from __future__ import annotations
@@ -38,10 +40,16 @@ WORKLOAD_GUARD = 5_000_000
 # Normal quantile of every reported interval: 95 % two-sided.
 WILSON_Z = 1.96
 # Matrix entries in one stacked elimination: 72 matrices at n = 30, 16 at
-# n = 64, 4 at n = 128.  2000 trials at n = 30 (p = 2, 5) took about 0.85,
+# n = 64, 8 at n = 90.  2000 trials at n = 30 (p = 2, 5) took about 0.85,
 # 0.6, 0.45 and 0.4-0.5 CPU s in-process at 2^14, 2^15, 2^16 and 2^17, and
 # 2^17 raised peak memory by 1.1 MB over 2^16 for little or no gain.
 STACK_ENTRIES = 2**16
+# Fewest trials in a block, which holds from n = 105 up.  At n = 300 a
+# block of 6 holds 0.5 MB of uint8 adjacency and, while it is eliminated,
+# 2.2 MB of uint32 residues.  The benchmark's mc-n300 job (200 trials,
+# p = 5) took 1.35-1.79 CPU s in blocks of 6 and 1.15-1.58 s in blocks of
+# 8 over five seeds, but blocks of 8 put peak memory 1.0-1.5 MB higher.
+MIN_LANES = 6
 
 
 class InvariantError(RuntimeError):
@@ -155,7 +163,7 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     prime gets its own `fp_dets_stack`.
     """
     t0 = time.perf_counter()
-    stack = np.empty((len(trials), n, n), dtype=np.int64)
+    stack = np.empty((len(trials), n, n), dtype=np.min_scalar_type(d))
     for k, t in enumerate(trials):
         stack[k] = adjacency_from_permutation(sample_configuration(n, d, seed, stream=t))
     identical = [has_identical_rows(a) for a in stack]
@@ -208,9 +216,9 @@ def summarize(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> SummaryS
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecord]]:
-    """All trials of one experiment, in blocks of max(1, STACK_ENTRIES // n^2)
-    trials; records come back in trial order."""
-    size = max(1, STACK_ENTRIES // (cfg.n * cfg.n))
+    """All trials of one experiment, in blocks of max(MIN_LANES, STACK_ENTRIES
+    // n^2) trials; records come back in trial order."""
+    size = max(MIN_LANES, STACK_ENTRIES // (cfg.n * cfg.n))
     blocks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
     work = partial(run_block, cfg.n, cfg.d, cfg.seed, cfg.primes)
     if cfg.parallelism == 1:

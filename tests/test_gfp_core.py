@@ -397,21 +397,26 @@ def stacks(draw):
 
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
 def test_stacked_elimination_matches_per_matrix(primes):
-    """The stacked sweep `_eliminate_stack`, at every stack size from 1, against
+    """The stacked sweep `_eliminate_stack`, at every stack size from 1, on the
+    uint32 residues fp_dets_stack hands it and on int64 residues, against
     Bareiss and per-matrix fp_dets on every lane, with D5 split lanes and
-    lanes without a split in one stack mod 5Q."""
+    lanes without a split in one stack mod 5Q.  Negative entries become
+    residues up to M - 1, whose products only int64 holds; a lane split mod
+    5Q finishes alone mod Q, where a product of uint32 residues would wrap."""
     mixed = []
     mod = math.prod(primes)
 
     @settings(max_examples=150, deadline=None)
     @given(lanes=stacks())
     def check(lanes):
-        with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-            got = gfp_core._eliminate_stack(np.array(lanes, dtype=np.int64) % mod, primes)
-        assert got.shape == (len(lanes), len(primes))
-        for rows, dets in zip(lanes, got.tolist()):
-            exact = det_bareiss(rows)
-            assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+        residues = np.array(lanes, dtype=np.int64) % mod
+        for dtype in (np.uint32, np.int64):
+            with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
+                got = gfp_core._eliminate_stack(residues.astype(dtype), primes)
+            assert got.shape == (len(lanes), len(primes))
+            for rows, dets in zip(lanes, got.tolist()):
+                exact = det_bareiss(rows)
+                assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
         mixed.append(0 < spy.call_count < len(lanes))
 
     check()
@@ -442,3 +447,52 @@ def test_stack_kernel_choice_at_min_stack(primes):
         for rows, dets in zip(lanes, got.tolist()):
             exact = det_bareiss(rows)
             assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+
+
+@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
+def test_narrow_and_signed_stacks_match_per_matrix(primes):
+    """fp_dets_stack on uint8, uint32, int8 with negative entries and int64
+    stacks, in both kernels, against per-matrix fp_dets and Bareiss: a uint32
+    entry near 2^32 must be reduced mod 5Q before any product, and a
+    negative int8 entry before the stack narrows to uint32."""
+    rnd = random.Random(31)
+    for dtype, entries in (
+        (np.uint8, (0, 1, 2, 3, 255)),
+        (np.uint32, (0, 1, 3, Q, 2**32 - 5, 2**32 - 1)),
+        (np.int8, (-128, -5, -1, 0, 1, 3, 127)),
+        (np.int64, (-(2**40), -Q, -5, -1, 0, 1, 5, Q)),
+    ):
+        lanes = [
+            [[rnd.choice(entries) for _ in range(5)] for _ in range(5)]
+            for _ in range(gfp_core.MIN_STACK + 2)
+        ]
+        for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK + 2):
+            got = fp_dets_stack(np.array(lanes[:b], dtype=dtype), primes)
+            assert got.shape == (b, len(primes)) and got.dtype == np.int64
+            for rows, dets in zip(lanes, got.tolist()):
+                exact = det_bareiss(rows)
+                assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+    for dtype in (np.uint64, np.float64):
+        with pytest.raises(ValueError, match="integer stack"):
+            fp_dets_stack(np.zeros((4, 2, 2), dtype=dtype), primes)
+
+
+def test_zero_test_with_a_given_first_residue():
+    """A nonzero first residue answers without the int64 copy of a narrow
+    lane, but the input must still be a square matrix."""
+    lane = np.array([[1, 2, 0], [0, 1, 3], [3, 0, 1]], dtype=np.uint8)
+    first = int(det_bareiss(lane.tolist())) % Q
+    assert first != 0
+    with mock.patch.object(gfp_core, "int_matrix", wraps=gfp_core.int_matrix) as spy:
+        assert not int_determinant_is_zero(lane, first)
+    assert not spy.called
+    assert int_determinant_is_zero(np.array([[1, 2], [1, 2]], dtype=np.uint8), 0)
+    for m in (
+        np.zeros((2, 3), dtype=np.uint8),
+        np.zeros(3, dtype=np.uint8),
+        [[1, 2, 3], [4, 5, 6]],
+        [[1, 2], [3]],
+    ):
+        for first in (None, 0, 1):
+            with pytest.raises(ValueError):
+                int_determinant_is_zero(m, first)

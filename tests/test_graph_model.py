@@ -115,6 +115,25 @@ def test_identical_rows_witness():
     assert 0 < hits < 200
 
 
+def test_identical_rows_agree_across_forms():
+    # integer arrays are keyed in their own dtype: a uint8 lane, its int64
+    # copy, an object array and the list of rows give one answer
+    hits = 0
+    for i in range(60):
+        m = adjacency_from_permutation(sample_configuration(5 + i % 4, 3, seed=23, stream=i))
+        answers = {
+            has_identical_rows(form)
+            for form in (m.astype(np.uint8), m, m.astype(object), m.tolist())
+        }
+        assert len(answers) == 1
+        hits += answers.pop()
+    assert 0 < hits < 60
+    with pytest.raises(ValueError):
+        has_identical_rows(np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        has_identical_rows(np.zeros(4, dtype=np.uint8))
+
+
 def test_identical_rows_force_singularity_downstream():
     # a witness exists with positive probability at small n; find one and
     # confirm the determinant vanishes

@@ -188,7 +188,8 @@ def test_summary_monotonicity_guard():
 
 
 def test_parallel_schedules_agree():
-    # at n = 25 the trials run as one stacked block of 104 and one of 6
+    # at n = 25 blocks hold max(MIN_LANES, 2^16 // 625) = 104 trials: the
+    # trials run as one stacked block of 104 and a stacked tail of 6
     cfg1 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=110, seed=11, parallelism=1)
     cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=110, seed=11, parallelism=4)
     with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
@@ -202,12 +203,17 @@ def test_parallel_schedules_agree():
 
 
 def test_blocks_follow_the_block_rule():
-    # max(1, 2^16 // n^2) trials a block: 4 at n = 128, 3 at n = 129 and 1 at
-    # n = 300, and every block, mod 2 and mod 5q, decides as run_trial does
+    # max(MIN_LANES, 2^16 // n^2) trials a block: 8 at n = 90 and MIN_LANES = 6
+    # at n = 128, 129 and 300, where 2^16 // n^2 is 4, 3 and 0.  Every block,
+    # stacked or (a tail below MIN_STACK) matrix by matrix, decides mod 2 and
+    # mod 5q as run_trial does, and mod 2 the sweep starts from a uint8 lane
+    # whose multi-edge entries 2 and 3 are reduced first
+    assert mc_harness.MIN_LANES == 6 and mc_harness.STACK_ENTRIES == 2**16
     for n, blocks in (
-        (128, [range(0, 4), range(4, 5)]),
-        (129, [range(0, 3), range(3, 4)]),
-        (300, [range(0, 1), range(1, 2)]),
+        (90, [range(0, 8), range(8, 9)]),
+        (128, [range(0, 6), range(6, 7)]),
+        (129, [range(0, 6), range(6, 10)]),
+        (300, [range(0, 6), range(6, 10)]),
     ):
         cfg = ExperimentConfig(n=n, d=3, primes=(2, 5), trials=blocks[-1].stop, seed=2)
         with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
