@@ -13,7 +13,8 @@ block but a run's last is eliminated in one stacked sweep at every n.
 into one stack of the narrowest unsigned dtype that holds d (uint8 for
 d <= 255) and decides every listed prime, and the first CRT prime, with
 one `gfp_core.fp_dets_stack` call per modulus, which picks the
-elimination kernel from the stack's size.  The duplicate-row witness and
+elimination kernel from the modulus and the stack's size (an unfused
+2 goes to the packed-bit kernel).  The duplicate-row witness and
 the integer zero test run per matrix, on the narrow lanes.  `run_trial`
 is a block of one trial.  A record's elapsed is the block's wall time
 divided by its size: diagnostics only, never in the canonical records.
@@ -159,8 +160,9 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     The listed prime named by `fused_prime` (the largest p <= 5) shares one
     `fp_dets_stack` over the block's stacked adjacency matrices with the
     first CRT prime q, mod p*q; its residues mod q go to the per-matrix
-    zero test, which alone still decides det_zero.  Every other listed
-    prime gets its own `fp_dets_stack`.
+    zero test, which alone still decides det_zero; with no listed p <= 5,
+    those residues come from one `fp_dets_stack` mod q alone.  Every other
+    listed prime gets its own `fp_dets_stack`.
     """
     t0 = time.perf_counter()
     stack = np.empty((len(trials), n, n), dtype=np.min_scalar_type(d))
@@ -169,9 +171,11 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     identical = [has_identical_rows(a) for a in stack]
     fused = fused_prime(primes)
     residue = {p: fp_dets_stack(stack, (p,))[:, 0].tolist() for p in primes if p != fused}
-    first = [None] * len(trials)
-    if fused is not None:
-        residue[fused], first = fp_dets_stack(stack, (fused, crt_primes(1)[0])).T.tolist()
+    q = crt_primes(1)[0]
+    if fused is None:
+        first = fp_dets_stack(stack, (q,))[:, 0].tolist()
+    else:
+        residue[fused], first = fp_dets_stack(stack, (fused, q)).T.tolist()
     det_zero = [int_determinant_is_zero(a, f) for a, f in zip(stack, first)]
     elapsed = (time.perf_counter() - t0) / len(trials)
     records = []

@@ -402,7 +402,9 @@ def test_stacked_elimination_matches_per_matrix(primes):
     Bareiss and per-matrix fp_dets on every lane, with D5 split lanes and
     lanes without a split in one stack mod 5Q.  Negative entries become
     residues up to M - 1, whose products only int64 holds; a lane split mod
-    5Q finishes alone mod Q, where a product of uint32 residues would wrap."""
+    5Q finishes alone mod Q, where a product of uint32 residues would wrap.
+    fp_dets_stack on the int64 stack agrees too; mod 2 it runs the
+    packed-bit kernel."""
     mixed = []
     mod = math.prod(primes)
 
@@ -418,6 +420,7 @@ def test_stacked_elimination_matches_per_matrix(primes):
                 exact = det_bareiss(rows)
                 assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
         mixed.append(0 < spy.call_count < len(lanes))
+        assert np.array_equal(fp_dets_stack(np.array(lanes, dtype=np.int64), primes), got)
 
     check()
     assert any(mixed) == (len(primes) > 1)
@@ -430,7 +433,8 @@ def test_stacked_elimination_matches_per_matrix(primes):
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
 def test_stack_kernel_choice_at_min_stack(primes):
     """fp_dets_stack runs the per-matrix loop below MIN_STACK matrices and the
-    stacked sweep from MIN_STACK on; both sides agree with per-matrix fp_dets
+    stacked sweep from MIN_STACK on, except mod 2 alone, which takes the
+    packed-bit kernel at every stack size; all agree with per-matrix fp_dets
     and Bareiss, on lanes that include D5 splits mod 5Q."""
     rnd = random.Random(17)
     lanes = [
@@ -440,9 +444,12 @@ def test_stack_kernel_choice_at_min_stack(primes):
     for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
         with mock.patch.object(
             gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
-        ) as spy:
+        ) as spy, mock.patch.object(
+            gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
+        ) as packed:
             got = fp_dets_stack(np.array(lanes[:b], dtype=np.int64), primes)
-        assert spy.called == (b >= gfp_core.MIN_STACK)
+        assert packed.called == (primes == (2,))
+        assert spy.called == (b >= gfp_core.MIN_STACK and primes != (2,))
         assert got.shape == (b, len(primes)) and got.dtype == np.int64
         for rows, dets in zip(lanes, got.tolist()):
             exact = det_bareiss(rows)
@@ -475,6 +482,46 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
     for dtype in (np.uint64, np.float64):
         with pytest.raises(ValueError, match="integer stack"):
             fp_dets_stack(np.zeros((4, 2, 2), dtype=dtype), primes)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_packed_gf2_kernel_at_word_boundaries(n):
+    """fp_dets_stack mod 2 alone, on stacks of 1 to 12 lanes at sizes around
+    the 64-bit word boundaries, against per-matrix fp_dets.  Lanes are
+    0/1 patterns written as int8 with negative entries, int64 with negative
+    entries and uint32 near 2^32, each of the pattern's parity.  Nonsingular
+    lanes (a permuted unit upper triangle) need a pivot fix-up in most
+    columns; singular ones die at different columns: a zero column at or
+    around a word boundary, a duplicate row, or a rank-deficient dense
+    pattern."""
+    rng = np.random.default_rng(n)
+    patterns = []
+    for k in range(12):
+        if k % 3 == 0:
+            upper = np.triu(rng.integers(0, 2, (n, n)), 1) + np.eye(n, dtype=np.int64)
+            pattern = (rng.permutation(np.eye(n, dtype=np.int64)) @ upper) % 2
+        else:
+            pattern = rng.integers(0, 2, (n, n))
+        if k % 3 == 1:
+            pattern[:, min([0, 63, 64, n - 1][k // 3], n - 1)] = 0
+        if k in (5, 6):
+            pattern[n - 1 - k] = pattern[k]
+        patterns.append(pattern)
+    spellings = {
+        np.int8: ((-128, -2, 0, 126), (-127, -1, 1, 127)),
+        np.int64: ((-(2**40), -2, 0, 2 * Q), (-Q, -(2**40) - 1, 1, Q)),
+        np.uint32: ((0, 2, 2**32 - 4, 2**32 - 2), (1, 3, 2**32 - 3, 2**32 - 1)),
+    }
+    for dtype, (even, odd) in spellings.items():
+        pick = rng.integers(0, 4, (12, n, n))
+        lanes = np.where(np.array(patterns) == 1, np.array(odd)[pick], np.array(even)[pick])
+        lanes = lanes.astype(dtype)
+        want = [fp_dets(m.astype(np.int64), (2,))[0] for m in lanes]
+        assert 0 < sum(want) < 12
+        for b in range(1, 13):
+            got = fp_dets_stack(lanes[:b], (2,))
+            assert got.shape == (b, 1) and got.dtype == np.int64
+            assert got[:, 0].tolist() == want[:b]
 
 
 def test_zero_test_with_a_given_first_residue():

@@ -8,10 +8,11 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
 
-from regsing import mc_harness
+from regsing import gfp_core, mc_harness
 from regsing.cli import main as cli_main
 from regsing.common import GuardError
 from regsing.gfp_core import det_bareiss, fp_det, fp_eliminate, int_determinant_is_zero
@@ -105,6 +106,31 @@ def test_fused_and_separate_primes_match_bareiss():
             exact_det = det_bareiss(a.tolist())
             assert rec.det_zero == (exact_det == 0)
             assert rec.singular_mod == tuple((p, exact_det % p == 0) for p in sorted(primes))
+
+
+@pytest.mark.parametrize("primes", [(7,), (7, 11)], ids=["7", "7,11"])
+def test_block_without_a_fused_prime_stacks_its_first_residue(primes):
+    # with no listed p <= 5 the first CRT residue comes from one stacked
+    # elimination mod q; at n = 40 the Hadamard bound of a singular trial
+    # exceeds q / 2, so its zero test goes on to the next CRT primes
+    q = gfp_core.crt_primes(1)[0]
+    trials = range(0, 40)
+    with mock.patch.object(gfp_core, "fp_eliminate", wraps=gfp_core.fp_eliminate) as spy:
+        records = mc_harness.run_block(40, 3, 8, primes, trials)
+    mats = [adjacency_from_permutation(sample_configuration(40, 3, 8, stream=t)) for t in trials]
+    exact = [det_bareiss(a.tolist()) for a in mats]
+    assert 0 < sum(e == 0 for e in exact) < len(trials)
+    # the zero test eliminates matrix by matrix only mod the later CRT primes,
+    # and only for a trial whose residue mod q is 0
+    singular = [a for a, e in zip(mats, exact) if e % q == 0]
+    assert spy.called
+    for call in spy.call_args_list:
+        m, p = call.args
+        assert p != q and any(np.array_equal(m, a) for a in singular)
+    assert canonical(records) == canonical([run_trial(40, 3, 8, primes, t) for t in trials])
+    for rec, e in zip(records, exact):
+        assert rec.det_zero == (e == 0)
+        assert rec.singular_mod == tuple((p, e % p == 0) for p in primes)
 
 
 def test_layer_entry_points_stay_module_attributes():
