@@ -4,23 +4,26 @@ Input is checked once, by `int_matrix`: a 2-D int64 ndarray is used as it
 is, and other input becomes int64 when its entries fit, an object array
 of Python ints otherwise (reduced mod M before any elimination).
 
-One elimination loop, `_eliminate`, runs on int64 residues mod M, where
-M is a listed prime p < 2^31 (`fp_eliminate`, `fp_det`) or the product of
-distinct primes (`fp_dets`).  A row update adds a residue to a product of
-two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
-one size rule.  It also forces M < 2^32, so a residue fits in uint32.  A
-pivot must be a unit mod M.  When no candidate in a column is one, the
-primes split (D5 dynamic evaluation: Della Dora, Dicrescenzo and Duval,
-EUROCAL 1985): a prime dividing every candidate has det 0 and drops out,
-and every other prime finishes the remaining block alone.
+Every determinant mod p has one contract, `fp_dets_stack`: a stack of B
+square integer matrices in, det mod each of distinct primes out, from one
+elimination mod their product M.  A row update adds a residue to a product
+of two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
+one size rule; it also keeps M below 2^32, so a residue fits in uint32.
+`fp_det` is one matrix mod one prime, a stack of one.  Three kernels sit
+behind the contract, picked by the primes and the stack size.
 
-A second loop, `_eliminate_stack`, takes a stack of B square matrices
-and decides det mod each prime for all of them in one sweep, so a column
-step costs one set of numpy calls for the whole stack.  It keeps
-`_eliminate`'s size rule, unit pivot and multiplier scaling and its
-hand-over to `_split`; a matrix with no nonzero pivot candidate in a
-column stays in the stack as a dead lane.  Like `_eliminate` it updates
-only each matrix's own rows with a nonzero entry below the pivot, so its
+`_eliminate` takes one matrix in int64 residues.  A pivot must be a unit
+mod M, and a column with no nonzero candidate stops the sweep with det 0.
+When the candidates are nonzero but none is a unit, the primes split (D5
+dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985): a
+prime dividing every candidate has det 0 and drops out, and every other
+prime finishes the remaining block alone (`_split`).
+
+`_eliminate_stack` decides a whole stack in one sweep, so a column step
+costs one set of numpy calls for every matrix.  It keeps `_eliminate`'s
+unit pivot, multiplier scaling and hand-over to `_split`; a matrix with no
+nonzero candidate stays in the stack as a dead lane.  Each live matrix
+updates only its own rows with a nonzero entry below the pivot, so the
 arithmetic is the per-matrix loop's and the stack saves only calls.  Its
 stack holds uint32 residues, and every product is formed in int64 through
 int64 multipliers; `_split` hands `_eliminate` an int64 block, because
@@ -30,32 +33,27 @@ adjacency matrices mod 5q took 0.15x the per-matrix time at n = 30 in
 stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
 0.63x at n = 300 in stacks of 8, 0.62x at n = 300 in stacks of 6 and
 0.72x at n = 600 in stacks of 8; at n = 300 stacks of 4 took 0.8x, stacks
-of 3 broke even and stacks of 2 ran 1.25x slower.  So `fp_dets_stack`,
-the one entry to the loops for a stack, runs `_eliminate` on each
-matrix of a stack of fewer than MIN_STACK and `_eliminate_stack` on a
-larger one.
+of 3 broke even and stacks of 2 ran 1.25x slower.  So `_eliminate` takes
+the matrices of a stack of fewer than MIN_STACK one at a time.
 
-Mod 2 alone, elimination is XOR on rows packed into machine words (M4RI:
-Albrecht, Bard and Hart, ACM TOMS 2010), with no residues, unit tests,
-inverses, reductions or split.  `_eliminate_gf2` decides det mod 2 for a
-whole stack that way, a pivot fix-up and one dense masked XOR per column,
-and `fp_dets_stack` runs it for the primes (2,) at every stack size.  Per
-matrix it took 0.22x the stacked sweep's time at n = 30 in stacks of 72,
-0.14x at n = 64 in stacks of 16 and 0.2x at n = 300 in stacks of 6, and
-0.5-0.75x the per-matrix loop's on a single matrix at n = 30 and 300.
+Mod 2 alone, `_eliminate_gf2` runs XOR on rows packed into machine words
+(M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), with no residues, unit
+tests, inverses, reductions or split: a pivot fix-up and one dense masked
+XOR per column, at every stack size.  Per matrix it took 0.22x the stacked
+sweep's time at n = 30 in stacks of 72, 0.14x at n = 64 in stacks of 16,
+0.2x at n = 300 in stacks of 6, and alone 0.5-0.75x the per-matrix loop's.
 
-`int_determinant_is_zero` decides det == 0 by one residue loop over a
-fixed list of CRT primes, the largest primes below 2^29: it stops at the
-first nonzero residue, and otherwise until the primes' product exceeds
-twice the Hadamard bound.  The bound keeps 5q inside the size rule, so a
-Monte Carlo trial decides its listed prime p <= 5 and the first CRT prime
-q in one elimination mod pq (`fused_prime`, `fp_dets_stack`) and hands the
-residue mod q to the zero test; a block with no listed p <= 5 takes that
-residue from one stacked elimination mod q.  `det_bareiss` (fraction-free
-elimination in Python ints) is the one exact determinant: it shares no
-code with the residue loop, so it is that loop's independent test oracle,
-and it is the cheaper route for tiny matrices, such as the cofactor minors
-of `rate_ldp.facet_normals`.
+`int_determinant_is_zero` decides det == 0 by one `fp_det` per prime of a
+fixed list of CRT primes, the largest below 2^29: it stops at the first
+nonzero residue, and otherwise once the primes' product exceeds twice the
+Hadamard bound.  The bound keeps 5q inside the size rule, so a Monte Carlo
+block decides its listed prime p <= 5 and the first CRT prime q in one
+`fp_dets_stack` mod pq (`fused_prime`) and hands the residues mod q to the
+zero test; with no listed p <= 5 it takes them from one mod q alone.
+`det_bareiss` (fraction-free elimination in Python ints) is the one exact
+determinant.  It shares no code with the kernels, so it is their and the
+zero test's independent oracle, and it is the cheaper route for tiny
+matrices, such as the cofactor minors of `rate_ldp.facet_normals`.
 """
 
 from __future__ import annotations
@@ -127,63 +125,53 @@ def _residues(m: MatrixLike, primes: tuple[int, ...]) -> np.ndarray:
     return (int_matrix(m) % _modulus(primes)).astype(np.int64, copy=False)
 
 
-def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list:
-    """Row-reduce the residues a mod M = prod(primes) in place; returns
-    (rank, det * det(a)) mod each prime, in the order of primes.
+def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int]:
+    """det * det(a) mod each prime, in the order of primes, for the square
+    residues a mod M = prod(primes), row-reduced in place.
 
-    det is 0 for non-square or rank-deficient a.  A column updates only the
-    rows with a nonzero entry below its pivot, scaling the multipliers
-    rather than the pivot row; columns left of it go stale.  A column with
-    no unit pivot hands over to `_split`, which never happens with one
-    prime; a prime dropped there reports rank None.
+    A column with no nonzero candidate at or below the diagonal stops the
+    sweep with det 0.  A column updates only the rows with a nonzero entry
+    below its pivot, scaling the multipliers rather than the pivot row;
+    columns left of it go stale.  A column with no unit pivot hands over to
+    `_split`, which never happens with one prime.
     """
     mod = math.prod(primes)
-    nr, nc = a.shape
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = a[r:, c].nonzero()[0]
+    for c in range(len(a)):
+        nz = a[c:, c].nonzero()[0]
         if nz.size == 0:
-            det = 0
-            continue
-        piv = r + int(nz[0])
+            return [0] * len(primes)
+        piv = c + int(nz[0])
         if math.gcd(int(a[piv, c]), mod) != 1:
-            units = nz[np.gcd(a[r + nz, c], mod) == 1]
+            units = nz[np.gcd(a[c + nz, c], mod) == 1]
             if units.size == 0:
-                return _split(a[r:, c:], primes, det, r)
-            piv = r + int(units[0])
-        if piv != r:
-            a[r, c:], a[piv, c:] = a[piv, c:].copy(), a[r, c:].copy()
+                return _split(a[c:, c:], primes, det)
+            piv = c + int(units[0])
+        if piv != c:
+            a[c, c:], a[piv, c:] = a[piv, c:].copy(), a[c, c:].copy()
             det = -det
-            if piv != r + nz[0]:
-                nz = a[r:, c].nonzero()[0]
-        pv = int(a[r, c])
+            if piv != c + nz[0]:
+                nz = a[c:, c].nonzero()[0]
+        pv = int(a[c, c])
         det = det * pv % mod
         if nz.size > 1:
-            # entries stay below M, so f * a[r] + a[rows] <= (M-1)^2 + (M-1) < 2^63
-            rows = nz[1:] + r
+            # entries stay below M, so f * a[c] + a[rows] <= (M-1)^2 + (M-1) < 2^63
+            rows = nz[1:] + c
             f = a[rows, c] * (mod - pow(pv, -1, mod)) % mod
-            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[r, c + 1 :]) % mod
-        r += 1
-    if nr != nc or r < nr:
-        det = 0
-    return [(r, det % p) for p in primes]
+            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[c, c + 1 :]) % mod
+    return [det % p for p in primes]
 
 
-def _split(block: np.ndarray, primes: tuple[int, ...], det: int, r: int) -> list:
+def _split(block: np.ndarray, primes: tuple[int, ...], det: int) -> list[int]:
     """_eliminate's result once no entry of block's first column is a unit
-    mod M, with r rows reduced above block (the D5 split).  A prime dividing
-    the whole column has det 0 and no rank; every other prime finishes block
-    alone."""
+    mod M (the D5 split).  A prime dividing the whole column has det 0;
+    every other prime finishes block alone."""
     out = []
     for p in primes:
         if (block[:, 0] % p).any():
             # int64, so that _eliminate's products of residues cannot wrap
-            rank, dp = _eliminate(block.astype(np.int64) % p, (p,), det % p)[0]
-            out.append((r + rank, dp))
+            out.append(_eliminate(block.astype(np.int64) % p, (p,), det % p)[0])
         else:
-            out.append((None, 0))
+            out.append(0)
     return out
 
 
@@ -221,7 +209,7 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
         if not has_unit.all():
             for k in (live & ~has_unit).nonzero()[0]:
                 if col[k].any():
-                    out[k] = [dp for _, dp in _split(a[k, c:, c:], primes, int(det[k]), c)]
+                    out[k] = _split(a[k, c:, c:], primes, int(det[k]))
             live &= has_unit
             if not live.any():
                 break
@@ -284,32 +272,15 @@ def _eliminate_gf2(stack: np.ndarray) -> np.ndarray:
     return diag.all(axis=1).astype(np.int64)[:, None]
 
 
-def fp_eliminate(m: MatrixLike, p: int) -> tuple[int, int]:
-    """Row-reduce m mod p; returns (rank, det mod p).
-
-    det is reported as 0 for non-square or rank-deficient input.
-    """
-    return _eliminate(_residues(m, (p,)), (p,))[0]
-
-
-def fp_dets(m: MatrixLike, primes: Sequence[int]) -> tuple[int, ...]:
-    """det(m) mod each of distinct primes, from one elimination mod their
-    product M, which must satisfy M(M-1) < 2^63."""
-    primes = tuple(primes)
-    a = _residues(m, primes)
-    _require_square(a)
-    return tuple(dp for _, dp in _eliminate(a, primes))
-
-
 def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """det mod each of distinct primes for every matrix of an integer array of
-    shape (B, n, n), as a (B, len(primes)) int64 array whose row k is
-    fp_dets(stack[k], primes), with M(M-1) < 2^63 as for fp_dets.  Mod 2
-    alone, a stack of any size is decided on its rows packed into 64-bit
-    words (`_eliminate_gf2`).  Otherwise the residues are a uint32 copy of
-    the stack; an unsigned stack is reduced only if its dtype holds M or
-    more.  A stack of MIN_STACK or more matrices is eliminated in one sweep
-    mod M, a smaller one matrix by matrix in int64."""
+    """det mod each of distinct primes of every matrix in an integer array of
+    shape (B, n, n), as a (B, len(primes)) int64 array, from one elimination
+    mod their product M, with M(M-1) < 2^63.  Mod 2 alone, a stack of any
+    size is decided on its rows packed into 64-bit words (`_eliminate_gf2`).
+    Otherwise the residues are a uint32 copy of the stack; an unsigned stack
+    is reduced only if its dtype holds M or more.  A stack of MIN_STACK or
+    more matrices is eliminated in one sweep mod M, a smaller one matrix by
+    matrix in int64."""
     primes = tuple(primes)
     mod = _modulus(primes)
     if stack.dtype.kind not in "iu" or not np.can_cast(stack.dtype, np.int64):
@@ -327,19 +298,20 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         a = (stack.astype(np.int64, copy=False) % mod).astype(np.uint32)
     if len(a) >= MIN_STACK:
         return _eliminate_stack(a, primes)
-    dets = [[dp for _, dp in _eliminate(m.astype(np.int64), primes)] for m in a]
+    dets = [_eliminate(m.astype(np.int64), primes) for m in a]
     return np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
 
 
 def fused_prime(primes: Sequence[int]) -> int | None:
     """The largest of primes whose product with the first CRT prime can be
-    eliminated in int64 (p <= 5), or None; `fp_dets` decides both at once."""
+    eliminated in int64 (p <= 5), or None; one `fp_dets_stack` decides both."""
     q = crt_primes(1)[0]
     return max((p for p in primes if _fits_int64(p * q)), default=None)
 
 
 def fp_det(m: MatrixLike, p: int) -> int:
-    return fp_dets(m, (p,))[0]
+    """det(m) mod the prime p, decided by `fp_dets_stack` as a stack of one."""
+    return int(fp_dets_stack(_residues(m, (p,))[None], (p,))[0, 0])
 
 
 def det_bareiss(m: MatrixLike) -> int:
@@ -388,7 +360,7 @@ def hadamard_bound(m: MatrixLike) -> int:
 
 
 # CRT primes stay below 2^29 so that the first one times a listed prime
-# p <= 5 is still a modulus `_eliminate` can run in int64.
+# p <= 5 is still a modulus `fp_dets_stack` can eliminate in int64.
 CRT_PRIME_BOUND = 2**29
 
 
@@ -417,22 +389,22 @@ def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
     A single nonzero residue mod a CRT prime certifies det != 0; zero
     residues are taken until their primes' product exceeds twice the
     Hadamard bound, which certifies det == 0.  first, if given, is det(m)
-    mod crt_primes(1)[0] (say from `fp_dets`); a nonzero one answers after
-    the shape check alone, without an int64 copy of a narrow array.  The
-    bound is computed only after a zero first residue.  Never touches
+    mod crt_primes(1)[0] (say from `fp_dets_stack`); a nonzero one answers
+    after the shape check alone, without an int64 copy of a narrow array.
+    The bound is computed only after a zero first residue.  Never touches
     floating point.
     """
     a = m if first and isinstance(m, np.ndarray) and m.ndim == 2 else int_matrix(m)
     _require_square(a)
     q = crt_primes(1)[0]
-    if (fp_eliminate(a, q)[1] if first is None else first) != 0:
+    if (fp_det(a, q) if first is None else first) != 0:
         return False
     bound = hadamard_bound(a)
     mod, k = q, 1
     while mod <= 2 * bound:
         k += 1
         q = crt_primes(k)[-1]
-        if fp_eliminate(a, q)[1] != 0:
+        if fp_det(a, q) != 0:
             return False
         mod *= q
     return True

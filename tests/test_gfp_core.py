@@ -1,7 +1,6 @@
 """Exact F_p and integer linear algebra, cross-checked by independent routes."""
 
 import copy
-import itertools
 import math
 import random
 from unittest import mock
@@ -11,7 +10,6 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.polys.matrices import DomainMatrix
 
 from regsing import gfp_core
 from regsing.gfp_core import (
@@ -19,9 +17,7 @@ from regsing.gfp_core import (
     crt_primes,
     det_bareiss,
     fp_det,
-    fp_dets,
     fp_dets_stack,
-    fp_eliminate,
     fused_prime,
     hadamard_bound,
     int_determinant_is_zero,
@@ -29,57 +25,15 @@ from regsing.gfp_core import (
 )
 
 
-def minor_rank_oracle(rows, p):
-    """Largest k with a nonzero k x k minor mod p, by cofactor expansion."""
-
-    def det_rec(sub):
-        k = len(sub)
-        if k == 1:
-            return sub[0][0] % p
-        total = 0
-        for j in range(k):
-            rest = [r[:j] + r[j + 1 :] for r in sub[1:]]
-            term = sub[0][j] * det_rec(rest)
-            total += -term if j % 2 else term
-        return total % p
-
-    n_r, n_c = len(rows), len(rows[0])
-    for k in range(min(n_r, n_c), 0, -1):
-        for ri in itertools.combinations(range(n_r), k):
-            for ci in itertools.combinations(range(n_c), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if det_rec(sub) != 0:
-                    return k
-    return 0
-
-
 def test_identity_rank():
     eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-    assert fp_eliminate(eye, 7)[0] == 5
-    assert fp_det(eye, 7) == 1
+    for p in (2, 7):
+        assert fp_det(eye, p) == 1
 
 
 def test_duplicate_rows_rank():
-    assert fp_eliminate([[1, 1], [1, 1]], 2)[0] == 1
-
-
-def test_rank_against_minor_oracle():
-    m = [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
-    assert fp_eliminate(m, 3)[0] == minor_rank_oracle(m, 3)
-    rnd = random.Random(7)
-    for _ in range(25):
-        rows = [[rnd.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
-        for p in (2, 3, 5):
-            assert fp_eliminate(rows, p)[0] == minor_rank_oracle(rows, p)
-
-
-def test_rank_transpose_invariant():
-    rnd = random.Random(3)
-    for _ in range(20):
-        rows = [[rnd.randrange(-9, 10) for _ in range(4)] for _ in range(3)]
-        cols = [list(c) for c in zip(*rows)]
-        for p in (2, 7):
-            assert fp_eliminate(rows, p)[0] == fp_eliminate(cols, p)[0]
+    for p in (2, 7):
+        assert fp_det([[1, 1], [1, 1]], p) == 0
 
 
 def test_fp_det_matches_bareiss_mod_p():
@@ -133,7 +87,7 @@ def test_big_entry_reduction():
 
 
 def test_empty_and_edge_cases():
-    assert fp_eliminate([], 7)[0] == 0
+    assert fp_det([], 7) == fp_det([], 2) == 1
     assert det_bareiss([]) == sympy.Matrix([]).det() == 1
     assert not int_determinant_is_zero([])
 
@@ -163,14 +117,6 @@ def test_crt_prime_list_deterministic():
     assert fused_prime([2, 3, 5, 7]) == 5
 
 
-def test_elimination_reports_rank_and_det_together():
-    rows = [[1, 2], [2, 4]]
-    rank, det = fp_eliminate(rows, 5)
-    assert rank == 1 and det == 0
-    rank, det = fp_eliminate([[1, 2], [3, 4]], 5)
-    assert rank == 2 and det == (1 * 4 - 2 * 3) % 5
-
-
 PRIMES = st.sampled_from([2, 3, 5, 101, 2**31 - 1])
 
 
@@ -197,21 +143,13 @@ def forms(rows):
     return out
 
 
-def gf_rank(rows, p):
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    dm = DomainMatrix([[sympy.ZZ(x) for x in r] for r in rows], shape, sympy.ZZ)
-    return dm.convert_to(sympy.GF(p)).rank()
-
-
 @settings(max_examples=150, deadline=None)
 @given(rows=int_matrices(), p=PRIMES)
 def test_array_and_list_inputs_agree_with_oracles(rows, p):
     exact = det_bareiss(rows)
     assert exact == sympy.Matrix(rows).det()
-    rank = gf_rank(rows, p)
     for m in forms(rows):
         before = copy.deepcopy(m)
-        assert fp_eliminate(m, p) == (rank, exact % p)
         assert fp_det(m, p) == exact % p
         assert det_bareiss(m) == exact
         assert int_determinant_is_zero(m) == (exact == 0)
@@ -222,10 +160,8 @@ def test_array_and_list_inputs_agree_with_oracles(rows, p):
 @settings(max_examples=60, deadline=None)
 @given(rows=int_matrices(square=False), p=PRIMES)
 def test_non_square_inputs(rows, p):
-    rank = gf_rank(rows, p)
     for m in forms(rows):
         before = copy.deepcopy(m)
-        assert fp_eliminate(m, p) == (rank, 0)
         for fn in (lambda a: fp_det(a, p), det_bareiss, int_determinant_is_zero):
             with pytest.raises(ValueError):
                 fn(m)
@@ -267,8 +203,13 @@ def fused_cases(draw):
     return [[draw(first)] + draw(st.lists(rest, min_size=n - 1, max_size=n - 1)) for _ in range(n)]
 
 
+def eliminate(rows, primes):
+    """The per-matrix kernel's det mod each of primes, from one elimination."""
+    return gfp_core._eliminate(gfp_core._residues(rows, primes), primes)
+
+
 def test_fused_elimination_matches_separate_eliminations():
-    """fp_dets mod 5Q against one elimination per prime, Bareiss and sympy,
+    """_eliminate mod 5Q against fp_det mod each prime, Bareiss and sympy,
     with every D5 branch taken: no split, 5 dropped, Q dropped, true split."""
     seen = set()
 
@@ -278,16 +219,10 @@ def test_fused_elimination_matches_separate_eliminations():
         exact = det_bareiss(rows)
         assert exact == sympy.Matrix(rows).det()
         with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-            got = fp_dets(rows, (5, Q))
-            ranks = gfp_core._eliminate(gfp_core._residues(rows, (5, Q)), (5, Q))
-        assert got == (exact % 5, exact % Q)
-        assert got == (fp_eliminate(rows, 5)[1], fp_eliminate(rows, Q)[1])
+            got = eliminate(rows, (5, Q))
+        assert got == [exact % 5, exact % Q] == [fp_det(rows, 5), fp_det(rows, Q)]
         assert int_determinant_is_zero(rows, got[1]) == (exact == 0)
-        assert fp_dets(rows, (Q, 5)) == got[::-1]
-        for p, (rank, dp) in zip((5, Q), ranks):
-            # a prime dropped as soon as its det is known to be 0 has no rank
-            assert rank is None or rank == gf_rank(rows, p)
-            assert dp == exact % p
+        assert eliminate(rows, (Q, 5)) == got[::-1]
         if not spy.call_count:
             seen.add("none")
         else:
@@ -310,7 +245,7 @@ def three_prime_cases(draw):
 
 
 def test_three_prime_split_finishes_each_survivor_alone():
-    """fp_dets mod 2 * 3 * 5 against one elimination per prime and Bareiss,
+    """_eliminate mod 2 * 3 * 5 against fp_det mod each prime and Bareiss,
     with a split that drops one prime and leaves two survivors."""
     primes = (2, 3, 5)
     seen = set()
@@ -320,13 +255,8 @@ def test_three_prime_split_finishes_each_survivor_alone():
     def check(rows):
         exact = det_bareiss(rows)
         with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-            got = fp_dets(rows, primes)
-            ranks = gfp_core._eliminate(gfp_core._residues(rows, primes), primes)
-        assert got == tuple(exact % p for p in primes)
-        assert got == tuple(fp_eliminate(rows, p)[1] for p in primes)
-        for p, (rank, dp) in zip(primes, ranks):
-            assert rank is None or rank == gf_rank(rows, p)
-            assert dp == exact % p
+            got = eliminate(rows, primes)
+        assert got == [exact % p for p in primes] == [fp_det(rows, p) for p in primes]
         if spy.call_count:
             col = spy.call_args_list[0].args[0][:, 0]
             seen.add(sum(not (col % p).any() for p in primes))
@@ -340,7 +270,7 @@ def test_fused_residue_mod_q_does_not_decide_mod_5():
     # first column all multiples of Q: Q is dropped, and det = -3Q is not 0 mod 5
     rows = [[Q, 1, 0], [2 * Q, 0, 1], [0, 1, 1]]
     assert det_bareiss(rows) == -3 * Q
-    d5, dq = fp_dets(rows, (5, Q))
+    d5, dq = fp_dets_stack(np.array([rows], dtype=np.int64), (5, Q))[0].tolist()
     assert dq == 0 and d5 == (-3 * Q) % 5 != 0
     # handing the zero test a zero first residue does not make det zero
     assert not int_determinant_is_zero(rows, dq)
@@ -352,13 +282,13 @@ def test_listed_primes_beyond_fusion_take_their_own_elimination():
     for p in (7, 101, 2**31 - 1):
         assert fused_prime([p]) is None
         with pytest.raises(ValueError):
-            fp_dets([[1]], (p, Q))
+            fp_dets_stack(np.ones((1, 1, 1), dtype=np.int64), (p, Q))
         for _ in range(10):
             n = rnd.randrange(1, 6)
             rows = [[rnd.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
             assert fp_det(rows, p) == det_bareiss(rows) % p
     with pytest.raises(ValueError):
-        fp_dets([[1]], (5, 5))
+        fp_dets_stack(np.ones((1, 1, 1), dtype=np.int64), (5, 5))
 
 
 @st.composite
@@ -399,8 +329,8 @@ def stacks(draw):
 def test_stacked_elimination_matches_per_matrix(primes):
     """The stacked sweep `_eliminate_stack`, at every stack size from 1, on the
     uint32 residues fp_dets_stack hands it and on int64 residues, against
-    Bareiss and per-matrix fp_dets on every lane, with D5 split lanes and
-    lanes without a split in one stack mod 5Q.  Negative entries become
+    Bareiss on every lane, with D5 split lanes and lanes without a split in
+    one stack mod 5Q.  Negative entries become
     residues up to M - 1, whose products only int64 holds; a lane split mod
     5Q finishes alone mod Q, where a product of uint32 residues would wrap.
     fp_dets_stack on the int64 stack agrees too; mod 2 it runs the
@@ -418,7 +348,7 @@ def test_stacked_elimination_matches_per_matrix(primes):
             assert got.shape == (len(lanes), len(primes))
             for rows, dets in zip(lanes, got.tolist()):
                 exact = det_bareiss(rows)
-                assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+                assert tuple(dets) == tuple(exact % p for p in primes)
         mixed.append(0 < spy.call_count < len(lanes))
         assert np.array_equal(fp_dets_stack(np.array(lanes, dtype=np.int64), primes), got)
 
@@ -434,34 +364,45 @@ def test_stacked_elimination_matches_per_matrix(primes):
 def test_stack_kernel_choice_at_min_stack(primes):
     """fp_dets_stack runs the per-matrix loop below MIN_STACK matrices and the
     stacked sweep from MIN_STACK on, except mod 2 alone, which takes the
-    packed-bit kernel at every stack size; all agree with per-matrix fp_dets
-    and Bareiss, on lanes that include D5 splits mod 5Q."""
+    packed-bit kernel at every stack size; all agree with Bareiss.  The
+    first three lanes are permuted unit upper triangles with a zero column
+    at column 0, mid-sweep or the last column, so each dies exactly there;
+    the others are random and include D5 splits mod 5Q."""
     rnd = random.Random(17)
-    lanes = [
-        [[rnd.choice((0, 1, 2, 5, -5, Q)) for _ in range(6)] for _ in range(6)]
-        for _ in range(gfp_core.MIN_STACK)
+    entries = (0, 1, 2, 5, -5, Q)
+    lanes = []
+    for z in (0, 3, 5):
+        rows = [[int(i == j) if j <= i else rnd.choice(entries) for j in range(6)] for i in range(6)]
+        for row in rows:
+            row[z] = 0
+        rnd.shuffle(rows)
+        lanes.append(rows)
+    lanes += [
+        [[rnd.choice(entries) for _ in range(6)] for _ in range(6)] for _ in range(gfp_core.MIN_STACK)
     ]
     for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
-        with mock.patch.object(
-            gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
-        ) as spy, mock.patch.object(
-            gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
-        ) as packed:
-            got = fp_dets_stack(np.array(lanes[:b], dtype=np.int64), primes)
-        assert packed.called == (primes == (2,))
-        assert spy.called == (b >= gfp_core.MIN_STACK and primes != (2,))
-        assert got.shape == (b, len(primes)) and got.dtype == np.int64
-        for rows, dets in zip(lanes, got.tolist()):
-            exact = det_bareiss(rows)
-            assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+        for part in (lanes[:b], lanes[-b:]):
+            with mock.patch.object(
+                gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
+            ) as spy, mock.patch.object(
+                gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
+            ) as packed:
+                got = fp_dets_stack(np.array(part, dtype=np.int64), primes)
+            assert packed.called == (primes == (2,))
+            assert spy.called == (b >= gfp_core.MIN_STACK and primes != (2,))
+            assert got.shape == (b, len(primes)) and got.dtype == np.int64
+            for rows, dets in zip(part, got.tolist()):
+                exact = det_bareiss(rows)
+                assert tuple(dets) == tuple(exact % p for p in primes)
+    assert [det_bareiss(rows) for rows in lanes[:3]] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
 def test_narrow_and_signed_stacks_match_per_matrix(primes):
     """fp_dets_stack on uint8, uint32, int8 with negative entries and int64
-    stacks, in both kernels, against per-matrix fp_dets and Bareiss: a uint32
-    entry near 2^32 must be reduced mod 5Q before any product, and a
-    negative int8 entry before the stack narrows to uint32."""
+    stacks, in both kernels, against Bareiss: a uint32 entry near 2^32 must
+    be reduced mod 5Q before any product, and a negative int8 entry before
+    the stack narrows to uint32."""
     rnd = random.Random(31)
     for dtype, entries in (
         (np.uint8, (0, 1, 2, 3, 255)),
@@ -478,7 +419,7 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
             assert got.shape == (b, len(primes)) and got.dtype == np.int64
             for rows, dets in zip(lanes, got.tolist()):
                 exact = det_bareiss(rows)
-                assert tuple(dets) == tuple(exact % p for p in primes) == fp_dets(rows, primes)
+                assert tuple(dets) == tuple(exact % p for p in primes)
     for dtype in (np.uint64, np.float64):
         with pytest.raises(ValueError, match="integer stack"):
             fp_dets_stack(np.zeros((4, 2, 2), dtype=dtype), primes)
@@ -487,13 +428,13 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
 @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
 def test_packed_gf2_kernel_at_word_boundaries(n):
     """fp_dets_stack mod 2 alone, on stacks of 1 to 12 lanes at sizes around
-    the 64-bit word boundaries, against per-matrix fp_dets.  Lanes are
-    0/1 patterns written as int8 with negative entries, int64 with negative
-    entries and uint32 near 2^32, each of the pattern's parity.  Nonsingular
-    lanes (a permuted unit upper triangle) need a pivot fix-up in most
-    columns; singular ones die at different columns: a zero column at or
-    around a word boundary, a duplicate row, or a rank-deficient dense
-    pattern."""
+    the 64-bit word boundaries, against the per-matrix loop `_eliminate`
+    mod 2.  Lanes are 0/1 patterns written as int8 with negative entries,
+    int64 with negative entries and uint32 near 2^32, each of the pattern's
+    parity.  Nonsingular lanes (a permuted unit upper triangle) need a pivot
+    fix-up in most columns; singular ones die at different columns: a zero
+    column at or around a word boundary, a duplicate row, or a
+    rank-deficient dense pattern."""
     rng = np.random.default_rng(n)
     patterns = []
     for k in range(12):
@@ -516,7 +457,7 @@ def test_packed_gf2_kernel_at_word_boundaries(n):
         pick = rng.integers(0, 4, (12, n, n))
         lanes = np.where(np.array(patterns) == 1, np.array(odd)[pick], np.array(even)[pick])
         lanes = lanes.astype(dtype)
-        want = [fp_dets(m.astype(np.int64), (2,))[0] for m in lanes]
+        want = [gfp_core._eliminate(m.astype(np.int64) % 2, (2,))[0] for m in lanes]
         assert 0 < sum(want) < 12
         for b in range(1, 13):
             got = fp_dets_stack(lanes[:b], (2,))
