@@ -1,8 +1,8 @@
 """Exact linear algebra over F_p and over the integers.
 
-Input is checked once, by `int_matrix`: a 2-D int64 ndarray is used as it
-is, and other input becomes int64 when its entries fit, an object array
-of Python ints otherwise (reduced mod M before any elimination).
+Input is checked once, by `int_matrix`: a 2-D integer ndarray, or a list
+of rows, whose dtype fits in int64 is used as given, with no copy; floats,
+bools, uint64 and Python ints past int64 raise ValueError.
 
 Every determinant mod p has one contract, `fp_dets_stack`: a stack of B
 square integer matrices in, det mod each of distinct primes out, from one
@@ -12,7 +12,7 @@ one size rule; it also keeps M below 2^32, so a residue fits in uint32.
 `fp_det` is one matrix mod one prime, a stack of one.  Three kernels sit
 behind the contract, picked by the primes and the stack size.
 
-`_eliminate` takes one matrix in int64 residues.  A pivot must be a unit
+`_eliminate` takes one matrix in uint32 residues.  A pivot must be a unit
 mod M, and a column with no nonzero candidate stops the sweep with det 0.
 When the candidates are nonzero but none is a unit, the primes split (D5
 dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985): a
@@ -24,10 +24,10 @@ costs one set of numpy calls for every matrix.  It keeps `_eliminate`'s
 unit pivot, multiplier scaling and hand-over to `_split`; a matrix with no
 nonzero candidate stays in the stack as a dead lane.  Each live matrix
 updates only its own rows with a nonzero entry below the pivot, so the
-arithmetic is the per-matrix loop's and the stack saves only calls.  Its
-stack holds uint32 residues, and every product is formed in int64 through
-int64 multipliers; `_split` hands `_eliminate` an int64 block, because
-NumPy keeps a uint32 array times a Python int in uint32, where it wraps.
+arithmetic is the per-matrix loop's and the stack saves only calls.  Both
+kernels form every product of uint32 residues in int64 through int64
+multipliers, because NumPy keeps a uint32 array times a Python int in
+uint32, where it wraps.
 The stack wins while the calls dominate: per matrix, eliminating d = 3
 adjacency matrices mod 5q took 0.15x the per-matrix time at n = 30 in
 stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
@@ -71,38 +71,24 @@ MatrixLike = Sequence[Sequence[int]]
 MIN_STACK = 4
 
 
-def _as_rows(m: MatrixLike) -> list[list[int]]:
-    rows = [list(map(int, r)) for r in m]
-    if rows:
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
-def _require_square(rows: MatrixLike) -> int:
-    n = len(rows)
-    w = rows.shape[1] if isinstance(rows, np.ndarray) else len(rows[0]) if n else 0
-    if w != n:
-        raise ValueError(f"square matrix required, got {n}x{w}")
-    return n
+def _within_int64(dtype: np.dtype) -> bool:
+    """An integer dtype whose every value fits in int64: np.can_cast(dtype,
+    np.int64) for integer kinds, at about a third of its cost per call."""
+    return dtype.kind == "i" or dtype.kind == "u" and dtype.itemsize < 8
 
 
 def int_matrix(m: MatrixLike) -> np.ndarray:
-    """m as a 2-D array: an int64 ndarray as it is (no copy), other input as
-    int64 where every entry fits and as Python ints (dtype object) if not."""
-    if isinstance(m, np.ndarray) and m.dtype.kind in "iu" and np.can_cast(m.dtype, np.int64):
-        a = m.astype(np.int64, copy=False)
-        if a.ndim != 2:
-            raise ValueError(f"2-D matrix required, got {a.ndim} dimensions")
-        return a
-    rows = _as_rows(m)
-    if not rows:
+    """m as a 2-D integer ndarray, as given (no copy); [] is the 0x0 matrix.
+    Entries must be integers of a dtype within int64: floats, bools, uint64
+    and Python ints past int64 raise ValueError."""
+    if isinstance(m, (list, tuple)) and not m:
         return np.zeros((0, 0), dtype=np.int64)
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
+    a = np.asarray(m)
+    if not _within_int64(a.dtype):
+        raise ValueError(f"integer matrix within int64 required, got dtype {a.dtype}")
+    if a.ndim != 2:
+        raise ValueError(f"2-D matrix required, got {a.ndim} dimensions")
+    return a
 
 
 def _fits_int64(mod: int) -> bool:
@@ -118,11 +104,6 @@ def _modulus(primes: tuple[int, ...]) -> int:
     if len(set(primes)) != len(primes) or not _fits_int64(mod):
         raise ValueError(f"primes {primes} must be distinct with product M, M(M-1) < 2^63")
     return mod
-
-
-def _residues(m: MatrixLike, primes: tuple[int, ...]) -> np.ndarray:
-    """m reduced mod the product of distinct primes, as int64 (always a copy)."""
-    return (int_matrix(m) % _modulus(primes)).astype(np.int64, copy=False)
 
 
 def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int]:
@@ -156,7 +137,7 @@ def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int
         if nz.size > 1:
             # entries stay below M, so f * a[c] + a[rows] <= (M-1)^2 + (M-1) < 2^63
             rows = nz[1:] + c
-            f = a[rows, c] * (mod - pow(pv, -1, mod)) % mod
+            f = a[rows, c].astype(np.int64) * (mod - pow(pv, -1, mod)) % mod
             a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[c, c + 1 :]) % mod
     return [det % p for p in primes]
 
@@ -168,8 +149,7 @@ def _split(block: np.ndarray, primes: tuple[int, ...], det: int) -> list[int]:
     out = []
     for p in primes:
         if (block[:, 0] % p).any():
-            # int64, so that _eliminate's products of residues cannot wrap
-            out.append(_eliminate(block.astype(np.int64) % p, (p,), det % p)[0])
+            out.append(_eliminate(block % p, (p,), det % p)[0])
         else:
             out.append(0)
     return out
@@ -280,10 +260,10 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     Otherwise the residues are a uint32 copy of the stack; an unsigned stack
     is reduced only if its dtype holds M or more.  A stack of MIN_STACK or
     more matrices is eliminated in one sweep mod M, a smaller one matrix by
-    matrix in int64."""
+    matrix."""
     primes = tuple(primes)
     mod = _modulus(primes)
-    if stack.dtype.kind not in "iu" or not np.can_cast(stack.dtype, np.int64):
+    if not _within_int64(stack.dtype):
         raise ValueError(f"integer stack within int64 required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
@@ -295,10 +275,10 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
             np.remainder(a, mod, out=a)
     else:
         # reduced in int64 first: a negative entry would wrap in uint32
-        a = (stack.astype(np.int64, copy=False) % mod).astype(np.uint32)
+        a = np.remainder(stack, mod, dtype=np.int64).astype(np.uint32)
     if len(a) >= MIN_STACK:
         return _eliminate_stack(a, primes)
-    dets = [_eliminate(m.astype(np.int64), primes) for m in a]
+    dets = [_eliminate(m, primes) for m in a]
     return np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
 
 
@@ -311,13 +291,16 @@ def fused_prime(primes: Sequence[int]) -> int | None:
 
 def fp_det(m: MatrixLike, p: int) -> int:
     """det(m) mod the prime p, decided by `fp_dets_stack` as a stack of one."""
-    return int(fp_dets_stack(_residues(m, (p,))[None], (p,))[0, 0])
+    return int(fp_dets_stack(int_matrix(m)[None], (p,))[0, 0])
 
 
 def det_bareiss(m: MatrixLike) -> int:
-    """Exact determinant by fraction-free elimination (all divisions exact)."""
-    a = _as_rows(m)
-    n = _require_square(a)
+    """Exact determinant by fraction-free elimination (all divisions exact),
+    of rows of Python ints of any size: the kernels' independent oracle."""
+    a = [list(map(int, r)) for r in m]
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("square matrix required")
     if n == 0:
         return 1
     sign = 1
@@ -349,10 +332,9 @@ def hadamard_bound(m: MatrixLike) -> int:
     Row sums of squares are taken in int64 where width * max|x|^2 fits,
     in Python ints otherwise; their product is always an exact Python int.
     """
-    a = int_matrix(m)
-    fits = a.dtype != object and (
-        a.size == 0 or a.shape[1] * max(int(a.max()), -int(a.min())) ** 2 < 2**63
-    )
+    # widened first: a narrow dtype would wrap its squares (16^2 is 0 in uint8)
+    a = int_matrix(m).astype(np.int64, copy=False)
+    fits = a.size == 0 or a.shape[1] * max(int(a.max()), -int(a.min())) ** 2 < 2**63
     sq = (a * a).sum(axis=1).tolist() if fits else [sum(x * x for x in r) for r in a.tolist()]
     if 0 in sq:
         return 0
@@ -390,12 +372,13 @@ def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
     residues are taken until their primes' product exceeds twice the
     Hadamard bound, which certifies det == 0.  first, if given, is det(m)
     mod crt_primes(1)[0] (say from `fp_dets_stack`); a nonzero one answers
-    after the shape check alone, without an int64 copy of a narrow array.
-    The bound is computed only after a zero first residue.  Never touches
-    floating point.
+    after the input checks alone, and a narrow array such as a uint8 lane
+    is used as given.  The bound is computed only after a zero first
+    residue.  Never touches floating point, and refuses float input.
     """
-    a = m if first and isinstance(m, np.ndarray) and m.ndim == 2 else int_matrix(m)
-    _require_square(a)
+    a = int_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"square matrix required, got shape {a.shape}")
     q = crt_primes(1)[0]
     if (fp_det(a, q) if first is None else first) != 0:
         return False

@@ -74,9 +74,8 @@ def enumerate_all_configurations(n: int, d: int) -> Iterator[ConfigurationSample
 
 def has_identical_rows(a) -> bool:
     """True iff two rows agree exactly (a structural singularity witness)."""
-    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
-        a = int_matrix(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = int_matrix(a)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    keys = map(tuple, a.tolist()) if a.dtype == object else map(bytes, np.ascontiguousarray(a))
-    return len(set(keys)) < len(a)
+    # rows are keyed by their bytes in the matrix's own dtype
+    return len(set(map(bytes, np.ascontiguousarray(a)))) < len(a)

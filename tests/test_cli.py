@@ -4,12 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import regsing
 from regsing import walk_census
 from regsing.cli import main
 
@@ -24,6 +26,15 @@ def run_cli(argv, env_dir=None, monkeypatch=None):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def child_env():
+    """os.environ with the directory that holds the imported regsing package
+    first on PYTHONPATH, so a child interpreter imports the same package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regsing.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_exact_prints_key_sum(monkeypatch):
@@ -480,6 +491,7 @@ def test_out_naming_a_directory_takes_the_default_file_name(tmp_path, monkeypatc
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, regsing.cli; print('scipy' in sys.modules)"],
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -553,6 +565,7 @@ def test_env_dir_and_report(tmp_path, monkeypatch):
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "regsing.cli", "exact", "--n", "3", "--d", "3", "--p", "2"],
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

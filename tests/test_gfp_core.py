@@ -23,6 +23,7 @@ from regsing.gfp_core import (
     int_determinant_is_zero,
     int_matrix,
 )
+from regsing.graph_model import adjacency_from_permutation, has_identical_rows, sample_configuration
 
 
 def test_identity_rank():
@@ -80,10 +81,14 @@ def test_hadamard_bound_dominates_det():
 
 
 def test_big_entry_reduction():
+    """Entries past int64 have no integer array form: fp_det refuses them,
+    and only the Bareiss oracle takes them."""
     big = 10**30
     rows = [[big + 1, 2], [3, big + 4]]
     for p in (2, 5, 2**31 - 1):
-        assert fp_det(rows, p) == det_bareiss(rows) % p
+        with pytest.raises(ValueError, match="within int64"):
+            fp_det(rows, p)
+    assert det_bareiss(rows) == (big + 1) * (big + 4) - 6
 
 
 def test_empty_and_edge_cases():
@@ -135,10 +140,14 @@ def int_matrices(draw, square=True):
     return rows
 
 
+def fits_int64(rows):
+    return all(-(2**63) <= x < 2**63 for r in rows for x in r)
+
+
 def forms(rows):
     """The list of rows, and its int64 array wherever int64 holds every entry."""
     out = [rows]
-    if all(-(2**63) <= x < 2**63 for r in rows for x in r):
+    if fits_int64(rows):
         out.append(np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0))
     return out
 
@@ -148,6 +157,12 @@ def forms(rows):
 def test_array_and_list_inputs_agree_with_oracles(rows, p):
     exact = det_bareiss(rows)
     assert exact == sympy.Matrix(rows).det()
+    if not fits_int64(rows):
+        # no integer array form: refused everywhere but by the Bareiss oracle
+        for fn in (lambda a: fp_det(a, p), int_determinant_is_zero, hadamard_bound):
+            with pytest.raises(ValueError, match="within int64"):
+                fn(rows)
+        return
     for m in forms(rows):
         before = copy.deepcopy(m)
         assert fp_det(m, p) == exact % p
@@ -169,11 +184,17 @@ def test_non_square_inputs(rows, p):
 
 
 def test_int_matrix_forms():
+    """An integer array within int64 is used as given, in its own dtype; a
+    list of rows becomes int64; anything else is refused."""
     a = np.arange(9, dtype=np.int64).reshape(3, 3)
     assert int_matrix(a) is a
-    assert int_matrix([]).shape == (0, 0)
-    assert int_matrix([[2**70, 1], [0, 1]]).dtype == object
-    assert int_matrix(np.eye(2, dtype=np.int32)).dtype == np.int64
+    for dtype in (np.uint8, np.int32, np.uint32):
+        b = a.astype(dtype)
+        assert int_matrix(b) is b
+    assert int_matrix([]).shape == (0, 0) and int_matrix([]).dtype == np.int64
+    assert int_matrix([[1, -2], [3, 4]]).dtype == np.int64
+    with pytest.raises(ValueError, match="within int64"):
+        int_matrix([[2**70, 1], [0, 1]])
     with pytest.raises(ValueError):
         int_matrix(np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError):
@@ -204,8 +225,9 @@ def fused_cases(draw):
 
 
 def eliminate(rows, primes):
-    """The per-matrix kernel's det mod each of primes, from one elimination."""
-    return gfp_core._eliminate(gfp_core._residues(rows, primes), primes)
+    """The per-matrix kernel's det mod each of primes, from one elimination
+    of the uint32 residues mod their product."""
+    return gfp_core._eliminate((int_matrix(rows) % math.prod(primes)).astype(np.uint32), primes)
 
 
 def test_fused_elimination_matches_separate_eliminations():
@@ -457,7 +479,7 @@ def test_packed_gf2_kernel_at_word_boundaries(n):
         pick = rng.integers(0, 4, (12, n, n))
         lanes = np.where(np.array(patterns) == 1, np.array(odd)[pick], np.array(even)[pick])
         lanes = lanes.astype(dtype)
-        want = [gfp_core._eliminate(m.astype(np.int64) % 2, (2,))[0] for m in lanes]
+        want = [gfp_core._eliminate((m % 2).astype(np.uint32), (2,))[0] for m in lanes]
         assert 0 < sum(want) < 12
         for b in range(1, 13):
             got = fp_dets_stack(lanes[:b], (2,))
@@ -466,12 +488,13 @@ def test_packed_gf2_kernel_at_word_boundaries(n):
 
 
 def test_zero_test_with_a_given_first_residue():
-    """A nonzero first residue answers without the int64 copy of a narrow
-    lane, but the input must still be a square matrix."""
+    """A nonzero first residue answers with no elimination, on the narrow
+    lane as given, but the input must still be a square integer matrix."""
     lane = np.array([[1, 2, 0], [0, 1, 3], [3, 0, 1]], dtype=np.uint8)
     first = int(det_bareiss(lane.tolist())) % Q
     assert first != 0
-    with mock.patch.object(gfp_core, "int_matrix", wraps=gfp_core.int_matrix) as spy:
+    assert int_matrix(lane) is lane
+    with mock.patch.object(gfp_core, "fp_det", wraps=gfp_core.fp_det) as spy:
         assert not int_determinant_is_zero(lane, first)
     assert not spy.called
     assert int_determinant_is_zero(np.array([[1, 2], [1, 2]], dtype=np.uint8), 0)
@@ -484,3 +507,61 @@ def test_zero_test_with_a_given_first_residue():
         for first in (None, 0, 1):
             with pytest.raises(ValueError):
                 int_determinant_is_zero(m, first)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0.5, 0], [0, 1]],
+        np.array([[0.2, 1], [0.7, 1]]),
+        [[True, False], [False, True]],
+        np.eye(2, dtype=bool),
+        np.eye(2, dtype=np.uint64),
+        [[2**63, 0], [0, 1]],
+        [[-1, 2**63], [0, 1]],
+        [[2**70, 1], [2**70, 1]],
+    ],
+    ids=["float-list", "float-array", "bool-list", "bool-array", "uint64", "2^63", "mixed", "2^70"],
+)
+def test_non_integer_and_wide_input_is_refused(m):
+    """Floats, bools, uint64 and Python ints past int64 raise ValueError at
+    every matrix entry point instead of being truncated or wrapped; read as
+    its integer parts, [[0.5, 0], [0, 1]] would look singular and
+    [[0.2, 1], [0.7, 1]] would have identical rows."""
+    for fn in (
+        lambda a: fp_det(a, 5),
+        lambda a: fp_det(a, 2),
+        int_determinant_is_zero,
+        lambda a: int_determinant_is_zero(a, 1),
+        hadamard_bound,
+        has_identical_rows,
+    ):
+        with pytest.raises(ValueError):
+            fn(m)
+
+
+def test_narrow_lanes_match_their_int64_copy():
+    """uint8 lanes whose squares or row sums of squares wrap in uint8 (an
+    entry of 16 or more, such as the d = 17 adjacency [[17]]) give
+    hadamard_bound and the zero test (first residue computed, or given as
+    0) the answers of their int64 copies and of Bareiss."""
+    lanes = [np.array([[16, 0], [0, 16]], dtype=np.uint8), np.array([[16, 32], [16, 32]], dtype=np.uint8)]
+    for n, stream in ((1, 0), (2, 1), (2, 2), (20, 3), (20, 4)):
+        a = adjacency_from_permutation(sample_configuration(n, 17, seed=41, stream=stream))
+        lanes.append(a.astype(np.uint8))
+        if n > 1:
+            a[1] = a[0]
+            lanes.append(a.astype(np.uint8))
+    zeros, wraps = [], []
+    for lane in lanes:
+        wide = lane.astype(np.int64)
+        wraps.append(((lane * lane).sum(axis=1, dtype=np.uint8) != (wide * wide).sum(axis=1)).any())
+        bound = hadamard_bound(lane)
+        assert bound == hadamard_bound(wide) == hadamard_bound(wide.tolist()) > 0
+        exact = det_bareiss(wide.tolist())
+        assert abs(exact) <= bound
+        assert int_determinant_is_zero(lane) == int_determinant_is_zero(wide) == (exact == 0)
+        assert int_determinant_is_zero(lane, 0) == int_determinant_is_zero(wide, 0)
+        zeros.append(exact == 0)
+    assert wraps[:3] == [True, True, True]
+    assert any(zeros) and not all(zeros)
