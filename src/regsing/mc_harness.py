@@ -9,15 +9,17 @@ fixed seed regardless of blocking, scheduling or parallelism.
 
 Trials run in blocks of max(MIN_LANES, STACK_ENTRIES // n^2), so every
 block but a run's last is eliminated in one stacked sweep at every n.
-`run_block` alone decides them: it writes a block's adjacency matrices
-into one stack of the narrowest unsigned dtype that holds d (uint8 for
-d <= 255) and decides every listed prime, and the first CRT prime, with
-one `gfp_core.fp_dets_stack` call per modulus, which picks the
-elimination kernel from the modulus and the stack's size (an unfused
-2 goes to the packed-bit kernel).  The duplicate-row witness and
-the integer zero test run per matrix, on the narrow lanes.  `run_trial`
-is a block of one trial.  A record's elapsed is the block's wall time
-divided by its size: diagnostics only, never in the canonical records.
+`run_block` alone builds and decides them, with no per-trial n x n work
+before the elimination: one `graph_model` call each samples the block's
+permutations, counts their edges into one stack of the narrowest unsigned
+dtype that holds d (uint8 for d <= 255) and runs the duplicate-row witness
+over every lane.  It decides every listed prime, and the first CRT prime,
+with one `gfp_core.fp_dets_stack` call per modulus, which picks the
+elimination kernel from the modulus and the stack's size (an unfused 2
+goes to the packed-bit kernel).  Only the integer zero test runs per
+matrix, on the narrow lanes.  `run_trial` is a block of one trial.  A
+record's elapsed is the block's wall time divided by its size:
+diagnostics only, never in the canonical records.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .common import GuardError, require_coprime_degree, require_degree, require_prime, require_word
 # fp_det is not called here; perfbench/worker.py wraps mc_harness.fp_det by name.
 from .gfp_core import crt_primes, fp_det, fp_dets_stack, fused_prime, int_determinant_is_zero
+from .graph_model import adjacency_stack, identical_rows, sample_permutations
+# Not called here either: perfbench/worker.py wraps these mc_harness attributes
+# by name too, and a block builds its stack with the functions above.
 from .graph_model import adjacency_from_permutation, has_identical_rows, sample_configuration
 
 # Caps n*trials so a typo cannot schedule days of elimination work.
@@ -165,10 +168,8 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     listed prime gets its own `fp_dets_stack`.
     """
     t0 = time.perf_counter()
-    stack = np.empty((len(trials), n, n), dtype=np.min_scalar_type(d))
-    for k, t in enumerate(trials):
-        stack[k] = adjacency_from_permutation(sample_configuration(n, d, seed, stream=t))
-    identical = [has_identical_rows(a) for a in stack]
+    stack = adjacency_stack(sample_permutations(n, d, seed, trials), d)
+    identical = identical_rows(stack)
     fused = fused_prime(primes)
     residue = {p: fp_dets_stack(stack, (p,))[:, 0].tolist() for p in primes if p != fused}
     q = crt_primes(1)[0]

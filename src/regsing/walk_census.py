@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .common import GuardError, require_degree, require_prime
-from .graph_model import ENUMERATION_GUARD, adjacency_from_permutation, enumerate_all_configurations
+from .graph_model import ENUMERATION_GUARD, enumerate_all_configurations
 
 TypeVec = Tuple[int, ...]
 
@@ -276,10 +276,16 @@ def type_class_partition(
 
 @lru_cache(maxsize=None)
 def _adjacency_multiset(n: int, d: int) -> Tuple[Tuple[TypeVec, int], ...]:
-    """(flattened adjacency matrix, multiplicity) over all (nd)! permutations."""
+    """(flattened adjacency matrix, multiplicity) over all (nd)! permutations.
+
+    Each matrix is counted in Python ints, point by point: at n*d <= 10 a
+    numpy call per permutation costs more than the whole count."""
     tally: Dict[TypeVec, int] = {}
     for sample in enumerate_all_configurations(n, d):
-        key = tuple(int(x) for x in adjacency_from_permutation(sample).ravel())
+        flat = [0] * (n * n)
+        for point, image in enumerate(sample.perm.tolist()):
+            flat[point // d * n + image // d] += 1
+        key = tuple(flat)
         tally[key] = tally.get(key, 0) + 1
     return tuple(sorted(tally.items()))
 

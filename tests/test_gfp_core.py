@@ -91,6 +91,44 @@ def test_big_entry_reduction():
     assert det_bareiss(rows) == (big + 1) * (big + 4) - 6
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0.5, 0], [0, 1]],
+        np.array([[0.5, 0], [0, 1]]),
+        np.array([[1.0, 0], [0, 1]]),
+        [[True, False], [False, True]],
+        np.eye(2, dtype=bool),
+        [[1, 2], [3, 4.0]],
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros(3, dtype=np.int64),
+        np.zeros((2, 2, 2), dtype=np.int64),
+        [[1, 2], [3]],
+        [[]],
+    ],
+    ids=[
+        "float-list", "float-array", "whole-float-array", "bool-list", "bool-array", "one-float",
+        "0x3", "2x3", "1-D", "3-D", "ragged", "1x0",
+    ],
+)
+def test_bareiss_refuses_non_integer_and_non_square_input(m):
+    """The oracle checks its own input: a float or bool entry is not read as
+    its integer part ([[0.5, 0], [0, 1]] would have det 0), and a 0x3 array,
+    which has no rows to show its width, is not the empty matrix."""
+    with pytest.raises(ValueError):
+        det_bareiss(m)
+
+
+def test_bareiss_takes_integers_of_every_form():
+    rows = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    for m in (rows, np.array(rows), np.array(rows, dtype=np.int8), [np.array(r) for r in rows]):
+        assert det_bareiss(m) == 4
+    assert det_bareiss(np.array([[3, 1], [1, 3]], dtype=np.uint8)) == 8
+    assert det_bareiss(np.array([[2**70, 1], [1, 1]], dtype=object)) == 2**70 - 1
+    assert det_bareiss(np.zeros((0, 0), dtype=np.int64)) == 1
+
+
 def test_empty_and_edge_cases():
     assert fp_det([], 7) == fp_det([], 2) == 1
     assert det_bareiss([]) == sympy.Matrix([]).det() == 1
@@ -347,6 +385,32 @@ def stacks(draw):
     return lanes
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, Q])
+def test_indivisible_by_matches_remainder(p):
+    """The sweep's multiply-compare unit test agrees with x % p != 0 on
+    random uint32 values and on 0, p, multiples of p, the largest multiple
+    of p below 2^32, the largest residues mod 2Q and 5Q, and 2^32 - 1."""
+    mult, bound = gfp_core._indivisible_by(p)
+    top = (2**32 - 1) // p * p
+    edges = [0, 1, p - 1, p, p + 1, 2 * p, 7 * p, top - 1, top]
+    edges += [2 * Q - 1, 5 * Q - 1, 2**31, 2**32 - 2, 2**32 - 1]
+    rng = np.random.default_rng(p)
+    multiples = rng.integers(0, top // p, size=1000, endpoint=True, dtype=np.uint64) * np.uint64(p)
+    x = np.concatenate(
+        [
+            np.array(edges, dtype=np.uint32),
+            rng.integers(0, 2**32, size=100_000, dtype=np.uint32),
+            multiples.astype(np.uint32),
+            (multiples + np.uint64(1)).astype(np.uint32),
+        ]
+    )
+    assert mult.dtype == np.uint32
+    got = x * mult > bound
+    assert got.dtype == bool
+    assert np.array_equal(got, x % p != 0)
+    assert got.any() and not got.all()
+
+
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
 def test_stacked_elimination_matches_per_matrix(primes):
     """The stacked sweep `_eliminate_stack`, at every stack size from 1, on the
@@ -382,14 +446,16 @@ def test_stacked_elimination_matches_per_matrix(primes):
         fp_dets_stack(np.zeros((3, 3), dtype=np.int64), primes)
 
 
-@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
+@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
 def test_stack_kernel_choice_at_min_stack(primes):
     """fp_dets_stack runs the per-matrix loop below MIN_STACK matrices and the
     stacked sweep from MIN_STACK on, except mod 2 alone, which takes the
     packed-bit kernel at every stack size; all agree with Bareiss.  The
     first three lanes are permuted unit upper triangles with a zero column
     at column 0, mid-sweep or the last column, so each dies exactly there;
-    the others are random and include D5 splits mod 5Q."""
+    the others are random and include D5 splits mod 5Q and mod 2Q.  `mc
+    --p 2` takes the sweep mod 2Q, where the unit test for 2 reads the low
+    bit of a residue."""
     rnd = random.Random(17)
     entries = (0, 1, 2, 5, -5, Q)
     lanes = []
@@ -402,13 +468,14 @@ def test_stack_kernel_choice_at_min_stack(primes):
     lanes += [
         [[rnd.choice(entries) for _ in range(6)] for _ in range(6)] for _ in range(gfp_core.MIN_STACK)
     ]
+    splits = 0
     for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
         for part in (lanes[:b], lanes[-b:]):
             with mock.patch.object(
                 gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
             ) as spy, mock.patch.object(
                 gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
-            ) as packed:
+            ) as packed, mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
                 got = fp_dets_stack(np.array(part, dtype=np.int64), primes)
             assert packed.called == (primes == (2,))
             assert spy.called == (b >= gfp_core.MIN_STACK and primes != (2,))
@@ -416,10 +483,12 @@ def test_stack_kernel_choice_at_min_stack(primes):
             for rows, dets in zip(part, got.tolist()):
                 exact = det_bareiss(rows)
                 assert tuple(dets) == tuple(exact % p for p in primes)
+            splits += split.call_count if spy.called else 0
     assert [det_bareiss(rows) for rows in lanes[:3]] == [0, 0, 0]
+    assert (splits > 0) == (len(primes) > 1)
 
 
-@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
+@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
 def test_narrow_and_signed_stacks_match_per_matrix(primes):
     """fp_dets_stack on uint8, uint32, int8 with negative entries and int64
     stacks, in both kernels, against Bareiss: a uint32 entry near 2^32 must

@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from contextlib import redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from regsing.common import GuardError
 from regsing.graph_model import (
     ConfigurationSample,
     adjacency_from_permutation,
+    adjacency_stack,
     enumerate_all_configurations,
     has_identical_rows,
+    identical_rows,
     philox_generator,
     sample_configuration,
+    sample_permutations,
 )
 
 
@@ -54,6 +58,82 @@ def test_philox_streams_do_not_collide():
         g = philox_generator(seed=9, stream=stream)
         seen.add(tuple(g.integers(0, 2**32, size=4).tolist()))
     assert len(seen) == 50
+
+
+@pytest.mark.parametrize("d", [3, 4, 17])
+def test_block_sampler_rows_match_fresh_generators(d):
+    """Row k of a block is the permutation a fresh philox_generator(seed,
+    streams[k]) draws, for the extreme seeds and streams, unsorted stream
+    lists and a stream read again after the re-keyed generator has served
+    others.  At n = 4 a row takes an odd number of 32-bit draws, so the
+    next row starts from a generator holding a buffered half word."""
+    cases = [
+        (0, [0]),
+        (7, [2**64 - 1, 0, 9, 3]),
+        (2**64 - 1, [12, 2, 2**64 - 1, 2, 0]),
+        (11, range(6)),
+    ]
+    for n in (4, 5):
+        for seed, streams in cases:
+            perms = sample_permutations(n, d, seed, streams)
+            assert perms.shape == (len(streams), n * d) and perms.dtype == np.int64
+            for row, stream in zip(perms, streams):
+                assert np.array_equal(row, philox_generator(seed, stream).permutation(n * d))
+    assert sample_permutations(3, d, 1, []).shape == (0, 3 * d)
+    for bad in (
+        lambda: sample_permutations(3, d, -1, [0]),
+        lambda: sample_permutations(3, d, 2**64, [0]),
+        lambda: sample_permutations(3, d, 0, [0, 2**64]),
+        lambda: sample_permutations(3, d, 0, [-1]),
+        lambda: sample_permutations(0, d, 0, [0]),
+        lambda: sample_permutations(3, 2, 0, [0]),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_adjacency_stack_matches_add_at_reference():
+    """Every lane of an adjacency stack equals the edge counts np.add.at
+    accumulates from its permutation, in the narrowest unsigned dtype that
+    holds d: uint8 up to d = 255 and uint16 at d = 256, whose one-vertex
+    graph has the single entry 256."""
+    for n, d, b in ((1, 3, 2), (6, 3, 9), (5, 4, 7), (3, 17, 4), (2, 255, 3), (1, 256, 2)):
+        perms = sample_permutations(n, d, 13, range(b))
+        stack = adjacency_stack(perms, d)
+        assert stack.shape == (b, n, n)
+        assert stack.dtype == (np.uint8 if d <= 255 else np.uint16)
+        for lane, perm in zip(stack, perms):
+            ref = np.zeros((n, n), dtype=np.int64)
+            np.add.at(ref, (np.arange(n * d) // d, perm // d), 1)
+            assert np.array_equal(lane, ref)
+    assert adjacency_stack(sample_permutations(1, 256, 0, [0]), 256).tolist() == [[[256]]]
+
+
+def test_identical_rows_stack_matches_pairwise_comparison():
+    """identical_rows on whole stacks against brute-force pairwise row
+    comparison: adjacency stacks at n = 1..7, int64 stacks with negative
+    entries and planted duplicate rows, and a non-contiguous stack.  It
+    calls none of numpy's sorting functions."""
+    rnd = np.random.default_rng(3)
+    stacks = [adjacency_stack(sample_permutations(n, 3, 29, range(40)), 3) for n in range(1, 8)]
+    signed = rnd.integers(-2, 2, size=(30, 4, 4))
+    signed[::3, 2] = signed[::3, 0]
+    stacks += [signed, signed.transpose(0, 2, 1), np.zeros((2, 0, 0), dtype=np.uint8)]
+    hits = misses = 0
+    for stack in stacks:
+        with mock.patch.object(np, "sort", side_effect=AssertionError), mock.patch.object(
+            np, "lexsort", side_effect=AssertionError
+        ), mock.patch.object(np, "unique", side_effect=AssertionError):
+            got = identical_rows(stack)
+        n = stack.shape[1]
+        brute = [
+            any(np.array_equal(lane[i], lane[j]) for i in range(n) for j in range(i)) for lane in stack
+        ]
+        assert got == brute
+        assert [has_identical_rows(lane) for lane in stack] == brute
+        hits += sum(brute)
+        misses += len(brute) - sum(brute)
+    assert hits > 0 and misses > 0
 
 
 def test_enumeration_is_exhaustive_and_guarded():

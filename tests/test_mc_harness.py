@@ -1,18 +1,20 @@
 """Monte Carlo harness: reproducibility, invariant chain, intervals."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import math
 from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
 
-from regsing import gfp_core, mc_harness
+from regsing import gfp_core, lclt, mc_harness, rate_ldp, walk_census
 from regsing.cli import main as cli_main
 from regsing.common import GuardError
 from regsing.gfp_core import det_bareiss, fp_det, int_determinant_is_zero
@@ -159,6 +161,30 @@ def test_layer_entry_points_stay_module_attributes():
     mc_harness.check_trial_invariants(rec)
     with pytest.raises(mc_harness.InvariantError):
         mc_harness.check_trial_invariants(replace(rec, det_zero=True))
+
+
+def test_benchmark_tracer_installs_over_the_layer_entry_points(monkeypatch):
+    """perfbench/worker.py's Tracer.install looks every layer entry point up
+    by name and wraps it; it must still find each one (a missing name would
+    crash a --trace 1 run).  A block builds its stack without the sampling,
+    adjacency and witness functions, so a traced run_trial records its own
+    span and, inside it, the zero test's alone."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    mods = {"mc_harness": mc_harness, "walk_census": walk_census, "lclt": lclt, "rate_ldp": rate_ldp}
+    for mod in mods.values():
+        for name, value in list(vars(mod).items()):
+            if callable(value):
+                monkeypatch.setattr(mod, name, value)  # restored after the test
+    tracer = worker.Tracer()
+    tracer.install(mods)
+    rec = mc_harness.run_trial(8, 3, 1, (5,), 0)
+    spans = [(span[0], span[4]) for span in tracer.spans]
+    assert spans == [("mc_harness.run_trial", -1), ("gfp_core.int_determinant_is_zero", 0)]
+    assert canonical([rec]) == canonical([run_trial(8, 3, 1, (5,), 0)])
 
 
 def canonical(records):
