@@ -12,12 +12,17 @@ one size rule; it also keeps M below 2^32, so a residue fits in uint32.
 `fp_det` is one matrix mod one prime, a stack of one.  Three kernels sit
 behind the contract, picked by the primes and the stack size.
 
-`_eliminate` takes one matrix in uint32 residues.  A pivot must be a unit
-mod M, and a column with no nonzero candidate stops the sweep with det 0.
-When the candidates are nonzero but none is a unit, the primes split (D5
-dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985): a
-prime dividing every candidate has det 0 and drops out, and every other
-prime finishes the remaining block alone (`_split`).
+`_eliminate` takes one matrix in uint32 residues and eliminates an int64
+copy of it, so that no row update mixes uint32 and int64.  Per d = 3
+adjacency matrix mod the first CRT prime, over 9 interleaved rounds, that
+took 0.38 against 0.43 ms at n = 30, 10.3 against 11.0 ms at n = 300, 0.54
+against 0.60 ms on the Schur complements (below) of n = 100 and the same
+2.5 ms on those of n = 300.  A pivot must be a unit mod M, and a column
+with no nonzero candidate stops the sweep with det 0.  When the candidates
+are nonzero but none is a unit, the primes split (D5 dynamic evaluation:
+Della Dora, Dicrescenzo and Duval, EUROCAL 1985): a prime dividing every
+candidate has det 0 and drops out, and every other prime finishes the
+remaining block alone (`_split`).
 
 `_eliminate_stack` decides a whole stack in one sweep, so a column step
 costs one set of numpy calls for every matrix.  It keeps `_eliminate`'s
@@ -28,10 +33,10 @@ arithmetic is the per-matrix loop's and the stack saves only calls.  Its
 unit test takes no division: a prime p divides no candidate x exactly when
 x times a constant mod 2^32 exceeds a bound (`_indivisible_by`), one uint32
 multiply and compare per prime, which took 9-11 us per column of a stack
-of 6 at n = 300 mod 5q, against 16.5 us for two remainders.  Both
-kernels form every product of uint32 residues in int64 through int64
-multipliers, because NumPy keeps a uint32 array times a Python int in
-uint32, where it wraps; the unit test wants that wrap.
+of 6 at n = 300 mod 5q, against 16.5 us for two remainders.  It forms
+every product of uint32 residues in int64 through int64 multipliers,
+because NumPy keeps a uint32 array times a Python int in uint32, where it
+wraps; the unit test wants that wrap.
 The stack wins while the calls dominate: per matrix, eliminating d = 3
 adjacency matrices mod 5q took 0.15x the per-matrix time at n = 30 in
 stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
@@ -39,6 +44,31 @@ stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
 0.72x at n = 600 in stacks of 8; at n = 300 stacks of 4 took 0.8x, stacks
 of 3 broke even and stacks of 2 ran 1.25x slower.  So `_eliminate` takes
 the matrices of a stack of fewer than MIN_STACK one at a time.
+
+From n = MIN_SCHUR_N on, and for every M but 2 alone, structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO 1990) first shrinks each matrix
+to a small Schur complement, which the kernels above then eliminate.  One
+structural step (`_schur_step`) picks a set of pivots (P, C) per matrix with
+A[P, C] diagonal and unit (the structural pivots of Faugere and Lachartre,
+PASCO 2010) by one pass over the rows in order, and eliminates them all at
+once: det A = +-prod(D) det(S), with S built from A's nonzeros alone.
+Steps repeat on S, kept as sorted nonzeros, until its density passes
+SCHUR_DENSITY; only the last S is written out as a uint32 stack, padded
+with an identity to the largest lane, so no uint32 or bool copy of the
+whole (B, n, n) stack is made.  For d = 3 adjacency matrices at n = 300
+the steps leave about 172, 116 and 86 rows at densities of 2.6, 6.7 and
+18 %; stopping after two, four or five steps took 4-9 % longer per matrix
+than after three (SCHUR_DENSITY = 0.1), in stacks of 6 mod 5q and alone
+mod q.  Per matrix mod 5q, in stacks of 6, the steps made the elimination
+0.64x as long at n = 300 (3.7 against 5.7 ms: 1.6 ms in the steps, a
+quarter of it the Python pivot pass, and 2.1 ms in the sweep of the
+complement), and alone, mod q, 0.53x (5.6 against 10.5 ms), which is the
+zero test's CRT tail (medians of 5 interleaved rounds).  Against the whole
+sweep, in the stacks a Monte Carlo block holds and over 9 interleaved
+rounds, it took 1.12x at n = 48 (stacks of 28), 1.06x at n = 56 (20),
+0.94x at n = 64 (16), 0.78x at n = 80 (10), 0.68x at n = 100 (6) and 0.64x
+at n = 128 (6), and alone 0.89x at n = 48, 0.82x at n = 64 and 0.65x at
+n = 128: hence MIN_SCHUR_N = 64.
 
 Mod 2 alone, `_eliminate_gf2` runs XOR on rows packed into machine words
 (M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), with no residues, unit
@@ -74,6 +104,12 @@ MatrixLike = Sequence[Sequence[int]]
 
 # Fewest matrices `fp_dets_stack` eliminates in one sweep (see the module docstring).
 MIN_STACK = 4
+# Smallest n at which `fp_dets_stack` first reduces each matrix to the Schur
+# complement of its structural pivots (see the module docstring).
+MIN_SCHUR_N = 64
+# Density of nonzeros past which `fp_dets_stack` takes no further structural
+# step (see the module docstring).
+SCHUR_DENSITY = 0.1
 
 
 def _within_int64(dtype: np.dtype) -> bool:
@@ -113,7 +149,7 @@ def _modulus(primes: tuple[int, ...]) -> int:
 
 def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int]:
     """det * det(a) mod each prime, in the order of primes, for the square
-    residues a mod M = prod(primes), row-reduced in place.
+    residues a mod M = prod(primes), row-reduced in an int64 copy.
 
     A column with no nonzero candidate at or below the diagonal stops the
     sweep with det 0.  A column updates only the rows with a nonzero entry
@@ -122,6 +158,8 @@ def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int
     `_split`, which never happens with one prime.
     """
     mod = math.prod(primes)
+    # one dtype in every row update: uint32 residues would mix with int64 products
+    a = a.astype(np.int64)
     for c in range(len(a)):
         nz = a[c:, c].nonzero()[0]
         if nz.size == 0:
@@ -142,7 +180,7 @@ def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int
         if nz.size > 1:
             # entries stay below M, so f * a[c] + a[rows] <= (M-1)^2 + (M-1) < 2^63
             rows = nz[1:] + c
-            f = a[rows, c].astype(np.int64) * (mod - pow(pv, -1, mod)) % mod
+            f = a[rows, c] * (mod - pow(pv, -1, mod)) % mod
             a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[c, c + 1 :]) % mod
     return [det % p for p in primes]
 
@@ -270,15 +308,161 @@ def _eliminate_gf2(stack: np.ndarray) -> np.ndarray:
     return diag.all(axis=1).astype(np.int64)[:, None]
 
 
+def _structural_pivots(cols: list[int], units: list[bool], bounds: list[int]) -> list[int]:
+    """Indices into cols of one matrix's structural pivots: row r's nonzero
+    columns are cols[bounds[r]:bounds[r + 1]], in increasing order, and
+    units flags the entries that are units mod M.  Rows are taken in order;
+    a row none of whose nonzero columns is a pivot column pivots on its
+    first unit column that no earlier pivot row has a nonzero in.  So each
+    pivot row is zero in every other pivot column, and each pivot column
+    zero in every other pivot row."""
+    pivot_cols: set[int] = set()
+    blocked: set[int] = set()  # the nonzero columns of the pivot rows
+    taken = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = cols[lo:hi]
+        if pivot_cols.isdisjoint(row):
+            for j in range(lo, hi):
+                if units[j] and cols[j] not in blocked:
+                    taken.append(j)
+                    pivot_cols.add(cols[j])
+                    blocked.update(row)
+                    break
+    return taken
+
+
+def _schur_step(
+    lane: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, b: int, m: int, mod: int
+) -> tuple[np.ndarray, ...]:
+    """One structural step on the nonzeros (lane, row, col, val) of a stack of
+    B matrices of at most m rows and columns, sorted by (lane, row, col),
+    with 0 < val < M: the nonzeros of each lane's Schur complement in the
+    same form, each lane's number of pivots, and det(lane) / det(complement)
+    mod M for each lane.  A step whose products would outnumber the entries
+    of a dense S takes no pivots.
+
+    Lane k's pivots (P, C), from `_structural_pivots`, make A = lane k have
+    A[P, C] diagonal with unit entries D, so with the rows and columns that
+    are not pivots, R and K, kept in order, det(A) = eps * prod(D) * det(S)
+    for S = A[R, K] - A[R, C] D^-1 A[P, K].  eps is the sign of the row and
+    column permutations that bring P and C to the front: with P increasing
+    that is the parity of sum(P) + sum(C) + inversions(C), as the pivots'
+    sum(i) cancels in the two.  S comes from A's nonzeros alone: the
+    entries of A[R, K] and, for each nonzero A[r, c] of A[R, C], the
+    products -A[r, c] D_c^-1 A[p, j] over the nonzeros of its pivot row p in
+    K, each reduced mod M, summed per entry of S and reduced again.
+    """
+    # rows and columns numbered across the stack, lane k's from k * m
+    rid, cid = lane * m + row, lane * m + col
+    bounds = np.zeros(b * m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rid, minlength=b * m), out=bounds[1:])
+    bounds = bounds.tolist()
+    cols, units = col.tolist(), (np.gcd(val, mod) == 1).tolist()
+    lanes = [_structural_pivots(cols, units, bounds[k * m : (k + 1) * m + 1]) for k in range(b)]
+    count = np.array([len(pivots) for pivots in lanes], dtype=np.int64)
+    taken = np.array([j for pivots in lanes for j in pivots], dtype=np.int64)
+    pk, pr, pc, dv = lane[taken], row[taken], col[taken], val[taken].tolist()
+    # the sign: sum(P) + sum(C) per lane, then the inversions of C, whose
+    # lane k sits in row k of pivot_cols, padded past its end with m
+    flips = np.zeros(b, dtype=np.int64)
+    np.add.at(flips, pk, pr + pc)
+    ends = np.cumsum(count)
+    most = int(count.max(initial=0))
+    pivot_cols = np.full((b, most), m, dtype=np.int64)
+    pivot_cols[pk, np.arange(len(taken)) - np.repeat(ends - count, count)] = pc
+    later = ~np.tri(most, dtype=bool)
+    inversions = (pivot_cols[:, :, None] > pivot_cols[:, None, :]) & later
+    flips += np.count_nonzero(inversions, axis=(1, 2))
+    ends = ends.tolist()
+    scale = np.array([math.prod(dv[lo:hi]) % mod for lo, hi in zip([0] + ends, ends)], dtype=np.int64)
+    scale[flips % 2 == 1] = mod - scale[flips % 2 == 1]
+    inv = {x: pow(x, -1, mod) for x in set(dv)}
+    neg_inv = np.array([mod - inv[x] for x in dv], dtype=np.int64)
+    # each pivot's number at its row and at its column, -1 elsewhere
+    pivot_of_row = np.full(b * m, -1, dtype=np.int64)
+    pivot_of_col = np.full(b * m, -1, dtype=np.int64)
+    pivot_of_row[rid[taken]] = pivot_of_col[cid[taken]] = np.arange(len(taken))
+    # where the rows of R and the columns of K land in S, whose lane k, row r,
+    # column c is (k * m + r) * m + c
+    row_at = np.cumsum((pivot_of_row < 0).reshape(b, m), axis=1) - 1
+    row_at = (row_at + np.arange(0, b * m, m)[:, None]).reshape(-1) * m
+    col_at = (np.cumsum((pivot_of_col < 0).reshape(b, m), axis=1) - 1).reshape(-1)
+    row_piv, col_piv = pivot_of_row[rid], pivot_of_col[cid]
+    kept = row_piv < 0
+    entry = kept & (col_piv < 0)
+    at = [row_at[rid[entry]] + col_at[cid[entry]]]
+    add = [val[entry]]
+    # the rows of A[P, K]: one pivot's entries adjacent, pivots in order
+    upper = ~kept & (col_piv < 0)
+    u_col, u_val = col_at[cid[upper]], val[upper]
+    u_count = np.bincount(row_piv[upper], minlength=len(taken))
+    u_start = np.cumsum(u_count) - u_count
+    # each nonzero of A[R, C] times each entry of its pivot row
+    term = kept & (col_piv >= 0)
+    t_piv = col_piv[term]
+    n_prod = u_count[t_piv]
+    if n_prod.sum() > b * m * m:
+        # more products than S has entries (dense rows in both A[R, C] and
+        # A[P, K]): no step, the kernels take the matrices as they are
+        return lane, row, col, val, np.zeros(b, dtype=np.int64), np.ones(b, dtype=np.int64)
+    t_f = _reduce(val[term] * neg_inv[t_piv], mod)
+    which = np.repeat(np.arange(len(t_piv)), n_prod)
+    u = np.repeat(u_start[t_piv] - (np.cumsum(n_prod) - n_prod), n_prod) + np.arange(len(which))
+    at.append(row_at[rid[term]][which] + u_col[u])
+    add.append(_reduce(t_f[which] * u_val[u], mod))
+    at, add = np.concatenate(at), np.concatenate(add)
+    order = np.argsort(at)
+    at = at[order]
+    first = np.flatnonzero(np.diff(at, prepend=-1))
+    # each sum holds at most m + 1 residues below M < 2^32
+    add = _reduce(np.add.reduceat(add[order], first), mod)
+    nonzero = add != 0
+    lane, at = np.divmod(at[first][nonzero], m * m)
+    row, col = np.divmod(at, m)
+    return lane, row, col, add[nonzero], count, scale
+
+
+def _schur_complement(res: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, scale) for a stack res of residues mod M of shape (B, n, n), which
+    is only read: lane k of the uint32 stack s of shape (B, m, m) is what
+    structural steps (`_schur_step`) leave of res[k], padded with an
+    identity up to m, and det(res[k]) = scale[k] * det(s[k]) mod M.  Steps
+    go on while the complements hold at most SCHUR_DENSITY of nonzeros."""
+    b, n, _ = res.shape
+    flat = res.reshape(-1)
+    # a 1-D nonzero runs at about twice the speed of a 3-D one
+    at = np.flatnonzero(flat)
+    val = flat[at].astype(np.int64)
+    lane, at = np.divmod(at, n * n)
+    row, col = np.divmod(at, n)
+    sizes = np.full(b, n, dtype=np.int64)
+    scale = np.ones(b, dtype=np.int64)
+    m = n
+    while m:
+        lane, row, col, val, count, step = _schur_step(lane, row, col, val, b, m, mod)
+        scale = scale * step % mod
+        sizes -= count
+        m = int(sizes.max(initial=0))
+        if len(val) > SCHUR_DENSITY * int((sizes * sizes).sum()) or not count.any():
+            break
+    s = np.zeros((b, m, m), dtype=np.uint32)
+    i = np.arange(m)
+    s[:, i, i] = i >= sizes[:, None]
+    s[lane, row, col] = val
+    return s, scale
+
+
 def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """det mod each of distinct primes of every matrix in an integer array of
     shape (B, n, n), as a (B, len(primes)) int64 array, from one elimination
     mod their product M, with M(M-1) < 2^63.  Mod 2 alone, a stack of any
     size is decided on its rows packed into 64-bit words (`_eliminate_gf2`).
-    Otherwise the residues are a uint32 copy of the stack; an unsigned stack
-    is reduced only if its dtype holds M or more.  A stack of MIN_STACK or
-    more matrices is eliminated in one sweep mod M, a smaller one matrix by
-    matrix."""
+    Otherwise the stack is reduced to residues mod M, which an unsigned stack
+    whose dtype holds no M already is.  From n = MIN_SCHUR_N on, the
+    residues become the Schur complements of their structural pivots
+    (`_schur_complement`), else a uint32 copy of them.  A stack of MIN_STACK
+    or more matrices is eliminated in one sweep mod M, a smaller one matrix
+    by matrix."""
     primes = tuple(primes)
     mod = _modulus(primes)
     if not _within_int64(stack.dtype):
@@ -287,17 +471,27 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
     if mod == 2:
         return _eliminate_gf2(stack)
-    if stack.dtype.kind == "u":
-        a = stack.astype(np.uint32)
-        if np.iinfo(stack.dtype).max >= mod:
-            np.remainder(a, mod, out=a)
-    else:
+    if stack.dtype.kind != "u":
         # reduced in int64 first: a negative entry would wrap in uint32
-        a = np.remainder(stack, mod, dtype=np.int64).astype(np.uint32)
+        res = np.remainder(stack, mod, dtype=np.int64).astype(np.uint32)
+    elif np.iinfo(stack.dtype).max >= mod:
+        res = stack % mod
+    else:
+        res = stack
+    if stack.shape[1] >= MIN_SCHUR_N:
+        a, scale = _schur_complement(res, mod)
+    else:
+        # the kernels row-reduce in place, never in the caller's stack
+        a, scale = res.astype(np.uint32, copy=res is stack), None
     if len(a) >= MIN_STACK:
-        return _eliminate_stack(a, primes)
-    dets = [_eliminate(m, primes) for m in a]
-    return np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
+        dets = _eliminate_stack(a, primes)
+    else:
+        dets = [_eliminate(m, primes) for m in a]
+        dets = np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
+    if scale is not None:
+        p = np.array(primes)
+        dets = dets * (scale[:, None] % p) % p
+    return dets
 
 
 def fused_prime(primes: Sequence[int]) -> int | None:
@@ -360,10 +554,15 @@ def hadamard_bound(m: MatrixLike) -> int:
     Row sums of squares are taken in int64 where width * max|x|^2 fits,
     in Python ints otherwise; their product is always an exact Python int.
     """
-    # widened first: a narrow dtype would wrap its squares (16^2 is 0 in uint8)
-    a = int_matrix(m).astype(np.int64, copy=False)
+    a = int_matrix(m)
     fits = a.size == 0 or a.shape[1] * max(int(a.max()), -int(a.min())) ** 2 < 2**63
-    sq = (a * a).sum(axis=1).tolist() if fits else [sum(x * x for x in r) for r in a.tolist()]
+    if fits:
+        # cast in einsum's buffers: a narrow dtype would wrap its squares (16^2
+        # is 0 in uint8), and an int64 copy of a 300 x 300 lane set the peak
+        # memory of a Monte Carlo run at n = 300
+        sq = np.einsum("ij,ij->i", a, a, dtype=np.int64).tolist()
+    else:
+        sq = [sum(x * x for x in r) for r in a.tolist()]
     if 0 in sq:
         return 0
     return math.isqrt(math.prod(sq)) + 1

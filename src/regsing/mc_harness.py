@@ -16,10 +16,11 @@ dtype that holds d (uint8 for d <= 255) and runs the duplicate-row witness
 over every lane.  It decides every listed prime, and the first CRT prime,
 with one `gfp_core.fp_dets_stack` call per modulus, which picks the
 elimination kernel from the modulus and the stack's size (an unfused 2
-goes to the packed-bit kernel).  Only the integer zero test runs per
-matrix, on the narrow lanes.  `run_trial` is a block of one trial.  A
-record's elapsed is the block's wall time divided by its size:
-diagnostics only, never in the canonical records.
+goes to the packed-bit kernel) and, from n = 64 on, first shrinks each
+matrix to the Schur complement of its structural pivots.  Only the
+integer zero test runs per matrix, on the narrow lanes.  `run_trial` is a
+block of one trial.  A record's elapsed is the block's wall time divided
+by its size: diagnostics only, never in the canonical records.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ WILSON_Z = 1.96
 # 2^17 raised peak memory by 1.1 MB over 2^16 for little or no gain.
 STACK_ENTRIES = 2**16
 # Fewest trials in a block, which holds from n = 105 up.  At n = 300 a
-# block of 6 holds 0.5 MB of uint8 adjacency and, while it is eliminated,
-# 2.2 MB of uint32 residues.  The benchmark's mc-n300 job (200 trials,
-# p = 5) took 1.35-1.79 CPU s in blocks of 6 and 1.15-1.58 s in blocks of
-# 8 over five seeds, but blocks of 8 put peak memory 1.0-1.5 MB higher.
+# block of 6 holds 0.5 MB of uint8 adjacency; its elimination mod 5q holds
+# no uint32 copy of it, only the Schur complements of its structural
+# pivots (`gfp_core`), 85-91 rows each, at most 0.2 MB of uint32 residues.
+# Before those, the benchmark's mc-n300 job (200 trials, p = 5) took
+# 1.35-1.79 CPU s in blocks of 6 and 1.15-1.58 s in blocks of 8 over five
+# seeds, but blocks of 8 put peak memory 1.0-1.5 MB higher.
 MIN_LANES = 6
 
 

@@ -23,7 +23,13 @@ from regsing.gfp_core import (
     int_determinant_is_zero,
     int_matrix,
 )
-from regsing.graph_model import adjacency_from_permutation, has_identical_rows, sample_configuration
+from regsing.graph_model import (
+    adjacency_from_permutation,
+    adjacency_stack,
+    has_identical_rows,
+    sample_configuration,
+    sample_permutations,
+)
 
 
 def test_identity_rank():
@@ -634,3 +640,148 @@ def test_narrow_lanes_match_their_int64_copy():
         zeros.append(exact == 0)
     assert wraps[:3] == [True, True, True]
     assert any(zeros) and not all(zeros)
+
+
+RULE = gfp_core.MIN_SCHUR_N
+# (moduli, degree): 2Q, 3Q and 2 * 3 * 5 make the adjacency entries 2, 3 or 4
+# non-units, so pivots skip them and D5 splits follow in the complement
+SCHUR_CASES = [((5, Q), 3), ((3, Q), 4), ((2, Q), 5), ((2, 3, 5), 4), ((7,), 3), ((Q,), 5)]
+
+
+def adjacency_lanes(n, d, seed, b):
+    """b adjacency matrices of d-regular digraphs on n vertices as a uint8
+    stack; lane 1 gets two identical rows, so it has det 0."""
+    stack = adjacency_stack(sample_permutations(n, d, seed, range(b)), d)
+    if b > 1:
+        stack[1, n // 2] = stack[1, 3]
+    return stack
+
+
+def recording(name):
+    """A patch of gfp_core.name that records every (args, result)."""
+    calls = []
+    real = getattr(gfp_core, name)
+
+    def record(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    return mock.patch.object(gfp_core, name, side_effect=record), calls
+
+
+def without_step(stack, primes):
+    """fp_dets_stack with the size rule past n: the kernels on the whole stack."""
+    with mock.patch.object(gfp_core, "MIN_SCHUR_N", stack.shape[1] + 1):
+        return fp_dets_stack(stack, primes)
+
+
+def test_schur_step_matches_bareiss_at_the_size_rule():
+    """At n = MIN_SCHUR_N the structural step and the complement's
+    elimination give every adjacency lane's det mod each prime as Bareiss
+    does: a lane with identical rows (det 0), lanes whose pivot columns do
+    not increase, so the sign counts their inversions, and a weighted
+    permutation matrix whose rows are all pivots, so no complement is left
+    and det is the sign and the pivots' product alone."""
+    stack = adjacency_lanes(RULE, 3, 5, gfp_core.MIN_STACK)
+    rng = np.random.default_rng(5)
+    weighted = np.zeros((1, RULE, RULE), dtype=np.int64)
+    weighted[0, np.arange(RULE), rng.permutation(RULE)] = rng.choice([1, 2, 3, -4, 6, 7], RULE)
+    exact = [det_bareiss(m) for m in stack] + [det_bareiss(weighted[0])]
+    assert exact[1] == 0 and exact[0] != 0
+    for primes in ((5, Q), (2, 3, 5), (7,), (Q,)):
+        patch, calls = recording("_structural_pivots")
+        with patch:
+            got = fp_dets_stack(stack, primes).tolist() + fp_dets_stack(weighted, primes).tolist()
+        assert got == [[x % p for p in primes] for x in exact]
+        pivot_cols = [[args[0][j] for j in out] for args, out in calls]
+        assert any(cols != sorted(cols) for cols in pivot_cols)
+        if primes == (Q,):
+            assert len(pivot_cols[-1]) == RULE
+
+
+@pytest.mark.parametrize("n", [RULE - 1, RULE, RULE + 1, 160, 300])
+def test_schur_step_matches_the_whole_sweep(n):
+    """For d-regular adjacency stacks of 1, MIN_STACK - 1, MIN_STACK and 6
+    matrices, fp_dets_stack with the structural step (from n = MIN_SCHUR_N)
+    equals the kernels on the whole stack, mod 5Q, 3Q, 2Q, 2 * 3 * 5, 7 and
+    Q, with a lane of identical rows; mod 2 * 3 * 5 the complement takes the
+    D5 split."""
+    for primes, d in SCHUR_CASES:
+        stack = adjacency_lanes(n, d, n + d, 6)
+        for b in (1, gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK, 6):
+            want = without_step(stack[:b], primes)
+            with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
+                got = fp_dets_stack(stack[:b], primes)
+            assert got.shape == (b, len(primes)) and got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert not got[1:2].any()
+            if primes == (2, 3, 5) and n >= RULE:
+                assert split.called
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint32])
+def test_schur_step_on_dense_and_wide_stacks(dtype):
+    """Dense stacks at n = MIN_SCHUR_N + 1, where few structural pivots
+    exist: int64 and int8 with negative entries, reduced in int64 first, and
+    uint32 entries near 2^32, reduced in their own dtype; each lane equals
+    the kernels on the whole stack, and one lane equals Bareiss."""
+    n = RULE + 1
+    rng = np.random.default_rng(n)
+    entries = {
+        np.int64: [-(2**40), -Q, -5, -1, 0, 0, 1, 2, 5, Q],
+        np.int8: [-128, -5, -1, 0, 0, 1, 3, 127],
+        np.uint32: [0, 0, 1, 3, Q, 2**32 - 5, 2**32 - 1],
+    }[dtype]
+    stack = np.array(entries, dtype=dtype)[rng.integers(0, len(entries), (gfp_core.MIN_STACK, n, n))]
+    exact = det_bareiss(stack[0])
+    for primes in ((5, Q), (2, Q), (7,), (Q,)):
+        for b in (1, gfp_core.MIN_STACK):
+            got = fp_dets_stack(stack[:b], primes)
+            assert np.array_equal(got, without_step(stack[:b], primes))
+            assert got[0].tolist() == [exact % p for p in primes]
+
+
+def test_schur_step_with_dense_pivot_rows_and_columns_takes_no_pivots():
+    """[[D, X], [Y, Z]] with a diagonal D and dense X and Y has structural
+    pivots in every row of D, but their Schur complement would take more
+    products than it has entries: the step takes none, the kernels get the
+    whole matrices, and the dets still equal the kernels' and Bareiss's."""
+    n, k = RULE + 1, RULE // 2
+    rng = np.random.default_rng(k)
+    stack = rng.integers(1, 6, (gfp_core.MIN_STACK, n, n))
+    stack[:, :k, :k] = 0
+    stack[:, np.arange(k), np.arange(k)] = rng.choice([1, 2, -3], (gfp_core.MIN_STACK, k))
+    exact = det_bareiss(stack[0])
+    for primes in ((5, Q), (Q,)):
+        with mock.patch.object(gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack) as sweep:
+            got = fp_dets_stack(stack, primes)
+        assert sweep.call_args.args[0].shape == stack.shape
+        assert np.array_equal(got, without_step(stack, primes))
+        assert got[0].tolist() == [exact % p for p in primes]
+
+
+@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
+def test_schur_step_choice_at_min_schur_n(primes):
+    """fp_dets_stack takes the structural step from n = MIN_SCHUR_N on, for
+    every modulus but 2 alone, before the stacked sweep and before the
+    per-matrix loop alike; the complement reaches the kernel the stack size
+    picks, and the dets equal the kernels' on the whole stack."""
+    for n in (RULE - 1, RULE):
+        stack = adjacency_lanes(n, 3, 9, gfp_core.MIN_STACK)
+        for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
+            with mock.patch.object(
+                gfp_core, "_schur_complement", wraps=gfp_core._schur_complement
+            ) as step, mock.patch.object(
+                gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
+            ) as sweep, mock.patch.object(gfp_core, "_eliminate", wraps=gfp_core._eliminate) as loop:
+                got = fp_dets_stack(stack[:b], primes)
+            assert step.called == (n >= RULE and primes != (2,))
+            assert sweep.called == (b >= gfp_core.MIN_STACK and primes != (2,))
+            # the sweep's D5 split may call the per-matrix loop too
+            assert (loop.called and not sweep.called) == (b < gfp_core.MIN_STACK and primes != (2,))
+            if primes != (2,):
+                kernel = sweep if sweep.called else loop
+                assert (kernel.call_args_list[0].args[0].shape[-1] < n) == step.called
+            if n >= RULE:
+                assert np.array_equal(got, without_step(stack[:b], primes))
