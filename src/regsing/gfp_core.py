@@ -10,40 +10,50 @@ elimination mod their product M.  A row update adds a residue to a product
 of two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
 one size rule; it also keeps M below 2^32, so a residue fits in uint32.
 `fp_det` is one matrix mod one prime, a stack of one.  Three kernels sit
-behind the contract, picked by the primes and the stack size.
+behind the contract, picked by what is asked: mod 2 alone the packed-bit
+kernel at every stack size; otherwise the per-matrix loop for a lone
+matrix, once per prime, and the stacked sweep for a stack of two or more.
 
-`_eliminate` takes one matrix in uint32 residues and eliminates an int64
-copy of it, so that no row update mixes uint32 and int64.  Per d = 3
-adjacency matrix mod the first CRT prime, over 9 interleaved rounds, that
-took 0.38 against 0.43 ms at n = 30, 10.3 against 11.0 ms at n = 300, 0.54
-against 0.60 ms on the Schur complements (below) of n = 100 and the same
-2.5 ms on those of n = 300.  A pivot must be a unit mod M, and a column
-with no nonzero candidate stops the sweep with det 0.  When the candidates
-are nonzero but none is a unit, the primes split (D5 dynamic evaluation:
-Della Dora, Dicrescenzo and Duval, EUROCAL 1985): a prime dividing every
-candidate has det 0 and drops out, and every other prime finishes the
-remaining block alone (`_split`).
+`_eliminate` is one matrix mod one prime: it takes uint32 residues and
+eliminates an int64 copy of them, so that no row update mixes uint32 and
+int64.  Per d = 3 adjacency matrix mod the first CRT prime, over 9
+interleaved rounds, that took 0.38 against 0.43 ms at n = 30, 10.3 against
+11.0 ms at n = 300, 0.54 against 0.60 ms on the Schur complements (below)
+of n = 100 and the same 2.5 ms on those of n = 300.  Every nonzero residue
+is a unit mod a prime, so the pivot is the first nonzero candidate, and a
+column with none stops the sweep with det 0.
 
-`_eliminate_stack` decides a whole stack in one sweep, so a column step
-costs one set of numpy calls for every matrix.  It keeps `_eliminate`'s
-unit pivot, multiplier scaling and hand-over to `_split`; a matrix with no
-nonzero candidate stays in the stack as a dead lane.  Each live matrix
-updates only its own rows with a nonzero entry below the pivot, so the
-arithmetic is the per-matrix loop's and the stack saves only calls.  Its
-unit test takes no division: a prime p divides no candidate x exactly when
-x times a constant mod 2^32 exceeds a bound (`_indivisible_by`), one uint32
-multiply and compare per prime, which took 9-11 us per column of a stack
-of 6 at n = 300 mod 5q, against 16.5 us for two remainders.  It forms
-every product of uint32 residues in int64 through int64 multipliers,
-because NumPy keeps a uint32 array times a Python int in uint32, where it
-wraps; the unit test wants that wrap.
+`_eliminate_stack` decides a whole stack in one sweep mod M, so a column
+step costs one set of numpy calls for every matrix.  A pivot must be a
+unit mod M, the first at or below the diagonal, and a matrix with no
+nonzero candidate has det 0 and stays in the stack as a dead lane.  When
+a matrix's candidates are nonzero but none is a unit, the primes split
+(D5 dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985):
+every prime finishes the remaining block alone in `_eliminate`, where one
+dividing every candidate has det 0 at once (`_split`), and the lane is
+dead too.  Each live matrix updates only its own rows with a nonzero
+entry below the pivot, scaling the multipliers rather than the pivot row,
+so the arithmetic is the per-matrix loop's and the stack saves only
+calls.  Its unit test takes no division: a prime p divides no candidate x
+exactly when x times a constant mod 2^32 exceeds a bound
+(`_indivisible_by`), one uint32 multiply and compare per prime, which
+took 9-11 us per column of a stack of 6 at n = 300 mod 5q, against 16.5
+us for two remainders.  It forms every product of uint32 residues in
+int64 through int64 multipliers, because NumPy keeps a uint32 array times
+a Python int in uint32, where it wraps; the unit test wants that wrap.
 The stack wins while the calls dominate: per matrix, eliminating d = 3
 adjacency matrices mod 5q took 0.15x the per-matrix time at n = 30 in
 stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
 0.63x at n = 300 in stacks of 8, 0.62x at n = 300 in stacks of 6 and
-0.72x at n = 600 in stacks of 8; at n = 300 stacks of 4 took 0.8x, stacks
-of 3 broke even and stacks of 2 ran 1.25x slower.  So `_eliminate` takes
-the matrices of a stack of fewer than MIN_STACK one at a time.
+0.72x at n = 600 in stacks of 8 (whole matrices, before the structural
+step below).  On what a Monte Carlo block hands it (whole lanes at n = 30,
+Schur complements at n = 100 and 300), stacks of 2 took 1.63x, 1.57x and
+1.09x the time of matrix by matrix, and stacks of 3 1.19x, 1.04x and
+0.87x.  Only a run's last block is that small (the block of 2 that ends
+200 trials at n = 300 costs about 0.4 ms more), so the sweep takes every
+stack of two or more.  A lone matrix took 1.6-3.1x the per-matrix loop's
+time in the sweep, at those sizes mod 5q and mod q, so the loop keeps it;
+the zero test's CRT tail is such a matrix.
 
 From n = MIN_SCHUR_N on, and for every M but 2 alone, structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990) first shrinks each matrix
@@ -102,8 +112,6 @@ from .common import is_prime, require_prime
 
 MatrixLike = Sequence[Sequence[int]]
 
-# Fewest matrices `fp_dets_stack` eliminates in one sweep (see the module docstring).
-MIN_STACK = 4
 # Smallest n at which `fp_dets_stack` first reduces each matrix to the Schur
 # complement of its structural pivots (see the module docstring).
 MIN_SCHUR_N = 64
@@ -147,55 +155,42 @@ def _modulus(primes: tuple[int, ...]) -> int:
     return mod
 
 
-def _eliminate(a: np.ndarray, primes: tuple[int, ...], det: int = 1) -> list[int]:
-    """det * det(a) mod each prime, in the order of primes, for the square
-    residues a mod M = prod(primes), row-reduced in an int64 copy.
+def _eliminate(a: np.ndarray, p: int) -> int:
+    """det(a) mod the prime p for the square residues a mod p, row-reduced in
+    an int64 copy.
 
-    A column with no nonzero candidate at or below the diagonal stops the
+    Every nonzero residue is a unit mod p, so the pivot is the first nonzero
+    candidate at or below the diagonal, and a column with none stops the
     sweep with det 0.  A column updates only the rows with a nonzero entry
     below its pivot, scaling the multipliers rather than the pivot row;
-    columns left of it go stale.  A column with no unit pivot hands over to
-    `_split`, which never happens with one prime.
+    columns left of it go stale.
     """
-    mod = math.prod(primes)
     # one dtype in every row update: uint32 residues would mix with int64 products
     a = a.astype(np.int64)
+    det = 1
     for c in range(len(a)):
         nz = a[c:, c].nonzero()[0]
         if nz.size == 0:
-            return [0] * len(primes)
+            return 0
         piv = c + int(nz[0])
-        if math.gcd(int(a[piv, c]), mod) != 1:
-            units = nz[np.gcd(a[c + nz, c], mod) == 1]
-            if units.size == 0:
-                return _split(a[c:, c:], primes, det)
-            piv = c + int(units[0])
         if piv != c:
             a[c, c:], a[piv, c:] = a[piv, c:].copy(), a[c, c:].copy()
             det = -det
-            if piv != c + nz[0]:
-                nz = a[c:, c].nonzero()[0]
         pv = int(a[c, c])
-        det = det * pv % mod
+        det = det * pv % p
         if nz.size > 1:
-            # entries stay below M, so f * a[c] + a[rows] <= (M-1)^2 + (M-1) < 2^63
+            # entries stay below p, so f * a[c] + a[rows] <= (p-1)^2 + (p-1) < 2^63
             rows = nz[1:] + c
-            f = a[rows, c] * (mod - pow(pv, -1, mod)) % mod
-            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[c, c + 1 :]) % mod
-    return [det % p for p in primes]
+            f = a[rows, c] * (p - pow(pv, -1, p)) % p
+            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[c, c + 1 :]) % p
+    return det
 
 
 def _split(block: np.ndarray, primes: tuple[int, ...], det: int) -> list[int]:
-    """_eliminate's result once no entry of block's first column is a unit
-    mod M (the D5 split).  A prime dividing the whole column has det 0;
-    every other prime finishes block alone."""
-    out = []
-    for p in primes:
-        if (block[:, 0] % p).any():
-            out.append(_eliminate(block % p, (p,), det % p)[0])
-        else:
-            out.append(0)
-    return out
+    """det * det(block) mod each prime once no entry of block's first column
+    is a unit mod M (the D5 split): each prime finishes block alone, and one
+    dividing the whole column gets det 0 from `_eliminate` at once."""
+    return [det * _eliminate(block % p, p) % p for p in primes]
 
 
 def _reduce(x: np.ndarray, mod: int) -> np.ndarray:
@@ -220,14 +215,15 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     M = prod(primes) of shape (B, n, n) (uint32 from `fp_dets_stack`),
     row-reduced in place; returns a (B, len(primes)) int64 array.
 
-    `_eliminate`'s rules, one column at a time for the whole stack: the pivot
-    is the first unit at or below the diagonal (tested on the column read as
-    uint32, a copy only for residues of another dtype), multipliers are scaled, and
+    One column at a time for the whole stack: the pivot is the first unit
+    mod M at or below the diagonal (tested on the column read as uint32, a
+    copy only for residues of another dtype), multipliers are scaled, and
     each live matrix updates only its own rows with a nonzero entry below
     the pivot, taken as (matrix, row) pairs.  A matrix with no nonzero
     candidate has det 0 and stays in the stack as a dead lane that is no
-    longer updated; one whose candidates are nonzero but none a unit hands
-    its block to `_split` and is then dead too.
+    longer updated.  One whose candidates are nonzero but none a unit takes
+    the D5 split: its block goes to `_split`, which finishes it mod each
+    prime alone, and the lane is then dead too.
     """
     mod = math.prod(primes)
     b, n, _ = a.shape
@@ -460,9 +456,9 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     Otherwise the stack is reduced to residues mod M, which an unsigned stack
     whose dtype holds no M already is.  From n = MIN_SCHUR_N on, the
     residues become the Schur complements of their structural pivots
-    (`_schur_complement`), else a uint32 copy of them.  A stack of MIN_STACK
-    or more matrices is eliminated in one sweep mod M, a smaller one matrix
-    by matrix."""
+    (`_schur_complement`), else a uint32 copy of them.  A lone matrix is
+    then eliminated once per prime (`_eliminate`), and a stack of two or
+    more in one sweep mod M (`_eliminate_stack`)."""
     primes = tuple(primes)
     mod = _modulus(primes)
     if not _within_int64(stack.dtype):
@@ -483,11 +479,10 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     else:
         # the kernels row-reduce in place, never in the caller's stack
         a, scale = res.astype(np.uint32, copy=res is stack), None
-    if len(a) >= MIN_STACK:
-        dets = _eliminate_stack(a, primes)
+    if len(a) == 1:
+        dets = np.array([[_eliminate(a[0] % p, p) for p in primes]], dtype=np.int64)
     else:
-        dets = [_eliminate(m, primes) for m in a]
-        dets = np.array(dets, dtype=np.int64).reshape(len(a), len(primes))
+        dets = _eliminate_stack(a, primes)
     if scale is not None:
         p = np.array(primes)
         dets = dets * (scale[:, None] % p) % p

@@ -15,12 +15,12 @@ permutations, counts their edges into one stack of the narrowest unsigned
 dtype that holds d (uint8 for d <= 255) and runs the duplicate-row witness
 over every lane.  It decides every listed prime, and the first CRT prime,
 with one `gfp_core.fp_dets_stack` call per modulus, which picks the
-elimination kernel from the modulus and the stack's size (an unfused 2
-goes to the packed-bit kernel) and, from n = 64 on, first shrinks each
-matrix to the Schur complement of its structural pivots.  Only the
-integer zero test runs per matrix, on the narrow lanes.  `run_trial` is a
-block of one trial.  A record's elapsed is the block's wall time divided
-by its size: diagnostics only, never in the canonical records.
+elimination kernel (a lone trial goes prime by prime, an unfused 2 to the
+packed-bit kernel) and, from n = 64 on, first shrinks each matrix to the
+Schur complement of its structural pivots.  Only the integer zero test
+runs per matrix, on the narrow lanes.  `run_trial` is a block of one
+trial.  A record's elapsed is the block's wall time divided by its size:
+diagnostics only, never in the canonical records.
 """
 
 from __future__ import annotations

@@ -269,13 +269,14 @@ def fused_cases(draw):
 
 
 def eliminate(rows, primes):
-    """The per-matrix kernel's det mod each of primes, from one elimination
-    of the uint32 residues mod their product."""
-    return gfp_core._eliminate((int_matrix(rows) % math.prod(primes)).astype(np.uint32), primes)
+    """The stacked sweep's det mod each of primes, from one elimination of
+    the uint32 residues mod their product as a stack of one."""
+    residues = (int_matrix(rows) % math.prod(primes)).astype(np.uint32)
+    return gfp_core._eliminate_stack(residues[None], primes)[0].tolist()
 
 
 def test_fused_elimination_matches_separate_eliminations():
-    """_eliminate mod 5Q against fp_det mod each prime, Bareiss and sympy,
+    """The sweep mod 5Q against fp_det mod each prime, Bareiss and sympy,
     with every D5 branch taken: no split, 5 dropped, Q dropped, true split."""
     seen = set()
 
@@ -311,7 +312,7 @@ def three_prime_cases(draw):
 
 
 def test_three_prime_split_finishes_each_survivor_alone():
-    """_eliminate mod 2 * 3 * 5 against fp_det mod each prime and Bareiss,
+    """The sweep mod 2 * 3 * 5 against fp_det mod each prime and Bareiss,
     with a split that drops one prime and leaves two survivors."""
     primes = (2, 3, 5)
     seen = set()
@@ -452,16 +453,19 @@ def test_stacked_elimination_matches_per_matrix(primes):
         fp_dets_stack(np.zeros((3, 3), dtype=np.int64), primes)
 
 
-@pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
-def test_stack_kernel_choice_at_min_stack(primes):
-    """fp_dets_stack runs the per-matrix loop below MIN_STACK matrices and the
-    stacked sweep from MIN_STACK on, except mod 2 alone, which takes the
-    packed-bit kernel at every stack size; all agree with Bareiss.  The
-    first three lanes are permuted unit upper triangles with a zero column
-    at column 0, mid-sweep or the last column, so each dies exactly there;
-    the others are random and include D5 splits mod 5Q and mod 2Q.  `mc
-    --p 2` takes the sweep mod 2Q, where the unit test for 2 reads the low
-    bit of a residue."""
+@pytest.mark.parametrize("primes", [(2,), (7,), (Q,), (5, Q), (2, Q)], ids=["2", "7", "Q", "5Q", "2Q"])
+def test_stack_kernel_choice_by_stack_size(primes):
+    """fp_dets_stack eliminates a lone matrix in the per-matrix loop, once
+    per prime and never in the sweep, and a stack of two or more in one
+    sweep, except mod 2 alone, which takes the packed-bit kernel at every
+    stack size; all agree with Bareiss.  In a stack the loop runs only
+    under a D5 split, once per prime.  The first three lanes are permuted
+    unit upper triangles with a zero column at column 0, mid-sweep or the
+    last column, so each dies exactly there, alone and in stacks; the
+    fourth has a first column of multiples of 5 that are not all multiples
+    of Q, which kills it mod 5 at once when alone, and the others are random
+    and include D5 splits mod 5Q and mod 2Q.  `mc --p 2` takes the sweep mod
+    2Q, where the unit test for 2 reads the low bit of a residue."""
     rnd = random.Random(17)
     entries = (0, 1, 2, 5, -5, Q)
     lanes = []
@@ -471,26 +475,35 @@ def test_stack_kernel_choice_at_min_stack(primes):
             row[z] = 0
         rnd.shuffle(rows)
         lanes.append(rows)
-    lanes += [
-        [[rnd.choice(entries) for _ in range(6)] for _ in range(6)] for _ in range(gfp_core.MIN_STACK)
-    ]
+    lanes.append([[5 * (i % 3 - 1)] + [rnd.choice(entries) for _ in range(5)] for i in range(6)])
+    lanes += [[[rnd.choice(entries) for _ in range(6)] for _ in range(6)] for _ in range(4)]
+    parts = [[lane] for lane in lanes] + [lanes[i : i + b] for b in (2, 3) for i in range(len(lanes) - b + 1)]
     splits = 0
-    for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
-        for part in (lanes[:b], lanes[-b:]):
-            with mock.patch.object(
-                gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
-            ) as spy, mock.patch.object(
-                gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
-            ) as packed, mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
-                got = fp_dets_stack(np.array(part, dtype=np.int64), primes)
-            assert packed.called == (primes == (2,))
-            assert spy.called == (b >= gfp_core.MIN_STACK and primes != (2,))
-            assert got.shape == (b, len(primes)) and got.dtype == np.int64
-            for rows, dets in zip(part, got.tolist()):
-                exact = det_bareiss(rows)
-                assert tuple(dets) == tuple(exact % p for p in primes)
-            splits += split.call_count if spy.called else 0
+    for part in parts:
+        with mock.patch.object(
+            gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
+        ) as sweep, mock.patch.object(
+            gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
+        ) as packed, mock.patch.object(
+            gfp_core, "_eliminate", wraps=gfp_core._eliminate
+        ) as loop, mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
+            got = fp_dets_stack(np.array(part, dtype=np.int64), primes)
+        assert packed.called == (primes == (2,))
+        assert sweep.call_count == (len(part) > 1 and primes != (2,))
+        if primes == (2,):
+            assert not loop.called
+        elif len(part) == 1:
+            assert [call.args[1] for call in loop.call_args_list] == list(primes)
+            assert not split.called
+        else:
+            assert loop.call_count == len(primes) * split.call_count
+            splits += split.call_count
+        assert got.shape == (len(part), len(primes)) and got.dtype == np.int64
+        for rows, dets in zip(part, got.tolist()):
+            exact = det_bareiss(rows)
+            assert tuple(dets) == tuple(exact % p for p in primes)
     assert [det_bareiss(rows) for rows in lanes[:3]] == [0, 0, 0]
+    assert det_bareiss(lanes[3]) % 5 == 0 != det_bareiss(lanes[3]) % Q
     assert (splits > 0) == (len(primes) > 1)
 
 
@@ -507,11 +520,8 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
         (np.int8, (-128, -5, -1, 0, 1, 3, 127)),
         (np.int64, (-(2**40), -Q, -5, -1, 0, 1, 5, Q)),
     ):
-        lanes = [
-            [[rnd.choice(entries) for _ in range(5)] for _ in range(5)]
-            for _ in range(gfp_core.MIN_STACK + 2)
-        ]
-        for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK + 2):
+        lanes = [[[rnd.choice(entries) for _ in range(5)] for _ in range(5)] for _ in range(6)]
+        for b in (1, 2, 3, 6):
             got = fp_dets_stack(np.array(lanes[:b], dtype=dtype), primes)
             assert got.shape == (b, len(primes)) and got.dtype == np.int64
             for rows, dets in zip(lanes, got.tolist()):
@@ -554,7 +564,7 @@ def test_packed_gf2_kernel_at_word_boundaries(n):
         pick = rng.integers(0, 4, (12, n, n))
         lanes = np.where(np.array(patterns) == 1, np.array(odd)[pick], np.array(even)[pick])
         lanes = lanes.astype(dtype)
-        want = [gfp_core._eliminate((m % 2).astype(np.uint32), (2,))[0] for m in lanes]
+        want = [gfp_core._eliminate(m % 2, 2) for m in lanes]
         assert 0 < sum(want) < 12
         for b in range(1, 13):
             got = fp_dets_stack(lanes[:b], (2,))
@@ -683,7 +693,7 @@ def test_schur_step_matches_bareiss_at_the_size_rule():
     not increase, so the sign counts their inversions, and a weighted
     permutation matrix whose rows are all pivots, so no complement is left
     and det is the sign and the pivots' product alone."""
-    stack = adjacency_lanes(RULE, 3, 5, gfp_core.MIN_STACK)
+    stack = adjacency_lanes(RULE, 3, 5, 3)
     rng = np.random.default_rng(5)
     weighted = np.zeros((1, RULE, RULE), dtype=np.int64)
     weighted[0, np.arange(RULE), rng.permutation(RULE)] = rng.choice([1, 2, 3, -4, 6, 7], RULE)
@@ -702,21 +712,21 @@ def test_schur_step_matches_bareiss_at_the_size_rule():
 
 @pytest.mark.parametrize("n", [RULE - 1, RULE, RULE + 1, 160, 300])
 def test_schur_step_matches_the_whole_sweep(n):
-    """For d-regular adjacency stacks of 1, MIN_STACK - 1, MIN_STACK and 6
-    matrices, fp_dets_stack with the structural step (from n = MIN_SCHUR_N)
-    equals the kernels on the whole stack, mod 5Q, 3Q, 2Q, 2 * 3 * 5, 7 and
-    Q, with a lane of identical rows; mod 2 * 3 * 5 the complement takes the
-    D5 split."""
+    """For d-regular adjacency stacks of 1, 2, 3 and 6 matrices,
+    fp_dets_stack with the structural step (from n = MIN_SCHUR_N) equals the
+    kernels on the whole stack, mod 5Q, 3Q, 2Q, 2 * 3 * 5, 7 and Q, with a
+    lane of identical rows; mod 2 * 3 * 5 the complement of a stack takes
+    the D5 split in the sweep, while a lone matrix goes prime by prime."""
     for primes, d in SCHUR_CASES:
         stack = adjacency_lanes(n, d, n + d, 6)
-        for b in (1, gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK, 6):
+        for b in (1, 2, 3, 6):
             want = without_step(stack[:b], primes)
             with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
                 got = fp_dets_stack(stack[:b], primes)
             assert got.shape == (b, len(primes)) and got.dtype == np.int64
             assert np.array_equal(got, want)
             assert not got[1:2].any()
-            if primes == (2, 3, 5) and n >= RULE:
+            if primes == (2, 3, 5) and n >= RULE and b >= 2:
                 assert split.called
 
 
@@ -733,10 +743,10 @@ def test_schur_step_on_dense_and_wide_stacks(dtype):
         np.int8: [-128, -5, -1, 0, 0, 1, 3, 127],
         np.uint32: [0, 0, 1, 3, Q, 2**32 - 5, 2**32 - 1],
     }[dtype]
-    stack = np.array(entries, dtype=dtype)[rng.integers(0, len(entries), (gfp_core.MIN_STACK, n, n))]
+    stack = np.array(entries, dtype=dtype)[rng.integers(0, len(entries), (3, n, n))]
     exact = det_bareiss(stack[0])
     for primes in ((5, Q), (2, Q), (7,), (Q,)):
-        for b in (1, gfp_core.MIN_STACK):
+        for b in (1, 3):
             got = fp_dets_stack(stack[:b], primes)
             assert np.array_equal(got, without_step(stack[:b], primes))
             assert got[0].tolist() == [exact % p for p in primes]
@@ -749,9 +759,9 @@ def test_schur_step_with_dense_pivot_rows_and_columns_takes_no_pivots():
     whole matrices, and the dets still equal the kernels' and Bareiss's."""
     n, k = RULE + 1, RULE // 2
     rng = np.random.default_rng(k)
-    stack = rng.integers(1, 6, (gfp_core.MIN_STACK, n, n))
+    stack = rng.integers(1, 6, (3, n, n))
     stack[:, :k, :k] = 0
-    stack[:, np.arange(k), np.arange(k)] = rng.choice([1, 2, -3], (gfp_core.MIN_STACK, k))
+    stack[:, np.arange(k), np.arange(k)] = rng.choice([1, 2, -3], (3, k))
     exact = det_bareiss(stack[0])
     for primes in ((5, Q), (Q,)):
         with mock.patch.object(gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack) as sweep:
@@ -764,24 +774,19 @@ def test_schur_step_with_dense_pivot_rows_and_columns_takes_no_pivots():
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
 def test_schur_step_choice_at_min_schur_n(primes):
     """fp_dets_stack takes the structural step from n = MIN_SCHUR_N on, for
-    every modulus but 2 alone, before the stacked sweep and before the
-    per-matrix loop alike; the complement reaches the kernel the stack size
-    picks, and the dets equal the kernels' on the whole stack."""
+    every modulus but 2 alone, before the per-matrix loop that a lone
+    matrix takes and before the stacked sweep alike; the kernel gets the
+    complement, and the dets equal the kernels' on the whole stack."""
     for n in (RULE - 1, RULE):
-        stack = adjacency_lanes(n, 3, 9, gfp_core.MIN_STACK)
-        for b in (gfp_core.MIN_STACK - 1, gfp_core.MIN_STACK):
+        stack = adjacency_lanes(n, 3, 9, 3)
+        for b, kernel in ((1, "_eliminate"), (3, "_eliminate_stack")):
             with mock.patch.object(
                 gfp_core, "_schur_complement", wraps=gfp_core._schur_complement
-            ) as step, mock.patch.object(
-                gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
-            ) as sweep, mock.patch.object(gfp_core, "_eliminate", wraps=gfp_core._eliminate) as loop:
+            ) as step, mock.patch.object(gfp_core, kernel, wraps=getattr(gfp_core, kernel)) as spy:
                 got = fp_dets_stack(stack[:b], primes)
             assert step.called == (n >= RULE and primes != (2,))
-            assert sweep.called == (b >= gfp_core.MIN_STACK and primes != (2,))
-            # the sweep's D5 split may call the per-matrix loop too
-            assert (loop.called and not sweep.called) == (b < gfp_core.MIN_STACK and primes != (2,))
-            if primes != (2,):
-                kernel = sweep if sweep.called else loop
-                assert (kernel.call_args_list[0].args[0].shape[-1] < n) == step.called
+            assert spy.called == (primes != (2,))
+            if spy.called:
+                assert (spy.call_args_list[0].args[0].shape[-1] < n) == step.called
             if n >= RULE:
                 assert np.array_equal(got, without_step(stack[:b], primes))

@@ -256,9 +256,9 @@ def test_parallel_schedules_agree():
 def test_blocks_follow_the_block_rule():
     # max(MIN_LANES, 2^16 // n^2) trials a block: 8 at n = 90 and MIN_LANES = 6
     # at n = 128, 129 and 300, where 2^16 // n^2 is 4, 3 and 0.  Every block,
-    # stacked or (a tail below MIN_STACK) matrix by matrix, decides mod 2 and
-    # mod 5q as run_trial does, and mod 2 the sweep starts from a uint8 lane
-    # whose multi-edge entries 2 and 3 are reduced first
+    # swept as a stack or (a tail of one trial) eliminated prime by prime,
+    # decides mod 2 and mod 5q as run_trial does, and mod 2 the sweep starts
+    # from a uint8 lane whose multi-edge entries 2 and 3 are reduced first
     assert mc_harness.MIN_LANES == 6 and mc_harness.STACK_ENTRIES == 2**16
     for n, blocks in (
         (90, [range(0, 8), range(8, 9)]),
