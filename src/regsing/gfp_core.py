@@ -5,59 +5,45 @@ of rows, whose dtype fits in int64 is used as given, with no copy; floats,
 bools, uint64 and Python ints past int64 raise ValueError.
 
 Every determinant mod p has one contract, `fp_dets_stack`: a stack of B
-square integer matrices in, det mod each of distinct primes out, from one
-elimination mod their product M.  A row update adds a residue to a product
-of two residues, at most (M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the
-one size rule; it also keeps M below 2^32, so a residue fits in uint32.
-`fp_det` is one matrix mod one prime, a stack of one.  Three kernels sit
-behind the contract, picked by what is asked: mod 2 alone the packed-bit
-kernel at every stack size; otherwise the per-matrix loop for a lone
-matrix, once per prime, and the stacked sweep for a stack of two or more.
+square integer matrices and a prime table in, det mod each prime out.  The
+table is a sequence of distinct primes that every matrix shares, or a
+(B, k) array with a row of distinct primes per matrix; a lane's modulus M
+is the product of its row, and one elimination mod M decides its primes.
+A row update adds a residue to a product of two residues, at most
+(M-1) + (M-1)^2 = M(M-1), so M(M-1) < 2^63 is the one size rule; it also
+keeps M below 2^32, so a residue fits in uint32.  `fp_det` is one matrix
+mod one prime.  Two kernels sit behind the contract: mod 2 alone (every
+row (2,)) the packed-bit kernel, and otherwise the stacked sweep.
 
-`_eliminate` is one matrix mod one prime: it takes uint32 residues and
-eliminates an int64 copy of them, so that no row update mixes uint32 and
-int64.  Per d = 3 adjacency matrix mod the first CRT prime, over 9
-interleaved rounds, that took 0.38 against 0.43 ms at n = 30, 10.3 against
-11.0 ms at n = 300, 0.54 against 0.60 ms on the Schur complements (below)
-of n = 100 and the same 2.5 ms on those of n = 300.  Every nonzero residue
-is a unit mod a prime, so the pivot is the first nonzero candidate, and a
-column with none stops the sweep with det 0.
-
-`_eliminate_stack` decides a whole stack in one sweep mod M, so a column
-step costs one set of numpy calls for every matrix.  A pivot must be a
-unit mod M, the first at or below the diagonal, and a matrix with no
+`_eliminate_stack` decides a whole stack in one sweep, so a column step
+costs one set of numpy calls for every matrix.  A pivot must be a unit
+mod the lane's M, the first at or below the diagonal, and a matrix with no
 nonzero candidate has det 0 and stays in the stack as a dead lane.  When
 a matrix's candidates are nonzero but none is a unit, the primes split
 (D5 dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL 1985):
-every prime finishes the remaining block alone in `_eliminate`, where one
-dividing every candidate has det 0 at once (`_split`), and the lane is
-dead too.  Each live matrix updates only its own rows with a nonzero
-entry below the pivot, scaling the multipliers rather than the pivot row,
-so the arithmetic is the per-matrix loop's and the stack saves only
-calls.  Its unit test takes no division: a prime p divides no candidate x
-exactly when x times a constant mod 2^32 exceeds a bound
-(`_indivisible_by`), one uint32 multiply and compare per prime, which
-took 9-11 us per column of a stack of 6 at n = 300 mod 5q, against 16.5
-us for two remainders.  It forms every product of uint32 residues in
-int64 through int64 multipliers, because NumPy keeps a uint32 array times
-a Python int in uint32, where it wraps; the unit test wants that wrap.
-The stack wins while the calls dominate: per matrix, eliminating d = 3
-adjacency matrices mod 5q took 0.15x the per-matrix time at n = 30 in
-stacks of 72, 0.33x at n = 64 in stacks of 16, 0.54x at n = 150 and
-0.63x at n = 300 in stacks of 8, 0.62x at n = 300 in stacks of 6 and
-0.72x at n = 600 in stacks of 8 (whole matrices, before the structural
-step below).  On what a Monte Carlo block hands it (whole lanes at n = 30,
-Schur complements at n = 100 and 300), stacks of 2 took 1.63x, 1.57x and
-1.09x the time of matrix by matrix, and stacks of 3 1.19x, 1.04x and
-0.87x.  Only a run's last block is that small (the block of 2 that ends
-200 trials at n = 300 costs about 0.4 ms more), so the sweep takes every
-stack of two or more.  A lone matrix took 1.6-3.1x the per-matrix loop's
-time in the sweep, at those sizes mod 5q and mod q, so the loop keeps it;
-the zero test's CRT tail is such a matrix.
+the lane's remaining block is kept, and after the sweep one more sweep
+finishes every kept block mod each prime of its row, one lane per (block,
+prime).  Every nonzero residue is a unit mod a prime, so that sweep never
+splits.  Each live matrix updates only its own rows with a nonzero entry
+below the pivot, scaling the multipliers rather than the pivot row.  Its
+unit test takes no division: a prime p divides no candidate x exactly when
+x times a constant mod 2^32 exceeds a bound (`_indivisible_by`), one
+uint32 multiply and compare per prime, which took 9-11 us per column of a
+stack of 6 at n = 300 mod 5q, against 16.5 us for two remainders.  It
+forms every product of uint32 residues in int64 through int64
+multipliers, because NumPy keeps a uint32 array times a Python int in
+uint32, where it wraps; the unit test wants that wrap.  When every lane
+shares M, as in every Monte Carlo block, the reductions (`_reduce`), the
+unit test and the det updates divide by the Python int M; only a table of
+different moduli (the zero test's tail, the second D5 sweep) indexes one
+per lane.  NumPy 2.4 floor-divided 10^4 int64 entries in 8 us by a scalar
+and in 34-37 us by an array, and `_reduce` is a tenth of the benchmark's
+n = 300 job under cProfile.  A lone matrix, a stack of one, took 4.4 ms
+at n = 300 mod q, against 3.3 ms in the per-matrix loop the sweep replaced.
 
 From n = MIN_SCHUR_N on, and for every M but 2 alone, structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990) first shrinks each matrix
-to a small Schur complement, which the kernels above then eliminate.  One
+to a small Schur complement, which the sweep then eliminates.  One
 structural step (`_schur_step`) picks a set of pivots (P, C) per matrix with
 A[P, C] diagonal and unit (the structural pivots of Faugere and Lachartre,
 PASCO 2010) by one pass over the rows in order, and eliminates them all at
@@ -72,28 +58,29 @@ than after three (SCHUR_DENSITY = 0.1), in stacks of 6 mod 5q and alone
 mod q.  Per matrix mod 5q, in stacks of 6, the steps made the elimination
 0.64x as long at n = 300 (3.7 against 5.7 ms: 1.6 ms in the steps, a
 quarter of it the Python pivot pass, and 2.1 ms in the sweep of the
-complement), and alone, mod q, 0.53x (5.6 against 10.5 ms), which is the
-zero test's CRT tail (medians of 5 interleaved rounds).  Against the whole
-sweep, in the stacks a Monte Carlo block holds and over 9 interleaved
-rounds, it took 1.12x at n = 48 (stacks of 28), 1.06x at n = 56 (20),
-0.94x at n = 64 (16), 0.78x at n = 80 (10), 0.68x at n = 100 (6) and 0.64x
-at n = 128 (6), and alone 0.89x at n = 48, 0.82x at n = 64 and 0.65x at
-n = 128: hence MIN_SCHUR_N = 64.
+complement), and alone, mod q, 0.53x (5.6 against 10.5 ms; medians of 5
+interleaved rounds).  Against the whole sweep, in the stacks a Monte Carlo
+block holds and over 9 interleaved rounds, it took 1.12x at n = 48 (stacks
+of 28), 1.06x at n = 56 (20), 0.94x at n = 64 (16), 0.78x at n = 80 (10),
+0.68x at n = 100 (6) and 0.64x at n = 128 (6): hence MIN_SCHUR_N = 64.
 
 Mod 2 alone, `_eliminate_gf2` runs XOR on rows packed into machine words
 (M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), with no residues, unit
 tests, inverses, reductions or split: a pivot fix-up and one dense masked
 XOR per column, at every stack size.  Per matrix it took 0.22x the stacked
-sweep's time at n = 30 in stacks of 72, 0.14x at n = 64 in stacks of 16,
-0.2x at n = 300 in stacks of 6, and alone 0.5-0.75x the per-matrix loop's.
+sweep's time at n = 30 in stacks of 72, 0.14x at n = 64 in stacks of 16
+and 0.2x at n = 300 in stacks of 6.
 
-`int_determinant_is_zero` decides det == 0 by one `fp_det` per prime of a
-fixed list of CRT primes, the largest below 2^29: it stops at the first
-nonzero residue, and otherwise once the primes' product exceeds twice the
-Hadamard bound.  The bound keeps 5q inside the size rule, so a Monte Carlo
-block decides its listed prime p <= 5 and the first CRT prime q in one
-`fp_dets_stack` mod pq (`fused_prime`) and hands the residues mod q to the
-zero test; with no listed p <= 5 it takes them from one mod q alone.
+`int_determinant_is_zero` decides det == 0 from the residues mod a fixed
+list of CRT primes, the largest below 2^29: after a zero residue mod the
+first, q, all the others it needs go in one `fp_dets_stack`, a copy of the
+matrix per prime.  That has no early exit at a nonzero residue, which only
+a nonsingular matrix with a zero residue mod q (about 1 in q) misses, and
+it took 20 ms on the 8 later primes of a singular lane at n = 300, against
+27 ms for one elimination per prime.  The bound keeps 5q inside the size
+rule, so a Monte Carlo block decides its listed prime p <= 5 and the first
+CRT prime q in one `fp_dets_stack` mod pq (`fused_prime`) and hands the
+residues mod q to the zero test; with no listed p <= 5, one mod q alone.
 `det_bareiss` (fraction-free elimination in Python ints) is the one exact
 determinant.  It shares no code with the kernels, so it is their and the
 zero test's independent oracle, and it is the cheaper route for tiny
@@ -155,45 +142,20 @@ def _modulus(primes: tuple[int, ...]) -> int:
     return mod
 
 
-def _eliminate(a: np.ndarray, p: int) -> int:
-    """det(a) mod the prime p for the square residues a mod p, row-reduced in
-    an int64 copy.
-
-    Every nonzero residue is a unit mod p, so the pivot is the first nonzero
-    candidate at or below the diagonal, and a column with none stops the
-    sweep with det 0.  A column updates only the rows with a nonzero entry
-    below its pivot, scaling the multipliers rather than the pivot row;
-    columns left of it go stale.
-    """
-    # one dtype in every row update: uint32 residues would mix with int64 products
-    a = a.astype(np.int64)
-    det = 1
-    for c in range(len(a)):
-        nz = a[c:, c].nonzero()[0]
-        if nz.size == 0:
-            return 0
-        piv = c + int(nz[0])
-        if piv != c:
-            a[c, c:], a[piv, c:] = a[piv, c:].copy(), a[c, c:].copy()
-            det = -det
-        pv = int(a[c, c])
-        det = det * pv % p
-        if nz.size > 1:
-            # entries stay below p, so f * a[c] + a[rows] <= (p-1)^2 + (p-1) < 2^63
-            rows = nz[1:] + c
-            f = a[rows, c] * (p - pow(pv, -1, p)) % p
-            a[rows, c + 1 :] = (a[rows, c + 1 :] + f[:, None] * a[c, c + 1 :]) % p
-    return det
+def _lane_moduli(table: np.ndarray) -> int | np.ndarray:
+    """Each lane's M, the product of its row of the (B, k) prime table: the
+    Python int M when every lane shares it, else an int64 array of them."""
+    mods = table.prod(axis=1)
+    return int(mods[0]) if len(mods) and (mods == mods[0]).all() else mods
 
 
-def _split(block: np.ndarray, primes: tuple[int, ...], det: int) -> list[int]:
-    """det * det(block) mod each prime once no entry of block's first column
-    is a unit mod M (the D5 split): each prime finishes block alone, and one
-    dividing the whole column gets det 0 from `_eliminate` at once."""
-    return [det * _eliminate(block % p, p) % p for p in primes]
+def _by_lane(mod: int | np.ndarray, lanes: np.ndarray) -> int | np.ndarray:
+    """The divisor of entries of the given lanes: a shared M as it is, else
+    each entry's lane modulus, in the shape of lanes."""
+    return mod if isinstance(mod, int) else mod[lanes]
 
 
-def _reduce(x: np.ndarray, mod: int) -> np.ndarray:
+def _reduce(x: np.ndarray, mod: int | np.ndarray) -> np.ndarray:
     """x % mod in place for x >= 0: numpy divides by a scalar several times
     faster than it takes a remainder."""
     x -= x // mod * mod
@@ -210,27 +172,34 @@ def _indivisible_by(p: int) -> tuple[np.uint32, int]:
     return np.uint32(pow(p, -1, 2**32)), (2**32 - 1) // p
 
 
-def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
-    """det mod each prime of every square matrix in the stack a, residues mod
-    M = prod(primes) of shape (B, n, n) (uint32 from `fp_dets_stack`),
-    row-reduced in place; returns a (B, len(primes)) int64 array.
+def _eliminate_stack(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """det mod each prime of its row of the (B, k) int64 prime table, for
+    the stack a of residues mod each lane's M = prod(row), of shape
+    (B, n, n) (uint32 from `fp_dets_stack`), row-reduced in place; returns
+    a (B, k) int64 array.
 
     One column at a time for the whole stack: the pivot is the first unit
     mod M at or below the diagonal (tested on the column read as uint32, a
     copy only for residues of another dtype), multipliers are scaled, and
     each live matrix updates only its own rows with a nonzero entry below
     the pivot, taken as (matrix, row) pairs.  A matrix with no nonzero
-    candidate has det 0 and stays in the stack as a dead lane that is no
-    longer updated.  One whose candidates are nonzero but none a unit takes
-    the D5 split: its block goes to `_split`, which finishes it mod each
-    prime alone, and the lane is then dead too.
+    candidate has det 0 and becomes a dead lane.  One with nonzero
+    candidates but no unit splits (D5) and is dead too; one recursive sweep
+    then finishes its remaining block mod each prime of its row, padded
+    with an identity to the earliest, widest split block.
     """
-    mod = math.prod(primes)
     b, n, _ = a.shape
-    out = np.zeros((b, len(primes)), dtype=np.int64)
+    mod = _lane_moduli(table)
+    mods = np.broadcast_to(mod, b).tolist()
+    if isinstance(mod, int):
+        tests = [_indivisible_by(p) for p in table[0].tolist()]
+    else:
+        # (multipliers, bounds) for each column of the table, one row per lane
+        tests = [[_indivisible_by(p) for p in col] for col in table.T.tolist()]
+        tests = [np.array(t, dtype=np.uint32).reshape(-1, 2).T[:, :, None] for t in tests]
     det = np.ones(b, dtype=np.int64)
     live = np.ones(b, dtype=bool)
-    tests = [_indivisible_by(p) for p in primes]
+    splits = []  # (lane, remaining block, det so far) of each D5 split
     for c in range(n):
         col = a[:, c:, c]
         x = col.astype(np.uint32, copy=False)
@@ -239,9 +208,9 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
             unit &= x * mult > bound
         has_unit = unit.any(axis=1)
         if not has_unit.all():
-            for k in (live & ~has_unit).nonzero()[0]:
+            for k in (live & ~has_unit).nonzero()[0].tolist():
                 if col[k].any():
-                    out[k] = _split(a[k, c:, c:], primes, int(det[k]))
+                    splits.append((k, a[k, c:, c:].copy(), int(det[k])))
             live &= has_unit
             if not live.any():
                 break
@@ -249,7 +218,8 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
         sw = (piv != c).nonzero()[0]
         if sw.size:
             a[sw, c, c:], a[sw, piv[sw], c:] = a[sw, piv[sw], c:], a[sw, c, c:]
-            det[sw] = (mod - det[sw]) % mod
+            # |det| < M, and the % below brings it back into 0..M-1
+            det[sw] = -det[sw]
         pv = a[:, c, c]
         det = det * pv % mod
         ks, rs = ((a[:, c + 1 :, c] != 0) & live[:, None]).nonzero()
@@ -257,15 +227,28 @@ def _eliminate_stack(a: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
             # entries stay below M, so f * a[k, c] + a[k, r] <= (M-1)^2 + (M-1) < 2^63;
             # neg_inv and so f are int64, which keeps every product out of uint32
             neg_inv = np.array(
-                [mod - pow(x, -1, mod) if ok else 0 for x, ok in zip(pv.tolist(), live.tolist())],
+                [m - pow(x, -1, m) if ok else 0 for x, ok, m in zip(pv.tolist(), live.tolist(), mods)],
                 dtype=np.int64,
             )
             rs += c + 1
-            f = _reduce(a[ks, rs, c] * neg_inv[ks], mod)
+            f = _reduce(a[ks, rs, c] * neg_inv[ks], _by_lane(mod, ks))
             t = f[:, None] * a[:, c, c + 1 :][ks]
             t += a[ks, rs, c + 1 :]
-            a[ks, rs, c + 1 :] = _reduce(t, mod)
-    return np.where(live[:, None], det[:, None] % np.array(primes), out)
+            a[ks, rs, c + 1 :] = _reduce(t, _by_lane(mod, ks[:, None]))
+    dets = np.where(live[:, None], det[:, None] % table, 0)
+    if splits:
+        lanes, blocks, before = map(list, zip(*splits))
+        k, w = table.shape[1], len(blocks[0])  # the earliest split's block is the widest
+        primes = table[lanes].reshape(-1, 1)
+        sub = np.zeros((len(primes), w, w), dtype=np.uint32)
+        sub[:, range(w), range(w)] = 1
+        for s, p in enumerate(primes[:, 0].tolist()):
+            m = w - len(blocks[s // k])
+            sub[s, m:, m:] = blocks[s // k] % p
+        rest = _eliminate_stack(sub, primes).reshape(-1, k)
+        # det so far < M and a residue below p <= M / 2, so the product < 2^63
+        dets[lanes] = np.array(before)[:, None] * rest % table[lanes]
+    return dets
 
 
 def _eliminate_gf2(stack: np.ndarray) -> np.ndarray:
@@ -328,11 +311,13 @@ def _structural_pivots(cols: list[int], units: list[bool], bounds: list[int]) ->
 
 
 def _schur_step(
-    lane: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, b: int, m: int, mod: int
+    lane: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray,
+    b: int, m: int, mod: int | np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """One structural step on the nonzeros (lane, row, col, val) of a stack of
     B matrices of at most m rows and columns, sorted by (lane, row, col),
-    with 0 < val < M: the nonzeros of each lane's Schur complement in the
+    with 0 < val < M, mod being the shared M or one per lane (see
+    `_lane_moduli`): the nonzeros of each lane's Schur complement in the
     same form, each lane's number of pivots, and det(lane) / det(complement)
     mod M for each lane.  A step whose products would outnumber the entries
     of a dense S takes no pivots.
@@ -353,7 +338,7 @@ def _schur_step(
     bounds = np.zeros(b * m + 1, dtype=np.int64)
     np.cumsum(np.bincount(rid, minlength=b * m), out=bounds[1:])
     bounds = bounds.tolist()
-    cols, units = col.tolist(), (np.gcd(val, mod) == 1).tolist()
+    cols, units = col.tolist(), (np.gcd(val, _by_lane(mod, lane)) == 1).tolist()
     lanes = [_structural_pivots(cols, units, bounds[k * m : (k + 1) * m + 1]) for k in range(b)]
     count = np.array([len(pivots) for pivots in lanes], dtype=np.int64)
     taken = np.array([j for pivots in lanes for j in pivots], dtype=np.int64)
@@ -370,10 +355,16 @@ def _schur_step(
     inversions = (pivot_cols[:, :, None] > pivot_cols[:, None, :]) & later
     flips += np.count_nonzero(inversions, axis=(1, 2))
     ends = ends.tolist()
-    scale = np.array([math.prod(dv[lo:hi]) % mod for lo, hi in zip([0] + ends, ends)], dtype=np.int64)
-    scale[flips % 2 == 1] = mod - scale[flips % 2 == 1]
-    inv = {x: pow(x, -1, mod) for x in set(dv)}
-    neg_inv = np.array([mod - inv[x] for x in dv], dtype=np.int64)
+    signs, mods = (1 - 2 * (flips % 2)).tolist(), np.broadcast_to(mod, b).tolist()
+    scale = [s * math.prod(dv[lo:hi]) % q for lo, hi, s, q in zip([0] + ends, ends, signs, mods)]
+    scale = np.array(scale, dtype=np.int64)
+    if isinstance(mod, int):
+        inv = {x: mod - pow(x, -1, mod) for x in set(dv)}
+        neg_inv = np.array([inv[x] for x in dv], dtype=np.int64)
+    else:
+        pivots = list(zip(dv, mod[pk].tolist()))
+        inv = {(x, q): q - pow(x, -1, q) for x, q in set(pivots)}
+        neg_inv = np.array([inv[x] for x in pivots], dtype=np.int64)
     # each pivot's number at its row and at its column, -1 elsewhere
     pivot_of_row = np.full(b * m, -1, dtype=np.int64)
     pivot_of_col = np.full(b * m, -1, dtype=np.int64)
@@ -401,29 +392,31 @@ def _schur_step(
         # more products than S has entries (dense rows in both A[R, C] and
         # A[P, K]): no step, the kernels take the matrices as they are
         return lane, row, col, val, np.zeros(b, dtype=np.int64), np.ones(b, dtype=np.int64)
-    t_f = _reduce(val[term] * neg_inv[t_piv], mod)
+    t_lane = lane[term]
+    t_f = _reduce(val[term] * neg_inv[t_piv], _by_lane(mod, t_lane))
     which = np.repeat(np.arange(len(t_piv)), n_prod)
     u = np.repeat(u_start[t_piv] - (np.cumsum(n_prod) - n_prod), n_prod) + np.arange(len(which))
     at.append(row_at[rid[term]][which] + u_col[u])
-    add.append(_reduce(t_f[which] * u_val[u], mod))
+    add.append(_reduce(t_f[which] * u_val[u], _by_lane(mod, t_lane[which])))
     at, add = np.concatenate(at), np.concatenate(add)
     order = np.argsort(at)
     at = at[order]
     first = np.flatnonzero(np.diff(at, prepend=-1))
+    lane, at = np.divmod(at[first], m * m)
     # each sum holds at most m + 1 residues below M < 2^32
-    add = _reduce(np.add.reduceat(add[order], first), mod)
+    add = _reduce(np.add.reduceat(add[order], first), _by_lane(mod, lane))
     nonzero = add != 0
-    lane, at = np.divmod(at[first][nonzero], m * m)
-    row, col = np.divmod(at, m)
-    return lane, row, col, add[nonzero], count, scale
+    row, col = np.divmod(at[nonzero], m)
+    return lane[nonzero], row, col, add[nonzero], count, scale
 
 
-def _schur_complement(res: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray]:
+def _schur_complement(res: np.ndarray, mod: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, scale) for a stack res of residues mod M of shape (B, n, n), which
-    is only read: lane k of the uint32 stack s of shape (B, m, m) is what
-    structural steps (`_schur_step`) leave of res[k], padded with an
-    identity up to m, and det(res[k]) = scale[k] * det(s[k]) mod M.  Steps
-    go on while the complements hold at most SCHUR_DENSITY of nonzeros."""
+    is only read, mod being the shared M or one per lane: lane k of the
+    uint32 stack s of shape (B, m, m) is what structural steps
+    (`_schur_step`) leave of res[k], padded with an identity up to m, and
+    det(res[k]) = scale[k] * det(s[k]) mod M.  Steps go on while the
+    complements hold at most SCHUR_DENSITY of nonzeros."""
     b, n, _ = res.shape
     flat = res.reshape(-1)
     # a 1-D nonzero runs at about twice the speed of a 3-D one
@@ -448,44 +441,47 @@ def _schur_complement(res: np.ndarray, mod: int) -> tuple[np.ndarray, np.ndarray
     return s, scale
 
 
-def fp_dets_stack(stack: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """det mod each of distinct primes of every matrix in an integer array of
-    shape (B, n, n), as a (B, len(primes)) int64 array, from one elimination
-    mod their product M, with M(M-1) < 2^63.  Mod 2 alone, a stack of any
-    size is decided on its rows packed into 64-bit words (`_eliminate_gf2`).
-    Otherwise the stack is reduced to residues mod M, which an unsigned stack
-    whose dtype holds no M already is.  From n = MIN_SCHUR_N on, the
-    residues become the Schur complements of their structural pivots
-    (`_schur_complement`), else a uint32 copy of them.  A lone matrix is
-    then eliminated once per prime (`_eliminate`), and a stack of two or
-    more in one sweep mod M (`_eliminate_stack`)."""
-    primes = tuple(primes)
-    mod = _modulus(primes)
+def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """det mod each of its primes of every matrix in an integer array of shape
+    (B, n, n), as a (B, k) int64 array.  primes is k distinct primes that
+    every matrix shares, or a (B, k) integer table with a row of distinct
+    primes per matrix, whose product M, with M(M-1) < 2^63, is its modulus.
+    Mod 2 alone (every row (2,)) the packed-bit kernel decides the stack
+    (`_eliminate_gf2`).  Otherwise it becomes residues mod each lane's M
+    (which an unsigned stack whose dtype holds no M already is), from
+    n = MIN_SCHUR_N on the Schur complements of their structural pivots
+    (`_schur_complement`), and one sweep decides them (`_eliminate_stack`)."""
     if not _within_int64(stack.dtype):
         raise ValueError(f"integer stack within int64 required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
-    if mod == 2:
+    table = np.asarray(primes)
+    if table.ndim == 1:
+        table = np.broadcast_to(table, (len(stack), len(table)))
+    if table.ndim != 2 or len(table) != len(stack) or table.dtype.kind not in "iu":
+        raise ValueError(f"one row of primes per matrix required, got {table.dtype} {table.shape}")
+    for row in set(map(tuple, table.tolist())):
+        _modulus(row)
+    table = table.astype(np.int64)
+    if table.shape[1] == 1 and (table == 2).all():
         return _eliminate_gf2(stack)
+    mod = _lane_moduli(table)
+    div = mod if isinstance(mod, int) else mod[:, None, None]
     if stack.dtype.kind != "u":
         # reduced in int64 first: a negative entry would wrap in uint32
-        res = np.remainder(stack, mod, dtype=np.int64).astype(np.uint32)
-    elif np.iinfo(stack.dtype).max >= mod:
-        res = stack % mod
+        res = np.remainder(stack, div, dtype=np.int64).astype(np.uint32)
+    elif np.iinfo(stack.dtype).max >= np.max(mod, initial=0):
+        res = stack % div
     else:
         res = stack
     if stack.shape[1] >= MIN_SCHUR_N:
         a, scale = _schur_complement(res, mod)
     else:
-        # the kernels row-reduce in place, never in the caller's stack
+        # the sweep row-reduces in place, never in the caller's stack
         a, scale = res.astype(np.uint32, copy=res is stack), None
-    if len(a) == 1:
-        dets = np.array([[_eliminate(a[0] % p, p) for p in primes]], dtype=np.int64)
-    else:
-        dets = _eliminate_stack(a, primes)
+    dets = _eliminate_stack(a, table)
     if scale is not None:
-        p = np.array(primes)
-        dets = dets * (scale[:, None] % p) % p
+        dets = dets * (scale[:, None] % table) % table
     return dets
 
 
@@ -588,28 +584,25 @@ def crt_primes(count: int) -> list[int]:
 
 
 def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
-    """Exact test det(m) == 0, stopping at the first nonzero residue.
+    """Exact test det(m) == 0 from its residues mod the CRT primes.
 
-    A single nonzero residue mod a CRT prime certifies det != 0; zero
-    residues are taken until their primes' product exceeds twice the
-    Hadamard bound, which certifies det == 0.  first, if given, is det(m)
-    mod crt_primes(1)[0] (say from `fp_dets_stack`); a nonzero one answers
-    after the input checks alone, and a narrow array such as a uint8 lane
-    is used as given.  The bound is computed only after a zero first
-    residue.  Never touches floating point, and refuses float input.
+    A nonzero residue mod the first CRT prime q certifies det != 0.  After a
+    zero one, with k the fewest CRT primes whose product exceeds twice the
+    Hadamard bound, k = 1 certifies det == 0, and so do zero residues mod
+    the other k - 1, from one `fp_dets_stack` on k - 1 copies of m.  first,
+    if given, is det(m) mod q (say from `fp_dets_stack`); a nonzero one
+    answers after the input checks alone, and a narrow array such as a
+    uint8 lane is used as given.  Never touches floating point, and refuses
+    float input.
     """
     a = int_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"square matrix required, got shape {a.shape}")
-    q = crt_primes(1)[0]
-    if (fp_det(a, q) if first is None else first) != 0:
+    if (fp_det(a, crt_primes(1)[0]) if first is None else first) != 0:
         return False
     bound = hadamard_bound(a)
-    mod, k = q, 1
-    while mod <= 2 * bound:
+    k = 1
+    while math.prod(crt_primes(k)) <= 2 * bound:
         k += 1
-        q = crt_primes(k)[-1]
-        if fp_det(a, q) != 0:
-            return False
-        mod *= q
-    return True
+    tail = np.array(crt_primes(k)[1:])[:, None]
+    return k == 1 or not fp_dets_stack(np.broadcast_to(a, (k - 1, *a.shape)), tail).any()

@@ -15,12 +15,13 @@ permutations, counts their edges into one stack of the narrowest unsigned
 dtype that holds d (uint8 for d <= 255) and runs the duplicate-row witness
 over every lane.  It decides every listed prime, and the first CRT prime,
 with one `gfp_core.fp_dets_stack` call per modulus, which picks the
-elimination kernel (a lone trial goes prime by prime, an unfused 2 to the
-packed-bit kernel) and, from n = 64 on, first shrinks each matrix to the
-Schur complement of its structural pivots.  Only the integer zero test
-runs per matrix, on the narrow lanes.  `run_trial` is a block of one
-trial.  A record's elapsed is the block's wall time divided by its size:
-diagnostics only, never in the canonical records.
+elimination kernel (an unfused 2 goes to the packed-bit kernel) and, from
+n = 64 on, first shrinks each matrix to the Schur complement of its
+structural pivots.  Only the integer zero test runs per matrix, on the
+narrow lanes, with one stacked call for a lane whose first CRT residue is
+0.  `run_trial` is a block of one trial.  A record's elapsed is the
+block's wall time divided by its size: diagnostics only, never in the
+canonical records.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     commutes with the determinant), not a separate rational elimination.
     The listed prime named by `fused_prime` (the largest p <= 5) shares one
     `fp_dets_stack` over the block's stacked adjacency matrices with the
-    first CRT prime q, mod p*q; its residues mod q go to the per-matrix
-    zero test, which alone still decides det_zero; with no listed p <= 5,
-    those residues come from one `fp_dets_stack` mod q alone.  Every other
-    listed prime gets its own `fp_dets_stack`.
+    first CRT prime q, mod p*q; its residues mod q go to the zero test, one
+    call per matrix, which alone still decides det_zero; with no listed
+    p <= 5, those residues come from one `fp_dets_stack` mod q alone.  Every
+    other listed prime gets its own `fp_dets_stack`.
     """
     t0 = time.perf_counter()
     stack = adjacency_stack(sample_permutations(n, d, seed, trials), d)

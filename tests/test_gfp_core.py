@@ -268,16 +268,46 @@ def fused_cases(draw):
     return [[draw(first)] + draw(st.lists(rest, min_size=n - 1, max_size=n - 1)) for _ in range(n)]
 
 
+def recording(name):
+    """A patch of gfp_core.name that records every [args, result] in the
+    order of the calls, with a copy of each array argument taken before
+    the call."""
+    calls = []
+    real = getattr(gfp_core, name)
+
+    def record(*args):
+        call = [tuple(x.copy() if isinstance(x, np.ndarray) else x for x in args), None]
+        calls.append(call)
+        call[1] = real(*args)
+        return call[1]
+
+    return mock.patch.object(gfp_core, name, side_effect=record), calls
+
+
 def eliminate(rows, primes):
     """The stacked sweep's det mod each of primes, from one elimination of
-    the uint32 residues mod their product as a stack of one."""
+    the uint32 residues mod their product as a stack of one, and the
+    sweeps it ran as (residues, table) pairs: the first is this one, and a
+    second, one prime per lane, finishes the survivors of a D5 split."""
     residues = (int_matrix(rows) % math.prod(primes)).astype(np.uint32)
-    return gfp_core._eliminate_stack(residues[None], primes)[0].tolist()
+    patch, calls = recording("_eliminate_stack")
+    with patch:
+        got = gfp_core._eliminate_stack(residues[None], np.array([primes]))[0].tolist()
+    return got, [args for args, _ in calls]
+
+
+def dropped(sweeps):
+    """The primes of the second sweep's lanes whose first column is zero:
+    each divides the whole first column of the split block."""
+    block, table = sweeps[1]
+    assert table.shape == (len(block), 1)
+    return {p for lane, p in zip(block, table[:, 0].tolist()) if not lane[:, 0].any()}
 
 
 def test_fused_elimination_matches_separate_eliminations():
     """The sweep mod 5Q against fp_det mod each prime, Bareiss and sympy,
-    with every D5 branch taken: no split, 5 dropped, Q dropped, true split."""
+    with every D5 branch taken, read off the second sweep's lanes: no
+    split, 5 dropped, Q dropped, true split."""
     seen = set()
 
     @settings(max_examples=300, deadline=None)
@@ -285,16 +315,18 @@ def test_fused_elimination_matches_separate_eliminations():
     def check(rows):
         exact = det_bareiss(rows)
         assert exact == sympy.Matrix(rows).det()
-        with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-            got = eliminate(rows, (5, Q))
+        got, sweeps = eliminate(rows, (5, Q))
         assert got == [exact % 5, exact % Q] == [fp_det(rows, 5), fp_det(rows, Q)]
         assert int_determinant_is_zero(rows, got[1]) == (exact == 0)
-        assert eliminate(rows, (Q, 5)) == got[::-1]
-        if not spy.call_count:
+        assert eliminate(rows, (Q, 5))[0] == got[::-1]
+        assert len(sweeps) <= 2
+        if len(sweeps) == 1:
             seen.add("none")
         else:
-            col = spy.call_args_list[0].args[0][:, 0]
-            seen.add("p" if not (col % 5).any() else "q" if not (col % Q).any() else "split")
+            assert sweeps[1][1][:, 0].tolist() == [5, Q]
+            gone = dropped(sweeps)
+            seen.add("p" if gone == {5} else "q" if gone == {Q} else "split")
+            assert gone != {5, Q}
 
     check()
     assert seen == {"none", "p", "q", "split"}
@@ -313,7 +345,8 @@ def three_prime_cases(draw):
 
 def test_three_prime_split_finishes_each_survivor_alone():
     """The sweep mod 2 * 3 * 5 against fp_det mod each prime and Bareiss,
-    with a split that drops one prime and leaves two survivors."""
+    with a split that drops one prime and leaves two survivors in the
+    second sweep."""
     primes = (2, 3, 5)
     seen = set()
 
@@ -321,12 +354,11 @@ def test_three_prime_split_finishes_each_survivor_alone():
     @given(rows=three_prime_cases())
     def check(rows):
         exact = det_bareiss(rows)
-        with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-            got = eliminate(rows, primes)
+        got, sweeps = eliminate(rows, primes)
         assert got == [exact % p for p in primes] == [fp_det(rows, p) for p in primes]
-        if spy.call_count:
-            col = spy.call_args_list[0].args[0][:, 0]
-            seen.add(sum(not (col % p).any() for p in primes))
+        if len(sweeps) > 1:
+            assert sweeps[1][1][:, 0].tolist() == list(primes)
+            seen.add(len(dropped(sweeps)))
 
     check()
     # one prime dead with two survivors, and a split with all three alive
@@ -425,9 +457,9 @@ def test_stacked_elimination_matches_per_matrix(primes):
     Bareiss on every lane, with D5 split lanes and lanes without a split in
     one stack mod 5Q.  Negative entries become
     residues up to M - 1, whose products only int64 holds; a lane split mod
-    5Q finishes alone mod Q, where a product of uint32 residues would wrap.
-    fp_dets_stack on the int64 stack agrees too; mod 2 it runs the
-    packed-bit kernel."""
+    5Q finishes in the second sweep, its lane mod Q being one where a
+    product of uint32 residues would wrap.  fp_dets_stack on the int64
+    stack agrees too; mod 2 it runs the packed-bit kernel."""
     mixed = []
     mod = math.prod(primes)
 
@@ -435,14 +467,18 @@ def test_stacked_elimination_matches_per_matrix(primes):
     @given(lanes=stacks())
     def check(lanes):
         residues = np.array(lanes, dtype=np.int64) % mod
+        table = np.array([primes] * len(lanes))
         for dtype in (np.uint32, np.int64):
-            with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as spy:
-                got = gfp_core._eliminate_stack(residues.astype(dtype), primes)
+            patch, calls = recording("_eliminate_stack")
+            with patch:
+                got = gfp_core._eliminate_stack(residues.astype(dtype), table)
             assert got.shape == (len(lanes), len(primes))
             for rows, dets in zip(lanes, got.tolist()):
                 exact = det_bareiss(rows)
                 assert tuple(dets) == tuple(exact % p for p in primes)
-        mixed.append(0 < spy.call_count < len(lanes))
+        assert len(calls) <= 2
+        split = len(calls[1][0][0]) // len(primes) if len(calls) == 2 else 0
+        mixed.append(0 < split < len(lanes))
         assert np.array_equal(fp_dets_stack(np.array(lanes, dtype=np.int64), primes), got)
 
     check()
@@ -455,17 +491,18 @@ def test_stacked_elimination_matches_per_matrix(primes):
 
 @pytest.mark.parametrize("primes", [(2,), (7,), (Q,), (5, Q), (2, Q)], ids=["2", "7", "Q", "5Q", "2Q"])
 def test_stack_kernel_choice_by_stack_size(primes):
-    """fp_dets_stack eliminates a lone matrix in the per-matrix loop, once
-    per prime and never in the sweep, and a stack of two or more in one
-    sweep, except mod 2 alone, which takes the packed-bit kernel at every
-    stack size; all agree with Bareiss.  In a stack the loop runs only
-    under a D5 split, once per prime.  The first three lanes are permuted
-    unit upper triangles with a zero column at column 0, mid-sweep or the
-    last column, so each dies exactly there, alone and in stacks; the
-    fourth has a first column of multiples of 5 that are not all multiples
-    of Q, which kills it mod 5 at once when alone, and the others are random
-    and include D5 splits mod 5Q and mod 2Q.  `mc --p 2` takes the sweep mod
-    2Q, where the unit test for 2 reads the low bit of a residue."""
+    """fp_dets_stack eliminates every stack, a lone matrix as a stack of
+    one, in one sweep, except mod 2 alone, which takes the packed-bit
+    kernel at every stack size; all agree with Bareiss.  A second sweep,
+    with one prime per lane, runs only under a D5 split, one lane per split
+    lane and prime.  The first three lanes are permuted unit upper
+    triangles with a zero column at column 0, mid-sweep or the last column,
+    so each dies exactly there, alone and in stacks; the fourth has a first
+    column of multiples of 5 that are not all multiples of Q, which splits
+    mod 5Q at once and dies mod 5 in the second sweep, and the others are
+    random and include D5 splits mod 5Q and mod 2Q.  `mc --p 2` takes the
+    sweep mod 2Q, where the unit test for 2 reads the low bit of a
+    residue."""
     rnd = random.Random(17)
     entries = (0, 1, 2, 5, -5, Q)
     lanes = []
@@ -480,24 +517,20 @@ def test_stack_kernel_choice_by_stack_size(primes):
     parts = [[lane] for lane in lanes] + [lanes[i : i + b] for b in (2, 3) for i in range(len(lanes) - b + 1)]
     splits = 0
     for part in parts:
-        with mock.patch.object(
-            gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
-        ) as sweep, mock.patch.object(
-            gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2
-        ) as packed, mock.patch.object(
-            gfp_core, "_eliminate", wraps=gfp_core._eliminate
-        ) as loop, mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
+        patch, sweeps = recording("_eliminate_stack")
+        with patch, mock.patch.object(gfp_core, "_eliminate_gf2", wraps=gfp_core._eliminate_gf2) as packed:
             got = fp_dets_stack(np.array(part, dtype=np.int64), primes)
         assert packed.called == (primes == (2,))
-        assert sweep.call_count == (len(part) > 1 and primes != (2,))
         if primes == (2,):
-            assert not loop.called
-        elif len(part) == 1:
-            assert [call.args[1] for call in loop.call_args_list] == list(primes)
-            assert not split.called
+            assert not sweeps
         else:
-            assert loop.call_count == len(primes) * split.call_count
-            splits += split.call_count
+            (a, table), _ = sweeps[0]
+            assert len(a) == len(part) and table.tolist() == [list(primes)] * len(part)
+            assert len(sweeps) <= (2 if len(primes) > 1 else 1)
+            if len(sweeps) == 2:
+                (a, table), _ = sweeps[1]
+                assert table.shape == (len(a), 1) and len(a) % len(primes) == 0
+                splits += len(a) // len(primes)
         assert got.shape == (len(part), len(primes)) and got.dtype == np.int64
         for rows, dets in zip(part, got.tolist()):
             exact = det_bareiss(rows)
@@ -505,6 +538,14 @@ def test_stack_kernel_choice_by_stack_size(primes):
     assert [det_bareiss(rows) for rows in lanes[:3]] == [0, 0, 0]
     assert det_bareiss(lanes[3]) % 5 == 0 != det_bareiss(lanes[3]) % Q
     assert (splits > 0) == (len(primes) > 1)
+    if primes == (5, Q):
+        # the fourth lane alone splits at column 0, and mod 5 its block dies there
+        patch, sweeps = recording("_eliminate_stack")
+        with patch:
+            fp_dets_stack(np.array(lanes[3:4], dtype=np.int64), primes)
+        (a, table), _ = sweeps[1]
+        assert table[:, 0].tolist() == [5, Q] and len(a[0]) == 6
+        assert not a[0][:, 0].any() and a[1][:, 0].any()
 
 
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
@@ -532,11 +573,75 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
             fp_dets_stack(np.zeros((4, 2, 2), dtype=dtype), primes)
 
 
+Q2, Q3 = crt_primes(3)[1:]
+# table rows by length: one prime, or two whose product still fits the size rule
+TABLE_ROWS = {1: [(2,), (3,), (5,), (7,), (Q,), (Q2,), (Q3,)], 2: [(5, Q), (2, Q), (Q, 5), (Q2, 2)]}
+
+
+@st.composite
+def tabled_stacks(draw):
+    """A stack from `stacks()` and a (B, k) prime table for it: one row drawn
+    for every lane (a shared modulus) or a row drawn per lane."""
+    lanes = draw(stacks())
+    rows = st.sampled_from(TABLE_ROWS[draw(st.sampled_from([1, 2]))])
+    if draw(st.booleans()):
+        return lanes, [draw(rows)] * len(lanes)
+    return lanes, draw(st.lists(rows, min_size=len(lanes), max_size=len(lanes)))
+
+
+def test_prime_table_matches_bareiss():
+    """fp_dets_stack with one row of primes per lane, rows mixed in one
+    stack or shared by all, against Bareiss mod each prime of the lane's
+    row.  A lane that splits mod 5Q or 2Q reaches one second sweep, with
+    one prime per lane; a shared modulus and a modulus per lane both run."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tabled_stacks())
+    def check(case):
+        lanes, table = case
+        patch, sweeps = recording("_eliminate_stack")
+        with patch:
+            got = fp_dets_stack(np.array(lanes, dtype=np.int64), np.array(table))
+        assert got.shape == (len(lanes), len(table[0])) and got.dtype == np.int64
+        for rows, row, dets in zip(lanes, table, got.tolist()):
+            exact = det_bareiss(rows)
+            assert dets == [exact % p for p in row]
+        if table == [(2,)] * len(lanes):
+            assert not sweeps
+            return
+        shared = len(set(table)) == 1
+        seen.add("shared" if shared else "per lane")
+        assert len(sweeps) <= (2 if len(table[0]) > 1 else 1)
+        if len(sweeps) == 2:
+            (a, second), _ = sweeps[1]
+            assert second.shape == (len(a), 1)
+            primes = sorted(second[:, 0].tolist())
+            seen.update(f"split {math.prod(row)}" for row in set(table) if set(row) <= set(primes))
+            seen.add("split " + ("shared" if shared else "per lane"))
+
+    check()
+    assert {"shared", "per lane", "split shared", "split per lane", f"split {5 * Q}", f"split {2 * Q}"} <= seen
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[5, 5]], [[4]], [[1]], [[7, Q]], [[5], [7]], [[2.0]], [[[5]]]],
+    ids=["repeated", "non-prime", "one", "too-big", "rows-not-B", "float", "3-D"],
+)
+def test_prime_table_rows_are_checked(table):
+    """A table row with a repeated prime, a non-prime or M(M-1) >= 2^63, a
+    row count other than the stack's, or a table that is not 2-D integers
+    raises ValueError."""
+    with pytest.raises(ValueError):
+        fp_dets_stack(np.ones((1, 2, 2), dtype=np.int64), np.array(table))
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
 def test_packed_gf2_kernel_at_word_boundaries(n):
     """fp_dets_stack mod 2 alone, on stacks of 1 to 12 lanes at sizes around
-    the 64-bit word boundaries, against the per-matrix loop `_eliminate`
-    mod 2.  Lanes are 0/1 patterns written as int8 with negative entries,
+    the 64-bit word boundaries, against the sweep mod 2 on each lane as a
+    stack of one (`_eliminate_stack` with the table [[2]]).  Lanes are 0/1 patterns written as int8 with negative entries,
     int64 with negative entries and uint32 near 2^32, each of the pattern's
     parity.  Nonsingular lanes (a permuted unit upper triangle) need a pivot
     fix-up in most columns; singular ones die at different columns: a zero
@@ -564,7 +669,7 @@ def test_packed_gf2_kernel_at_word_boundaries(n):
         pick = rng.integers(0, 4, (12, n, n))
         lanes = np.where(np.array(patterns) == 1, np.array(odd)[pick], np.array(even)[pick])
         lanes = lanes.astype(dtype)
-        want = [gfp_core._eliminate(m % 2, 2) for m in lanes]
+        want = [gfp_core._eliminate_stack((m % 2).astype(np.uint32)[None], np.array([[2]]))[0, 0] for m in lanes]
         assert 0 < sum(want) < 12
         for b in range(1, 13):
             got = fp_dets_stack(lanes[:b], (2,))
@@ -579,7 +684,7 @@ def test_zero_test_with_a_given_first_residue():
     first = int(det_bareiss(lane.tolist())) % Q
     assert first != 0
     assert int_matrix(lane) is lane
-    with mock.patch.object(gfp_core, "fp_det", wraps=gfp_core.fp_det) as spy:
+    with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
         assert not int_determinant_is_zero(lane, first)
     assert not spy.called
     assert int_determinant_is_zero(np.array([[1, 2], [1, 2]], dtype=np.uint8), 0)
@@ -592,6 +697,68 @@ def test_zero_test_with_a_given_first_residue():
         for first in (None, 0, 1):
             with pytest.raises(ValueError):
                 int_determinant_is_zero(m, first)
+
+
+def padded_diagonal(diag, pad):
+    """diag on the diagonal, then the unit upper triangle [[1, pad], [0, 1]]:
+    det is prod(diag), but the last two rows raise the Hadamard bound by
+    about pad."""
+    k = len(diag)
+    a = np.zeros((k + 2, k + 2), dtype=np.int64)
+    a[range(k), range(k)] = diag
+    a[k, k] = a[k + 1, k + 1] = 1
+    a[k, k + 1] = pad
+    return a
+
+
+def tail_primes(a):
+    """The fewest CRT primes whose product exceeds twice the Hadamard bound."""
+    k = 1
+    while math.prod(crt_primes(k)) <= 2 * hadamard_bound(a):
+        k += 1
+    return k
+
+
+def test_zero_test_with_a_nonzero_tail():
+    """Lanes with det = +-q1, +-q1 q2 and +-q1 q2 q3 for the leading CRT
+    primes, padded so that the Hadamard bound needs one more prime, have a
+    zero first residue and zero residues at the tail's first primes, but
+    are not singular; their twins with a repeated row are.  A zero first
+    residue makes exactly one stacked call, on k - 1 copies of the lane,
+    mod crt_primes(k)[1:]."""
+    for j in (1, 2, 3):
+        for sign in (1, -1):
+            diag = [sign * Q] + crt_primes(j)[1:]
+            lane = padded_diagonal(diag, 2**30)
+            assert det_bareiss(lane) == math.prod(diag)
+            twin = lane.copy()
+            twin[-1] = twin[0]
+            assert det_bareiss(twin) == 0
+            assert tail_primes(lane) == j + 2
+            for m, zero in ((lane, False), (twin, True)):
+                k = tail_primes(m)
+                assert int_determinant_is_zero(m) is zero
+                with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
+                    assert int_determinant_is_zero(m, 0) is zero
+                assert spy.call_count == 1
+                stack, table = spy.call_args.args
+                assert table.tolist() == [[p] for p in crt_primes(k)[1:]]
+                assert len(stack) == k - 1 and all(np.array_equal(c, m) for c in stack)
+
+
+def test_zero_test_calls_by_tail_length():
+    """A duplicate-row d = 3 lane at n = 300 takes one stacked call of 8
+    lanes after its zero first residue, one at n = 30 needs no more primes
+    than q (k = 1) and takes none, and a nonzero first residue takes none."""
+    for n, calls in ((300, 1), (30, 0)):
+        lane = adjacency_lanes(n, 3, 7, 2)[1]
+        assert tail_primes(lane) == (9 if n == 300 else 1)
+        with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
+            assert int_determinant_is_zero(lane, 0)
+            assert not int_determinant_is_zero(lane, 1)
+        assert spy.call_count == calls
+        if calls:
+            assert spy.call_args.args[0].shape == (8, n, n)
 
 
 @pytest.mark.parametrize(
@@ -667,19 +834,6 @@ def adjacency_lanes(n, d, seed, b):
     return stack
 
 
-def recording(name):
-    """A patch of gfp_core.name that records every (args, result)."""
-    calls = []
-    real = getattr(gfp_core, name)
-
-    def record(*args):
-        out = real(*args)
-        calls.append((args, out))
-        return out
-
-    return mock.patch.object(gfp_core, name, side_effect=record), calls
-
-
 def without_step(stack, primes):
     """fp_dets_stack with the size rule past n: the kernels on the whole stack."""
     with mock.patch.object(gfp_core, "MIN_SCHUR_N", stack.shape[1] + 1):
@@ -715,19 +869,20 @@ def test_schur_step_matches_the_whole_sweep(n):
     """For d-regular adjacency stacks of 1, 2, 3 and 6 matrices,
     fp_dets_stack with the structural step (from n = MIN_SCHUR_N) equals the
     kernels on the whole stack, mod 5Q, 3Q, 2Q, 2 * 3 * 5, 7 and Q, with a
-    lane of identical rows; mod 2 * 3 * 5 the complement of a stack takes
-    the D5 split in the sweep, while a lone matrix goes prime by prime."""
+    lane of identical rows; mod 2 * 3 * 5 the complement of a stack of two
+    or more takes the D5 split, which a second sweep finishes."""
     for primes, d in SCHUR_CASES:
         stack = adjacency_lanes(n, d, n + d, 6)
         for b in (1, 2, 3, 6):
             want = without_step(stack[:b], primes)
-            with mock.patch.object(gfp_core, "_split", wraps=gfp_core._split) as split:
+            with mock.patch.object(gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack) as sweep:
                 got = fp_dets_stack(stack[:b], primes)
             assert got.shape == (b, len(primes)) and got.dtype == np.int64
             assert np.array_equal(got, want)
             assert not got[1:2].any()
+            assert sweep.call_count <= (2 if len(primes) > 1 else 1)
             if primes == (2, 3, 5) and n >= RULE and b >= 2:
-                assert split.called
+                assert sweep.call_count == 2
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint32])
@@ -774,15 +929,15 @@ def test_schur_step_with_dense_pivot_rows_and_columns_takes_no_pivots():
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q), (2, Q)], ids=["2", "7", "5Q", "2Q"])
 def test_schur_step_choice_at_min_schur_n(primes):
     """fp_dets_stack takes the structural step from n = MIN_SCHUR_N on, for
-    every modulus but 2 alone, before the per-matrix loop that a lone
-    matrix takes and before the stacked sweep alike; the kernel gets the
-    complement, and the dets equal the kernels' on the whole stack."""
+    every modulus but 2 alone, before the sweep of a lone matrix and of a
+    stack alike; the sweep gets the complement, and the dets equal the
+    kernels' on the whole stack."""
     for n in (RULE - 1, RULE):
         stack = adjacency_lanes(n, 3, 9, 3)
-        for b, kernel in ((1, "_eliminate"), (3, "_eliminate_stack")):
+        for b in (1, 3):
             with mock.patch.object(
                 gfp_core, "_schur_complement", wraps=gfp_core._schur_complement
-            ) as step, mock.patch.object(gfp_core, kernel, wraps=getattr(gfp_core, kernel)) as spy:
+            ) as step, mock.patch.object(gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack) as spy:
                 got = fp_dets_stack(stack[:b], primes)
             assert step.called == (n >= RULE and primes != (2,))
             assert spy.called == (primes != (2,))
@@ -790,3 +945,19 @@ def test_schur_step_choice_at_min_schur_n(primes):
                 assert (spy.call_args_list[0].args[0].shape[-1] < n) == step.called
             if n >= RULE:
                 assert np.array_equal(got, without_step(stack[:b], primes))
+
+
+@pytest.mark.parametrize("n", [RULE, 100])
+def test_prime_table_through_the_structural_step(n):
+    """Adjacency stacks from n = MIN_SCHUR_N on, with a row of primes per
+    lane, equal each lane decided alone with its row and the kernels on the
+    whole stack: the structural steps and the sweep index each lane's
+    modulus."""
+    stack = adjacency_lanes(n, 3, n, 6)
+    for rows in (TABLE_ROWS[1][1:], TABLE_ROWS[2] + [(5, Q), (Q2, 2)]):
+        table = np.array(rows)
+        got = fp_dets_stack(stack, table)
+        alone = [fp_dets_stack(stack[i : i + 1], row)[0].tolist() for i, row in enumerate(rows)]
+        assert got.tolist() == alone
+        assert np.array_equal(got, without_step(stack, table))
+        assert not got[1].any()

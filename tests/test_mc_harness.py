@@ -116,18 +116,22 @@ def test_block_without_a_fused_prime_stacks_its_first_residue(primes):
     # exceeds q / 2, so its zero test goes on to the next CRT primes
     q = gfp_core.crt_primes(1)[0]
     trials = range(0, 40)
-    with mock.patch.object(gfp_core, "fp_det", wraps=gfp_core.fp_det) as spy:
+    # the block's own eliminations call mc_harness.fp_dets_stack; the zero
+    # test's tail calls gfp_core.fp_dets_stack
+    with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
         records = mc_harness.run_block(40, 3, 8, primes, trials)
     mats = [adjacency_from_permutation(sample_configuration(40, 3, 8, stream=t)) for t in trials]
     exact = [det_bareiss(a.tolist()) for a in mats]
     assert 0 < sum(e == 0 for e in exact) < len(trials)
-    # the zero test eliminates matrix by matrix only mod the later CRT primes,
-    # and only for a trial whose residue mod q is 0
+    # the zero test makes one stacked call for each trial whose residue mod
+    # q is 0, on copies of that trial's lane mod the later CRT primes
     singular = [a for a, e in zip(mats, exact) if e % q == 0]
-    assert spy.called
-    for call in spy.call_args_list:
-        m, p = call.args
-        assert p != q and any(np.array_equal(m, a) for a in singular)
+    assert spy.call_count == len(singular)
+    for call, a in zip(spy.call_args_list, singular):
+        stack, table = call.args
+        k = len(stack) + 1
+        assert k > 1 and table.tolist() == [[p] for p in gfp_core.crt_primes(k)[1:]]
+        assert all(np.array_equal(m, a) for m in stack)
     assert canonical(records) == canonical([run_trial(40, 3, 8, primes, t) for t in trials])
     for rec, e in zip(records, exact):
         assert rec.det_zero == (e == 0)
