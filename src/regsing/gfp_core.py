@@ -456,13 +456,13 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.n
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {stack.shape}")
     table = np.asarray(primes)
-    if table.ndim == 1:
-        table = np.broadcast_to(table, (len(stack), len(table)))
-    if table.ndim != 2 or len(table) != len(stack) or table.dtype.kind not in "iu":
+    # shared primes are one row, checked before it is broadcast: an empty stack's too
+    table, rows = (table[None], 1) if table.ndim == 1 else (table, len(stack))
+    if table.ndim != 2 or len(table) != rows or table.dtype.kind not in "iu":
         raise ValueError(f"one row of primes per matrix required, got {table.dtype} {table.shape}")
     for row in set(map(tuple, table.tolist())):
         _modulus(row)
-    table = table.astype(np.int64)
+    table = np.broadcast_to(table, (len(stack), table.shape[1])).astype(np.int64)
     if table.shape[1] == 1 and (table == 2).all():
         return _eliminate_gf2(stack)
     mod = _lane_moduli(table)

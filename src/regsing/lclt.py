@@ -1,5 +1,5 @@
-"""Step-distribution moments, characteristic function, and the Gaussian
-point-mass approximation to exact walk endpoint probabilities.
+"""The Gaussian point-mass approximation to exact walk endpoint
+probabilities, and the step moments it rests on, summed as an oracle.
 
 The walk step X is uniform over the profile multiset of sum-zero d-tuples;
 its mean is d/p in every coordinate and its covariance is (d/p) I - (d/p^2) J,
@@ -14,7 +14,6 @@ all-ones direction has the same norm because the deviation sums to zero.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,14 +23,12 @@ from .walk_census import (
     LatticeCounts,
     TypeVec,
     UMultiset,
-    build_U,
     is_admissible,
     is_near_uniform,
     squared_deviation,
     type_vectors,
     walk_endpoint_counts,
 )
-from .common import require_coprime_degree
 
 # Default window parameter for equidistributed-class scans.  Pinned by pilot
 # runs (d=3, p=2, n in {24, 48, 96}): wider windows admit near-boundary types
@@ -48,20 +45,9 @@ class MomentData:
     covariance: Tuple[Tuple[Fraction, ...], ...]
 
 
-def moments(d: int, p: int) -> MomentData:
-    """Exact step mean and covariance from the closed forms."""
-    require_coprime_degree(p, d)
-    mu = Fraction(d, p)
-    mean = (mu,) * p
-    cov = tuple(
-        tuple(mu * (1 if j == k else 0) - Fraction(d, p * p) for k in range(p))
-        for j in range(p)
-    )
-    return MomentData(d=d, p=p, mean=mean, covariance=cov)
-
-
 def moments_from_multiset(u: UMultiset) -> MomentData:
-    """Mean/covariance by direct summation over the step multiset (oracle route)."""
+    """Mean/covariance by direct summation over the step multiset: an oracle
+    that the tests hold to the closed forms above; the package never calls it."""
     total = u.total_multiplicity
     p = u.p
     mean = [Fraction(0)] * p
@@ -77,15 +63,6 @@ def moments_from_multiset(u: UMultiset) -> MomentData:
         for k in range(p):
             cov[j][k] -= mean[j] * mean[k]
     return MomentData(d=u.d, p=p, mean=tuple(mean), covariance=tuple(map(tuple, cov)))
-
-
-def characteristic_function(t: Sequence[float], d: int, p: int) -> complex:
-    """E[exp(i <t, X>)] over the step multiset; modulus is at most 1."""
-    u = build_U(d, p)
-    acc = 0j
-    for w, m in u.items:
-        acc += m * cmath.exp(1j * sum(ti * wi for ti, wi in zip(t, w)))
-    return acc / u.total_multiplicity
 
 
 def gaussian_point_mass(t: Sequence[int], d: int, p: int) -> float:

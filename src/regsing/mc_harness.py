@@ -234,6 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecor
         records = [rec for recs in map(work, blocks) for rec in recs]
     else:
         chunk = max(1, len(blocks) // (cfg.parallelism * 8))
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        # the pool starts all its workers at once: no more than there are blocks
+        with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(blocks))) as pool:
             records = [rec for recs in pool.map(work, blocks, chunksize=chunk) for rec in recs]
     return summarize(cfg, records), records

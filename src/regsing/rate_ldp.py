@@ -20,7 +20,6 @@ ln(amgm_sum) provide independent cross-checks.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,14 +32,8 @@ from .common import GuardError, require_coprime_degree
 from .gfp_core import det_bareiss
 from .walk_census import LATTICE_GUARD, build_U, type_vectors
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_TOL = 1e-10
 MAX_NEWTON_ITER = 200
-# quadratic_expansion_check: |delta| and the seeded zero-sum directions
-QUADRATIC_RADIUS = 1e-3
-QUADRATIC_SAMPLES = 8
-QUADRATIC_SEED = 20240801
 
 
 def _check_density(nv: Sequence[float], p: int) -> np.ndarray:
@@ -267,13 +260,15 @@ def _amgm_factors(nv: Sequence[float], d: int, p: int):
 
 
 def amgm_sum(nv: Sequence[float], d: int, p: int) -> float:
-    """sum_j mult_j prod_k nv_k^{((d-1)/d) w_j(k)}; <= 1, = 1 iff uniform or e_0."""
+    """sum_j mult_j prod_k nv_k^{((d-1)/d) w_j(k)}; <= 1, = 1 iff uniform or e_0.
+    An oracle: its log bounds maxent_alpha's rate from above, with no solve."""
     _, _, m, factors = _amgm_factors(nv, d, p)
     return float(sum(m * factors))
 
 
 def stationary_alpha(nv: Sequence[float], d: int, p: int) -> StationaryWeights:
-    """Lagrange stationary weights; the rate equals -(d-2+lam) = ln(amgm_sum)."""
+    """Lagrange stationary weights; the rate equals -(d-2+lam) = ln(amgm_sum).
+    An oracle: a closed form that matches maxent_alpha where moment_residual is small."""
     nv_arr, w, m, factors = _amgm_factors(nv, d, p)
     s = float((m * factors).sum())
     if s <= 0.0:
@@ -288,82 +283,6 @@ def stationary_alpha(nv: Sequence[float], d: int, p: int) -> StationaryWeights:
         lam=lam,
         rate=-(d - 2 + lam),
         moment_residual=residual,
-    )
-
-
-@dataclass(frozen=True)
-class GramSpectrum:
-    d: int
-    p: int
-    matrix: Tuple[Tuple[int, ...], ...]
-    eigenvalues: Tuple[float, ...]  # descending
-    leading: int  # d^2 p^{d-2}
-    repeated: int  # d p^{d-2}, multiplicity p-1
-
-
-def gram_spectrum(d: int, p: int) -> GramSpectrum:
-    """Eigenvalues of sum_j mult_j w_j w_j^T, computed numerically.
-
-    The summed matrix equals d p^{d-2} I + d(d-1) p^{d-3} J, so the spectrum
-    is {d^2 p^{d-2}} plus d p^{d-2} repeated p-1 times.
-    """
-    require_coprime_degree(p, d)
-    w, m = (a.astype(np.int64) for a in _atoms(d, p))
-    gram = (w.T * m) @ w
-    eig = np.linalg.eigvalsh(gram.astype(float))[::-1]
-    leading = d * d * p ** (d - 2)
-    repeated = d * p ** (d - 2)
-    logger.info(
-        "gram spectrum d=%d p=%d: repeated eigenvalue %d has multiplicity p-1 = %d, not d-1 = %d",
-        d, p, repeated, p - 1, d - 1,
-    )
-    return GramSpectrum(
-        d=d,
-        p=p,
-        matrix=tuple(map(tuple, gram.tolist())),
-        eigenvalues=tuple(float(x) for x in eig),
-        leading=leading,
-        repeated=repeated,
-    )
-
-
-@dataclass(frozen=True)
-class QuadraticReport:
-    d: int
-    p: int
-    radius: float
-    ratios: Tuple[float, ...]  # rate(s)/rate(s/2) per sampled direction
-    coefficients: Tuple[float, ...]  # rate(s)/sum delta_j^2 per direction
-    max_ratio_error: float  # max |ratio - 4|
-
-
-def quadratic_expansion_check(d: int, p: int) -> QuadraticReport:
-    """rate(uniform + delta) = -(p/2) sum delta_j^2 + O(|delta|^3).
-
-    Halving delta must scale the rate by about 1/4; the ratio
-    rate(s)/rate(s/2) is reported for random zero-sum directions.
-    """
-    require_coprime_degree(p, d)
-    rng = np.random.default_rng(QUADRATIC_SEED)
-    uniform = np.full(p, 1.0 / p)
-    ratios: List[float] = []
-    coeffs: List[float] = []
-    for _ in range(QUADRATIC_SAMPLES):
-        g = rng.standard_normal(p)
-        g -= g.mean()
-        g /= np.linalg.norm(g)
-        delta = QUADRATIC_RADIUS * g
-        r_full = maxent_alpha(uniform + delta, d, p).rate
-        r_half = maxent_alpha(uniform + delta / 2, d, p).rate
-        ratios.append(r_full / r_half)
-        coeffs.append(r_full / float(delta @ delta))
-    return QuadraticReport(
-        d=d,
-        p=p,
-        radius=QUADRATIC_RADIUS,
-        ratios=tuple(ratios),
-        coefficients=tuple(coeffs),
-        max_ratio_error=max(abs(r - 4.0) for r in ratios),
     )
 
 

@@ -7,13 +7,13 @@ parts so pytest records the same verdict.
 
 import io
 import json
-import logging
 import math
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from regsing import lclt, mc_harness, rate_ldp, walk_census
@@ -122,29 +122,40 @@ def test_criterion_03_mass_and_parity(trend_counts, oracle_results):
 def test_criterion_04_moments_exact():
     diffs = []
     for d, p in MOMENT_PAIRS:
-        closed = lclt.moments(d, p)
         summed = lclt.moments_from_multiset(walk_census.build_U(d, p))
-        if closed != summed:
+        mean = (Fraction(d, p),) * p
+        cov = tuple(
+            tuple(Fraction(d, p) * (j == k) - Fraction(d, p * p) for k in range(p))
+            for j in range(p)
+        )
+        if (summed.mean, summed.covariance) != (mean, cov):
             diffs.append((d, p))
     ok = not diffs
-    report(4, ok, f"closed-form mean/covariance equal multiset sums for {MOMENT_PAIRS}")
+    report(
+        4, ok, f"multiset mean/covariance equal d/p and (d/p) I - (d/p^2) J for {MOMENT_PAIRS}"
+    )
     assert not diffs
 
 
-def test_criterion_05_gram_spectrum(caplog):
+def test_criterion_05_gram_spectrum():
     bad = []
-    with caplog.at_level(logging.INFO, logger="regsing.rate_ldp"):
-        for d, p in MOMENT_PAIRS:
-            gram = rate_ldp.gram_spectrum(d, p)
-            expected = sorted([d * d * p ** (d - 2)] + [d * p ** (d - 2)] * (p - 1), reverse=True)
-            err = max(abs(a - b) for a, b in zip(gram.eigenvalues, expected))
-            if len(gram.eigenvalues) != p or err > 1e-9:
-                bad.append((d, p, err))
-    logged = "not d-1" in caplog.text and "multiplicity p-1" in caplog.text
-    ok = not bad and logged
-    report(5, ok, f"eigenvalue sets match to 1e-9 for {MOMENT_PAIRS}, discrepancy logged: {logged}")
+    for d, p in MOMENT_PAIRS:
+        gram = sum(m * np.outer(w, w) for w, m in walk_census.build_U(d, p).items)
+        rep = d * p ** (d - 2)
+        closed = rep * np.eye(p, dtype=np.int64) + d * (d - 1) * p ** (d - 3)
+        eig = np.linalg.eigvalsh(gram.astype(float))[::-1]
+        expected = [d * d * p ** (d - 2)] + [rep] * (p - 1)
+        err = float(np.abs(eig - expected).max())
+        if gram.tolist() != closed.tolist() or err > 1e-9:
+            bad.append((d, p, err))
+    ok = not bad
+    report(
+        5,
+        ok,
+        f"sum m_w w w^T = d p^(d-2) I + d(d-1) p^(d-3) J exactly, eigenvalues d^2 p^(d-2) "
+        f"and d p^(d-2) with multiplicity p-1 (not d-1) to 1e-9 for {MOMENT_PAIRS}",
+    )
     assert not bad
-    assert logged
 
 
 def test_criterion_06_lclt_error_shrinks():
@@ -177,16 +188,30 @@ def test_criterion_07_rate_function():
         and scan32.n_nonconverged == 0
         and scan43.n_nonconverged == 0
     )
-    quad32 = rate_ldp.quadratic_expansion_check(3, 2)
-    quad43 = rate_ldp.quadratic_expansion_check(4, 3)
-    quad_ok = quad32.max_ratio_error <= 0.2 and quad43.max_ratio_error <= 0.2
+    # rate(uniform + delta) = -(p/2) |delta|^2 + O(|delta|^3) along seeded
+    # zero-sum directions of length 1e-3: halving delta quarters the rate
+    ratio_err = coef_err = 0.0
+    for d, p in ((3, 2), (4, 3)):
+        rng = np.random.default_rng(20240801)
+        uniform = np.full(p, 1.0 / p)
+        for _ in range(8):
+            g = rng.standard_normal(p)
+            g -= g.mean()
+            g /= np.linalg.norm(g)
+            delta = 1e-3 * g
+            full = rate_ldp.maxent_alpha(uniform + delta, d, p).rate
+            half = rate_ldp.maxent_alpha(uniform + delta / 2, d, p).rate
+            ratio_err = max(ratio_err, abs(full / half - 4) / 4)
+            coef_err = max(coef_err, abs(full / float(delta @ delta) / (-p / 2) - 1))
+    quad_ok = ratio_err <= 0.05 and coef_err <= 1e-2
     ok = zeros_ok and scans_ok and quad_ok
     report(
         7,
         ok,
         f"|rate| at equality points <= {max(zero_rates):.2e}; grid max rates "
         f"{scan32.max_rate:.2e} (3,2) and {scan43.max_rate:.2e} (4,3) strictly "
-        f"negative; halving ratios within {max(quad32.max_ratio_error, quad43.max_ratio_error) / 4:.2%} of 4",
+        f"negative; halving ratios within {ratio_err:.2%} of 4, "
+        f"rate/|delta|^2 within {coef_err:.2%} of -p/2",
     )
     assert zeros_ok
     assert scans_ok

@@ -146,6 +146,12 @@ def test_prime_validation():
         fp_det([[1]], 4)
     with pytest.raises(ValueError):
         fp_det([[1]], 1)
+    # shared primes are checked on an empty stack too, whose table has no rows
+    empty = np.zeros((0, 3, 3), np.int64)
+    for primes in [(4,), (6, 9), (5, 5)]:
+        with pytest.raises(ValueError):
+            fp_dets_stack(empty, primes)
+    assert fp_dets_stack(empty, (2, 5)).shape == (0, 2)
 
 
 def is_prime_by_trial_division(q):

@@ -1,4 +1,5 @@
-"""Step moments, characteristic function, Gaussian point-mass accuracy."""
+"""Step moments and characteristic function against their closed forms,
+Gaussian point-mass accuracy."""
 
 import cmath
 import io
@@ -10,25 +11,27 @@ from fractions import Fraction
 import pytest
 
 from regsing.cli import main as cli_main
-from regsing.lclt import (
-    DEFAULT_B,
-    characteristic_function,
-    gaussian_point_mass,
-    lclt_error_scan,
-    moments,
-    moments_from_multiset,
-)
+from regsing.lclt import DEFAULT_B, gaussian_point_mass, lclt_error_scan, moments_from_multiset
 from regsing.walk_census import build_U, is_admissible, squared_deviation, walk_endpoint_counts
 
 
+def closed_form_moments(d, p):
+    """Mean d/p in every coordinate; covariance entry (j, k) = (d/p)[j = k] - d/p^2."""
+    mean = (Fraction(d, p),) * p
+    cov = tuple(
+        tuple(Fraction(d, p) * (j == k) - Fraction(d, p * p) for k in range(p)) for j in range(p)
+    )
+    return mean, cov
+
+
 def test_moment_closed_forms():
-    m = moments(3, 2)
+    m = moments_from_multiset(build_U(3, 2))
     assert m.mean == (Fraction(3, 2), Fraction(3, 2))
     assert m.covariance == (
         (Fraction(3, 4), Fraction(-3, 4)),
         (Fraction(-3, 4), Fraction(3, 4)),
     )
-    m5 = moments(3, 5)
+    m5 = moments_from_multiset(build_U(3, 5))
     assert all(x == Fraction(3, 5) for x in m5.mean)
     assert m5.covariance[0][0] == Fraction(12, 25)
     assert m5.covariance[0][1] == Fraction(-3, 25)
@@ -36,19 +39,23 @@ def test_moment_closed_forms():
 
 def test_moments_match_multiset_summation():
     for d, p in [(3, 2), (3, 5), (4, 3), (5, 2)]:
-        assert moments(d, p) == moments_from_multiset(build_U(d, p))
+        m = moments_from_multiset(build_U(d, p))
+        assert (m.d, m.p) == (d, p)
+        assert (m.mean, m.covariance) == closed_form_moments(d, p)
 
 
 def test_covariance_annihilates_ones():
     for d, p in [(3, 2), (4, 3), (5, 2)]:
-        cov = moments(d, p).covariance
+        cov = moments_from_multiset(build_U(d, p)).covariance
         for row in cov:
             assert sum(row) == 0
 
 
-def test_moments_require_coprimality():
-    with pytest.raises(ValueError):
-        moments(3, 3)
+def characteristic_function(t, d, p):
+    """E[exp(i <t, X>)] for a step X uniform over the multiset build_U(d, p)."""
+    u = build_U(d, p)
+    acc = sum(m * cmath.exp(1j * sum(ti * wi for ti, wi in zip(t, w))) for w, m in u.items)
+    return acc / u.total_multiplicity
 
 
 def test_characteristic_function_normalization():

@@ -257,6 +257,35 @@ def test_parallel_schedules_agree():
     assert [r.trial for r in r1] == list(range(110))
 
 
+def test_pool_never_outnumbers_blocks(monkeypatch):
+    """The pool starts all its workers at the first submit, so run_experiment
+    asks for no more of them than there are blocks.  A recorder stands in for
+    the pool and maps serially: no process starts, whatever --parallel says."""
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", Recorder)
+    # n = 24 blocks hold 2^16 // 576 = 113 trials
+    for trials, parallelism, workers in [(32, 8, 1), (32, 5000, 1), (250, 2, 2), (250, 8, 3)]:
+        cfg = ExperimentConfig(n=24, d=3, primes=(2, 5), trials=trials, seed=3)
+        s1, r1 = run_experiment(cfg)
+        s2, r2 = run_experiment(replace(cfg, parallelism=parallelism))
+        assert s1 == s2 and canonical(r1) == canonical(r2)
+        assert asked.pop() == workers and not asked
+
+
 def test_blocks_follow_the_block_rule():
     # max(MIN_LANES, 2^16 // n^2) trials a block: 8 at n = 90 and MIN_LANES = 6
     # at n = 128, 129 and 300, where 2^16 // n^2 is 4, 3 and 0.  Every block,

@@ -1,8 +1,7 @@
-"""Rate function: dual solver optimality, closed forms, spectra, negativity."""
+"""Rate function: dual solver optimality, closed forms, the step Gram matrix, negativity."""
 
 import io
 import json
-import logging
 import math
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -15,10 +14,8 @@ from regsing.rate_ldp import (
     GridScanReport,
     amgm_sum,
     facet_normals,
-    gram_spectrum,
     maxent_alpha,
     negativity_grid_scan,
-    quadratic_expansion_check,
     stationary_alpha,
 )
 from regsing.walk_census import build_U, type_vectors
@@ -253,44 +250,26 @@ def test_amgm_equality_points_and_strictness():
                 assert s < 1 - 1e-4
 
 
+def step_gram(d, p):
+    """sum_w m_w w w^T over the step multiset, in int64."""
+    return sum(m * np.outer(w, w) for w, m in build_U(d, p).items)
+
+
 def test_gram_spectrum_closed_form():
-    g = gram_spectrum(3, 2)
-    assert g.eigenvalues == pytest.approx((18.0, 6.0), abs=1e-9)
-    g = gram_spectrum(4, 3)
-    assert g.eigenvalues == pytest.approx((144.0, 36.0, 36.0), abs=1e-9)
+    # the summed matrix is d p^{d-2} I + d(d-1) p^{d-3} J, exactly in integers:
+    # its spectrum is d^2 p^{d-2} once and d p^{d-2} with multiplicity p-1, not d-1
+    for d, p, eig in [(3, 2, [6, 18]), (4, 3, [36, 36, 144])]:
+        assert np.linalg.eigvalsh(step_gram(d, p).astype(float)) == pytest.approx(eig, abs=1e-9)
     for d in (3, 4, 5):
         for p in (2, 3, 5, 7):
             if math.gcd(p, d) != 1:
                 continue
-            g = gram_spectrum(d, p)
-            lead = d * d * p ** (d - 2)
+            gram = step_gram(d, p)
             rep = d * p ** (d - 2)
-            expected = sorted([lead] + [rep] * (p - 1), reverse=True)
-            assert list(g.eigenvalues) == pytest.approx(expected, abs=1e-9)
-            # explicit matrix identity: d p^{d-2} I + d(d-1) p^{d-3} J
             j_coef = d * (d - 1) * p ** (d - 3)
-            for i in range(p):
-                for k in range(p):
-                    want = j_coef + (rep if i == k else 0)
-                    assert g.matrix[i][k] == want
-            assert sum(g.matrix[i][i] for i in range(p)) == lead + (p - 1) * rep
-
-
-def test_gram_multiplicity_note_logged(caplog):
-    with caplog.at_level(logging.INFO, logger="regsing.rate_ldp"):
-        gram_spectrum(3, 2)
-    messages = " ".join(r.getMessage() for r in caplog.records)
-    assert "multiplicity p-1" in messages
-    assert "not d-1" in messages
-
-
-def test_quadratic_expansion():
-    for d, p in [(3, 2), (4, 3)]:
-        rep = quadratic_expansion_check(d, p)
-        assert rep.max_ratio_error < 0.05 * 4
-        for c in rep.coefficients:
-            # cubic term contributes an O(radius) relative correction
-            assert c == pytest.approx(-p / 2, rel=1e-2)
+            assert gram.tolist() == [[j_coef + rep * (i == k) for k in range(p)] for i in range(p)]
+            eig = np.linalg.eigvalsh(gram.astype(float))
+            assert eig == pytest.approx([rep] * (p - 1) + [d * d * p ** (d - 2)], abs=1e-9)
 
 
 def test_constraint_gram_consistency():
