@@ -272,6 +272,24 @@ def test_gram_spectrum_closed_form():
             assert eig == pytest.approx([rep] * (p - 1) + [d * d * p ** (d - 2)], abs=1e-9)
 
 
+def test_quadratic_expansion():
+    # rate(uniform + delta) = -(p/2) |delta|^2 + O(|delta|^3): along seeded
+    # zero-sum directions of length 1e-3, halving delta quarters the rate
+    for d, p in [(3, 2), (4, 3)]:
+        rng = np.random.default_rng(20240801)
+        uniform = np.full(p, 1.0 / p)
+        for _ in range(8):
+            g = rng.standard_normal(p)
+            g -= g.mean()
+            g /= np.linalg.norm(g)
+            delta = 1e-3 * g
+            full = maxent_alpha(uniform + delta, d, p).rate
+            half = maxent_alpha(uniform + delta / 2, d, p).rate
+            assert full / half == pytest.approx(4, abs=0.05 * 4)
+            # cubic term contributes an O(radius) relative correction
+            assert full / float(delta @ delta) == pytest.approx(-p / 2, rel=1e-2)
+
+
 def test_constraint_gram_consistency():
     # d^2 |delta|^2 equals eps^T G eps when d*delta = sum eps_a w_a
     rng = np.random.default_rng(9)
