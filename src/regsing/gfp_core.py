@@ -37,32 +37,30 @@ shares M, as in every Monte Carlo block, the reductions (`_reduce`), the
 unit test and the det updates divide by the Python int M; only a table of
 different moduli (the zero test's tail, the second D5 sweep) indexes one
 per lane.  NumPy 2.4 floor-divided 10^4 int64 entries in 8 us by a scalar
-and in 34-37 us by an array, and `_reduce` is a tenth of the benchmark's
-n = 300 job under cProfile.  A lone matrix, a stack of one, took 4.4 ms
+and in 34-37 us by an array.  A lone matrix, a stack of one, took 4.4 ms
 at n = 300 mod q, against 3.3 ms in the per-matrix loop the sweep replaced.
 
 From n = MIN_SCHUR_N on, and for every M but 2 alone, structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990) first shrinks each matrix
-to a small Schur complement, which the sweep then eliminates.  One
-structural step (`_schur_step`) picks a set of pivots (P, C) per matrix with
-A[P, C] diagonal and unit (the structural pivots of Faugere and Lachartre,
-PASCO 2010) by one pass over the rows in order, and eliminates them all at
-once: det A = +-prod(D) det(S), with S built from A's nonzeros alone.
+to a small Schur complement over Z, which the sweep then eliminates.  One
+structural step (`_schur_step`) picks a set of pivots (P, C) per matrix
+with A[P, C] diagonal and +-1 (the structural pivots of Faugere and
+Lachartre, PASCO 2010) by one pass over the rows in order, and eliminates
+them all at once: D^-1 = D, so S = A[R, K] - A[R, C] D A[P, K] is an
+integer matrix, built from A's nonzeros alone, with det A = +-det S.
 Steps repeat on S, kept as sorted nonzeros, until its density passes
-SCHUR_DENSITY; only the last S is written out as a uint32 stack, padded
-with an identity to the largest lane, so no uint32 or bool copy of the
-whole (B, n, n) stack is made.  For d = 3 adjacency matrices at n = 300
-the steps leave about 172, 116 and 86 rows at densities of 2.6, 6.7 and
-18 %; stopping after two, four or five steps took 4-9 % longer per matrix
-than after three (SCHUR_DENSITY = 0.1), in stacks of 6 mod 5q and alone
-mod q.  Per matrix mod 5q, in stacks of 6, the steps made the elimination
-0.64x as long at n = 300 (3.7 against 5.7 ms: 1.6 ms in the steps, a
-quarter of it the Python pivot pass, and 2.1 ms in the sweep of the
-complement), and alone, mod q, 0.53x (5.6 against 10.5 ms; medians of 5
-interleaved rounds).  Against the whole sweep, in the stacks a Monte Carlo
-block holds and over 9 interleaved rounds, it took 1.12x at n = 48 (stacks
-of 28), 1.06x at n = 56 (20), 0.94x at n = 64 (16), 0.78x at n = 80 (10),
-0.68x at n = 100 (6) and 0.64x at n = 128 (6): hence MIN_SCHUR_N = 64.
+SCHUR_DENSITY, and a lane with an entry past SCHUR_ENTRY_BOUND takes no
+more, so products and sums stay inside int64 for any input.  Nothing in
+the steps depends on the modulus: only the last S is reduced mod each
+lane's M, as it is written out as a uint32 stack padded with an identity
+to the largest lane, so no uint32 or bool copy of the whole (B, n, n)
+stack is made.  Steps run over slices of SCHUR_LANES lanes, which keeps
+their transient memory at about 0.2 MB a lane at n = 300, and one sweep
+decides the whole stack.  For d = 3 adjacency matrices at n = 300 three
+steps leave about 85.5 rows (85.0 when every unit mod 5q could pivot) at
+a density near 18 %; stopping after two, four or five steps took 4-9 %
+longer.  Against the whole sweep the steps took 1.12x at n = 48, 0.94x at
+n = 64 and 0.64x at n = 128 per matrix: hence MIN_SCHUR_N = 64.
 
 Mod 2 alone, `_eliminate_gf2` runs XOR on rows packed into machine words
 (M4RI: Albrecht, Bard and Hart, ACM TOMS 2010), with no residues, unit
@@ -73,14 +71,14 @@ and 0.2x at n = 300 in stacks of 6.
 
 `int_determinant_is_zero` decides det == 0 from the residues mod a fixed
 list of CRT primes, the largest below 2^29: after a zero residue mod the
-first, q, all the others it needs go in one `fp_dets_stack`, a copy of the
-matrix per prime.  That has no early exit at a nonzero residue, which only
-a nonsingular matrix with a zero residue mod q (about 1 in q) misses, and
-it took 20 ms on the 8 later primes of a singular lane at n = 300, against
-27 ms for one elimination per prime.  The bound keeps 5q inside the size
-rule, so a Monte Carlo block decides its listed prime p <= 5 and the first
-CRT prime q in one `fp_dets_stack` mod pq (`fused_prime`) and hands the
-residues mod q to the zero test; with no listed p <= 5, one mod q alone.
+first, q, all the others it needs go in one `fp_dets_stack` on broadcast
+copies of the matrix, one per prime, whose structural steps run once.
+That has no early exit at a nonzero residue, which only a nonsingular
+matrix with a zero residue mod q (about 1 in q) misses.  The bound keeps
+5q inside the size rule, so a Monte Carlo block decides its listed prime
+p <= 5 and the first CRT prime q in one `fp_dets_stack` mod pq
+(`fused_prime`) and hands the residues mod q to the zero test; with no
+listed p <= 5, one mod q alone.
 `det_bareiss` (fraction-free elimination in Python ints) is the one exact
 determinant.  It shares no code with the kernels, so it is their and the
 zero test's independent oracle, and it is the cheaper route for tiny
@@ -103,8 +101,11 @@ MatrixLike = Sequence[Sequence[int]]
 # complement of its structural pivots (see the module docstring).
 MIN_SCHUR_N = 64
 # Density of nonzeros past which `fp_dets_stack` takes no further structural
-# step (see the module docstring).
+# step, the largest |entry| of a lane that still takes one, and the most
+# lanes whose steps run at once (see the module docstring).
 SCHUR_DENSITY = 0.1
+SCHUR_ENTRY_BOUND = 2**20
+SCHUR_LANES = 6
 
 
 def _within_int64(dtype: np.dtype) -> bool:
@@ -290,11 +291,11 @@ def _eliminate_gf2(stack: np.ndarray) -> np.ndarray:
 def _structural_pivots(cols: list[int], units: list[bool], bounds: list[int]) -> list[int]:
     """Indices into cols of one matrix's structural pivots: row r's nonzero
     columns are cols[bounds[r]:bounds[r + 1]], in increasing order, and
-    units flags the entries that are units mod M.  Rows are taken in order;
+    units flags the entries a pivot may sit on.  Rows are taken in order;
     a row none of whose nonzero columns is a pivot column pivots on its
-    first unit column that no earlier pivot row has a nonzero in.  So each
-    pivot row is zero in every other pivot column, and each pivot column
-    zero in every other pivot row."""
+    first flagged column that no earlier pivot row has a nonzero in.  So
+    each pivot row is zero in every other pivot column, and each pivot
+    column zero in every other pivot row."""
     pivot_cols: set[int] = set()
     blocked: set[int] = set()  # the nonzero columns of the pivot rows
     taken = []
@@ -311,42 +312,46 @@ def _structural_pivots(cols: list[int], units: list[bool], bounds: list[int]) ->
 
 
 def _schur_step(
-    lane: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray,
-    b: int, m: int, mod: int | np.ndarray,
+    lane: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, b: int, m: int
 ) -> tuple[np.ndarray, ...]:
     """One structural step on the nonzeros (lane, row, col, val) of a stack of
-    B matrices of at most m rows and columns, sorted by (lane, row, col),
-    with 0 < val < M, mod being the shared M or one per lane (see
-    `_lane_moduli`): the nonzeros of each lane's Schur complement in the
-    same form, each lane's number of pivots, and det(lane) / det(complement)
-    mod M for each lane.  A step whose products would outnumber the entries
-    of a dense S takes no pivots.
+    B integer matrices of at most m rows and columns, sorted by (lane, row,
+    col): the nonzeros of each lane's Schur complement in the same form,
+    each lane's number of pivots, and its sign det(lane) / det(complement),
+    +-1 over Z.  A lane with an entry past SCHUR_ENTRY_BOUND takes no
+    pivots, and a step whose products would outnumber the entries of a
+    dense S takes none at all.
 
     Lane k's pivots (P, C), from `_structural_pivots`, make A = lane k have
-    A[P, C] diagonal with unit entries D, so with the rows and columns that
-    are not pivots, R and K, kept in order, det(A) = eps * prod(D) * det(S)
-    for S = A[R, K] - A[R, C] D^-1 A[P, K].  eps is the sign of the row and
-    column permutations that bring P and C to the front: with P increasing
-    that is the parity of sum(P) + sum(C) + inversions(C), as the pivots'
-    sum(i) cancels in the two.  S comes from A's nonzeros alone: the
-    entries of A[R, K] and, for each nonzero A[r, c] of A[R, C], the
-    products -A[r, c] D_c^-1 A[p, j] over the nonzeros of its pivot row p in
-    K, each reduced mod M, summed per entry of S and reduced again.
+    A[P, C] diagonal with entries D = +-1, so D^-1 = D, and with the rows
+    and columns that are not pivots, R and K, kept in order,
+    det(A) = eps * prod(D) * det(S) for the integer matrix
+    S = A[R, K] - A[R, C] D A[P, K].  eps is the sign of the row and column
+    permutations that bring P and C to the front: with P increasing that is
+    the parity of sum(P) + sum(C) + inversions(C), as the pivots' sum(i)
+    cancels in the two.  S comes from A's nonzeros alone: the entries of
+    A[R, K] and, for each nonzero A[r, c] of A[R, C], the products
+    -A[r, c] D_c A[p, j] over the nonzeros of its pivot row p in K, summed
+    per entry of S.  A sum holds at most m + 1 terms of at most
+    SCHUR_ENTRY_BOUND^2 = 2^40, so it stays inside int64 while m < 2^22.
     """
     # rows and columns numbered across the stack, lane k's from k * m
     rid, cid = lane * m + row, lane * m + col
     bounds = np.zeros(b * m + 1, dtype=np.int64)
     np.cumsum(np.bincount(rid, minlength=b * m), out=bounds[1:])
     bounds = bounds.tolist()
-    cols, units = col.tolist(), (np.gcd(val, _by_lane(mod, lane)) == 1).tolist()
+    wide = np.zeros(b, dtype=bool)
+    wide[lane[(val > SCHUR_ENTRY_BOUND) | (val < -SCHUR_ENTRY_BOUND)]] = True
+    cols, units = col.tolist(), ((np.abs(val) == 1) & ~wide[lane]).tolist()
     lanes = [_structural_pivots(cols, units, bounds[k * m : (k + 1) * m + 1]) for k in range(b)]
     count = np.array([len(pivots) for pivots in lanes], dtype=np.int64)
     taken = np.array([j for pivots in lanes for j in pivots], dtype=np.int64)
-    pk, pr, pc, dv = lane[taken], row[taken], col[taken], val[taken].tolist()
-    # the sign: sum(P) + sum(C) per lane, then the inversions of C, whose
-    # lane k sits in row k of pivot_cols, padded past its end with m
+    pk, pr, pc, dv = lane[taken], row[taken], col[taken], val[taken]
+    # the sign: sum(P) + sum(C) and the pivots equal to -1 per lane, then
+    # the inversions of C, whose lane k sits in row k of pivot_cols, padded
+    # past its end with m
     flips = np.zeros(b, dtype=np.int64)
-    np.add.at(flips, pk, pr + pc)
+    np.add.at(flips, pk, pr + pc + (dv < 0))
     ends = np.cumsum(count)
     most = int(count.max(initial=0))
     pivot_cols = np.full((b, most), m, dtype=np.int64)
@@ -354,17 +359,6 @@ def _schur_step(
     later = ~np.tri(most, dtype=bool)
     inversions = (pivot_cols[:, :, None] > pivot_cols[:, None, :]) & later
     flips += np.count_nonzero(inversions, axis=(1, 2))
-    ends = ends.tolist()
-    signs, mods = (1 - 2 * (flips % 2)).tolist(), np.broadcast_to(mod, b).tolist()
-    scale = [s * math.prod(dv[lo:hi]) % q for lo, hi, s, q in zip([0] + ends, ends, signs, mods)]
-    scale = np.array(scale, dtype=np.int64)
-    if isinstance(mod, int):
-        inv = {x: mod - pow(x, -1, mod) for x in set(dv)}
-        neg_inv = np.array([inv[x] for x in dv], dtype=np.int64)
-    else:
-        pivots = list(zip(dv, mod[pk].tolist()))
-        inv = {(x, q): q - pow(x, -1, q) for x, q in set(pivots)}
-        neg_inv = np.array([inv[x] for x in pivots], dtype=np.int64)
     # each pivot's number at its row and at its column, -1 elsewhere
     pivot_of_row = np.full(b * m, -1, dtype=np.int64)
     pivot_of_col = np.full(b * m, -1, dtype=np.int64)
@@ -392,53 +386,52 @@ def _schur_step(
         # more products than S has entries (dense rows in both A[R, C] and
         # A[P, K]): no step, the kernels take the matrices as they are
         return lane, row, col, val, np.zeros(b, dtype=np.int64), np.ones(b, dtype=np.int64)
-    t_lane = lane[term]
-    t_f = _reduce(val[term] * neg_inv[t_piv], _by_lane(mod, t_lane))
+    t_f = -val[term] * dv[t_piv]
     which = np.repeat(np.arange(len(t_piv)), n_prod)
     u = np.repeat(u_start[t_piv] - (np.cumsum(n_prod) - n_prod), n_prod) + np.arange(len(which))
     at.append(row_at[rid[term]][which] + u_col[u])
-    add.append(_reduce(t_f[which] * u_val[u], _by_lane(mod, t_lane[which])))
+    add.append(t_f[which] * u_val[u])
     at, add = np.concatenate(at), np.concatenate(add)
     order = np.argsort(at)
     at = at[order]
     first = np.flatnonzero(np.diff(at, prepend=-1))
     lane, at = np.divmod(at[first], m * m)
-    # each sum holds at most m + 1 residues below M < 2^32
-    add = _reduce(np.add.reduceat(add[order], first), _by_lane(mod, lane))
+    add = np.add.reduceat(add[order], first)
     nonzero = add != 0
     row, col = np.divmod(at[nonzero], m)
-    return lane[nonzero], row, col, add[nonzero], count, scale
+    return lane[nonzero], row, col, add[nonzero], count, 1 - 2 * (flips % 2)
 
 
-def _schur_complement(res: np.ndarray, mod: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, scale) for a stack res of residues mod M of shape (B, n, n), which
-    is only read, mod being the shared M or one per lane: lane k of the
-    uint32 stack s of shape (B, m, m) is what structural steps
-    (`_schur_step`) leave of res[k], padded with an identity up to m, and
-    det(res[k]) = scale[k] * det(s[k]) mod M.  Steps go on while the
-    complements hold at most SCHUR_DENSITY of nonzeros."""
-    b, n, _ = res.shape
-    flat = res.reshape(-1)
-    # a 1-D nonzero runs at about twice the speed of a 3-D one
-    at = np.flatnonzero(flat)
-    val = flat[at].astype(np.int64)
-    lane, at = np.divmod(at, n * n)
-    row, col = np.divmod(at, n)
-    sizes = np.full(b, n, dtype=np.int64)
-    scale = np.ones(b, dtype=np.int64)
-    m = n
-    while m:
-        lane, row, col, val, count, step = _schur_step(lane, row, col, val, b, m, mod)
-        scale = scale * step % mod
-        sizes -= count
-        m = int(sizes.max(initial=0))
-        if len(val) > SCHUR_DENSITY * int((sizes * sizes).sum()) or not count.any():
-            break
-    s = np.zeros((b, m, m), dtype=np.uint32)
-    i = np.arange(m)
-    s[:, i, i] = i >= sizes[:, None]
-    s[lane, row, col] = val
-    return s, scale
+def _schur_complement(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lane, row, col, val, sizes, sign) for an integer stack of shape
+    (B, n, n), which is only read: the nonzeros of what structural steps
+    (`_schur_step`) leave of each lane, each lane's complement size, and
+    the +-1 with det(stack[k]) = sign[k] * det(S_k) over Z.  Steps run over
+    slices of SCHUR_LANES lanes, while a slice's complements hold at most
+    SCHUR_DENSITY of nonzeros."""
+    b, n, _ = stack.shape
+    parts = []
+    # an empty stack is one empty slice
+    for lo in range(0, max(b, 1), SCHUR_LANES):
+        flat = stack[lo : lo + SCHUR_LANES].reshape(-1)
+        # a 1-D nonzero runs at about twice the speed of a 3-D one
+        at = np.flatnonzero(flat)
+        val = flat[at].astype(np.int64)
+        lane, at = np.divmod(at, n * n)
+        row, col = np.divmod(at, n)
+        k = min(b - lo, SCHUR_LANES)
+        sizes = np.full(k, n, dtype=np.int64)
+        sign = np.ones(k, dtype=np.int64)
+        m = n
+        while m:
+            lane, row, col, val, count, step = _schur_step(lane, row, col, val, k, m)
+            sign *= step
+            sizes -= count
+            m = int(sizes.max(initial=0))
+            if len(val) > SCHUR_DENSITY * int((sizes * sizes).sum()) or not count.any():
+                break
+        parts.append((lane + lo, row, col, val, sizes, sign))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -447,10 +440,12 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.n
     every matrix shares, or a (B, k) integer table with a row of distinct
     primes per matrix, whose product M, with M(M-1) < 2^63, is its modulus.
     Mod 2 alone (every row (2,)) the packed-bit kernel decides the stack
-    (`_eliminate_gf2`).  Otherwise it becomes residues mod each lane's M
-    (which an unsigned stack whose dtype holds no M already is), from
-    n = MIN_SCHUR_N on the Schur complements of their structural pivots
-    (`_schur_complement`), and one sweep decides them (`_eliminate_stack`)."""
+    (`_eliminate_gf2`).  Otherwise one sweep (`_eliminate_stack`) decides
+    residues mod each lane's M: from n = MIN_SCHUR_N on, of the integer
+    Schur complements of structural pivots (`_schur_complement`), padded
+    with an identity to the widest, whose steps a broadcast stack takes
+    once; below it, of the stack itself (which an unsigned stack whose
+    dtype holds no M already is)."""
     if not _within_int64(stack.dtype):
         raise ValueError(f"integer stack within int64 required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -466,6 +461,16 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.n
     if table.shape[1] == 1 and (table == 2).all():
         return _eliminate_gf2(stack)
     mod = _lane_moduli(table)
+    if stack.shape[1] >= MIN_SCHUR_N:
+        # a broadcast stack (stride 0, the zero test's tail) is one matrix
+        one = len(stack) > 1 and stack.strides[0] == 0
+        lane, row, col, val, sizes, sign = _schur_complement(stack[:1] if one else stack)
+        lanes = np.arange(len(stack))[:, None] if one else lane
+        m = int(sizes.max(initial=0))
+        a = np.zeros((len(stack), m, m), dtype=np.uint32)
+        a[:, range(m), range(m)] = np.arange(m) >= sizes[:, None]
+        a[lanes, row, col] = val % _by_lane(mod, lanes)
+        return _eliminate_stack(a, table) * sign[:, None] % table
     div = mod if isinstance(mod, int) else mod[:, None, None]
     if stack.dtype.kind != "u":
         # reduced in int64 first: a negative entry would wrap in uint32
@@ -474,15 +479,8 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.n
         res = stack % div
     else:
         res = stack
-    if stack.shape[1] >= MIN_SCHUR_N:
-        a, scale = _schur_complement(res, mod)
-    else:
-        # the sweep row-reduces in place, never in the caller's stack
-        a, scale = res.astype(np.uint32, copy=res is stack), None
-    dets = _eliminate_stack(a, table)
-    if scale is not None:
-        dets = dets * (scale[:, None] % table) % table
-    return dets
+    # the sweep row-reduces in place, never in the caller's stack
+    return _eliminate_stack(res.astype(np.uint32, copy=res is stack), table)
 
 
 def fused_prime(primes: Sequence[int]) -> int | None:

@@ -7,17 +7,19 @@ through the integer determinant.  Trials use independent counter-based
 streams keyed by (seed, trial index), so results are byte-identical for a
 fixed seed regardless of blocking, scheduling or parallelism.
 
-Trials run in blocks of max(MIN_LANES, STACK_ENTRIES // n^2), so every
-block but a run's last is eliminated in one stacked sweep at every n.
-`run_block` alone builds and decides them, with no per-trial n x n work
-before the elimination: one `graph_model` call each samples the block's
-permutations, counts their edges into one stack of the narrowest unsigned
-dtype that holds d (uint8 for d <= 255) and runs the duplicate-row witness
-over every lane.  It decides every listed prime, and the first CRT prime,
-with one `gfp_core.fp_dets_stack` call per modulus, which picks the
-elimination kernel (an unfused 2 goes to the packed-bit kernel) and, from
-n = 64 on, first shrinks each matrix to the Schur complement of its
-structural pivots.  Only the integer zero test runs per matrix, on the
+Trials run in blocks of max(MIN_LANES, STACK_ENTRIES // n^2) below
+`gfp_core.MIN_SCHUR_N` and of max(MIN_LANES, SCHUR_STACK_ENTRIES // n^2)
+from it on, so every block but a run's last is eliminated in one stacked
+sweep at every n.  `run_block` alone builds and decides them, with no
+per-trial n x n work before the elimination: one `graph_model` call each
+samples the block's permutations, counts their edges into one stack of
+the narrowest unsigned dtype that holds d (uint8 for d <= 255) and runs
+the duplicate-row witness over every lane.  It decides every listed
+prime, and the first CRT prime, with one `gfp_core.fp_dets_stack` call
+per modulus, which picks the elimination kernel (an unfused 2 goes to the
+packed-bit kernel) and, from n = MIN_SCHUR_N on, first shrinks each
+matrix to the integer Schur complement of its +-1 structural pivots, a
+few lanes at a time.  Only the integer zero test runs per matrix, on the
 narrow lanes, with one stacked call for a lane whose first CRT residue is
 0.  `run_trial` is a block of one trial.  A record's elapsed is the
 block's wall time divided by its size: diagnostics only, never in the
@@ -35,7 +37,7 @@ from typing import List, Sequence, Tuple
 
 from .common import GuardError, require_coprime_degree, require_degree, require_prime, require_word
 # fp_det is not called here; perfbench/worker.py wraps mc_harness.fp_det by name.
-from .gfp_core import crt_primes, fp_det, fp_dets_stack, fused_prime, int_determinant_is_zero
+from .gfp_core import MIN_SCHUR_N, crt_primes, fp_det, fp_dets_stack, fused_prime, int_determinant_is_zero
 from .graph_model import adjacency_stack, identical_rows, sample_permutations
 # Not called here either: perfbench/worker.py wraps these mc_harness attributes
 # by name too, and a block builds its stack with the functions above.
@@ -45,18 +47,25 @@ from .graph_model import adjacency_from_permutation, has_identical_rows, sample_
 WORKLOAD_GUARD = 5_000_000
 # Normal quantile of every reported interval: 95 % two-sided.
 WILSON_Z = 1.96
-# Matrix entries in one stacked elimination: 72 matrices at n = 30, 16 at
-# n = 64, 8 at n = 90.  2000 trials at n = 30 (p = 2, 5) took about 0.85,
+# Matrix entries in one block below gfp_core.MIN_SCHUR_N: 72 matrices at
+# n = 30, 16 at n = 63.  2000 trials at n = 30 (p = 2, 5) took about 0.85,
 # 0.6, 0.45 and 0.4-0.5 CPU s in-process at 2^14, 2^15, 2^16 and 2^17, and
 # 2^17 raised peak memory by 1.1 MB over 2^16 for little or no gain.
 STACK_ENTRIES = 2**16
-# Fewest trials in a block, which holds from n = 105 up.  At n = 300 a
-# block of 6 holds 0.5 MB of uint8 adjacency; its elimination mod 5q holds
+# Matrix entries in one block from MIN_SCHUR_N on, where the sweep sees
+# only the Schur complements and `gfp_core` takes the structural steps
+# over SCHUR_LANES = 6 lanes at a time: 11 trials at n = 300, 256 at
+# n = 64, and 6 from n = 388 on.  The benchmark's mc-n300 job (200
+# trials, p = 5) took 0.746 CPU s in blocks of 11, against 0.848 s for
+# blocks of 6 with steps mod M, for 1.0 MB more peak memory (BENCH_23);
+# in-process, 600 trials at n = 64, 100 and 200 took 0.24, 0.43 and
+# 1.10 s against 0.36, 0.71 and 1.48 s under the 2^16 rule, for 3-5 MB
+# more.
+SCHUR_STACK_ENTRIES = 2**20
+# Fewest trials in a block, the size from n = 388 on.  At n = 300 a
+# block of 11 holds 1 MB of uint8 adjacency; its elimination mod 5q holds
 # no uint32 copy of it, only the Schur complements of its structural
-# pivots (`gfp_core`), 85-91 rows each, at most 0.2 MB of uint32 residues.
-# Before those, the benchmark's mc-n300 job (200 trials, p = 5) took
-# 1.35-1.79 CPU s in blocks of 6 and 1.15-1.58 s in blocks of 8 over five
-# seeds, but blocks of 8 put peak memory 1.0-1.5 MB higher.
+# pivots (`gfp_core`), about 89 rows each, 0.35 MB of uint32 residues.
 MIN_LANES = 6
 
 
@@ -225,9 +234,11 @@ def summarize(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> SummaryS
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecord]]:
-    """All trials of one experiment, in blocks of max(MIN_LANES, STACK_ENTRIES
-    // n^2) trials; records come back in trial order."""
-    size = max(MIN_LANES, STACK_ENTRIES // (cfg.n * cfg.n))
+    """All trials of one experiment, in blocks of max(MIN_LANES, entries //
+    n^2) trials, entries being STACK_ENTRIES below MIN_SCHUR_N and
+    SCHUR_STACK_ENTRIES from it on; records come back in trial order."""
+    entries = STACK_ENTRIES if cfg.n < MIN_SCHUR_N else SCHUR_STACK_ENTRIES
+    size = max(MIN_LANES, entries // (cfg.n * cfg.n))
     blocks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
     work = partial(run_block, cfg.n, cfg.d, cfg.seed, cfg.primes)
     if cfg.parallelism == 1:

@@ -8,11 +8,12 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 
 import regsing
-from regsing import walk_census
+from regsing import mc_harness, walk_census
 from regsing.cli import main
 
 
@@ -501,11 +502,15 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):
-    base = ["mc", "--n", "20", "--d", "3", "--p", "2,5", "--trials", "16", "--seed", "5"]
-    code, out1, _ = run_cli(
-        base + ["--parallel", "1", "--out", str(tmp_path / "a.json")], monkeypatch=monkeypatch
-    )
+    # n = 20 blocks hold 2^16 // 400 = 163 trials: 200 trials are two blocks,
+    # so --parallel 8 runs them on two workers
+    base = ["mc", "--n", "20", "--d", "3", "--p", "2,5", "--trials", "200", "--seed", "5"]
+    with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
+        code, out1, _ = run_cli(
+            base + ["--parallel", "1", "--out", str(tmp_path / "a.json")], monkeypatch=monkeypatch
+        )
     assert code == 0
+    assert spy.call_count >= 2
     code, out8, _ = run_cli(
         base + ["--parallel", "8", "--out", str(tmp_path / "b.json")], monkeypatch=monkeypatch
     )
@@ -514,7 +519,7 @@ def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     rec_a = (tmp_path / "a.records.jsonl").read_text().splitlines()
     rec_b = (tmp_path / "b.records.jsonl").read_text().splitlines()
-    assert rec_a == rec_b and len(rec_a) == 16
+    assert rec_a == rec_b and len(rec_a) == 200
     summary = json.loads(out1)
     assert summary["kind"] == "mc"
     assert set(summary["singular_mod"]) == {"2", "5"}

@@ -827,7 +827,7 @@ def test_narrow_lanes_match_their_int64_copy():
 
 RULE = gfp_core.MIN_SCHUR_N
 # (moduli, degree): 2Q, 3Q and 2 * 3 * 5 make the adjacency entries 2, 3 or 4
-# non-units, so pivots skip them and D5 splits follow in the complement
+# non-units, so D5 splits follow in the complement's sweep
 SCHUR_CASES = [((5, Q), 3), ((3, Q), 4), ((2, Q), 5), ((2, 3, 5), 4), ((7,), 3), ((Q,), 5)]
 
 
@@ -851,23 +851,32 @@ def test_schur_step_matches_bareiss_at_the_size_rule():
     elimination give every adjacency lane's det mod each prime as Bareiss
     does: a lane with identical rows (det 0), lanes whose pivot columns do
     not increase, so the sign counts their inversions, and a weighted
-    permutation matrix whose rows are all pivots, so no complement is left
-    and det is the sign and the pivots' product alone."""
+    permutation matrix, whose rows with an entry +-1 are all pivots, so
+    det is the sign, the pivots' product and what is left.  The steps are
+    taken over Z, so every modulus gets the same pivots."""
     stack = adjacency_lanes(RULE, 3, 5, 3)
     rng = np.random.default_rng(5)
     weighted = np.zeros((1, RULE, RULE), dtype=np.int64)
     weighted[0, np.arange(RULE), rng.permutation(RULE)] = rng.choice([1, 2, 3, -4, 6, 7], RULE)
     exact = [det_bareiss(m) for m in stack] + [det_bareiss(weighted[0])]
     assert exact[1] == 0 and exact[0] != 0
+    # one nonzero a row, so a row's |entries| sum to its one entry's
+    ones = np.flatnonzero(np.abs(weighted[0]).sum(axis=1) == 1).tolist()
+    assert 0 < len(ones) < RULE
+    pivots = []
     for primes in ((5, Q), (2, 3, 5), (7,), (Q,)):
         patch, calls = recording("_structural_pivots")
         with patch:
-            got = fp_dets_stack(stack, primes).tolist() + fp_dets_stack(weighted, primes).tolist()
+            got = fp_dets_stack(stack, primes).tolist()
+            steps = len(calls)
+            got += fp_dets_stack(weighted, primes).tolist()
         assert got == [[x % p for p in primes] for x in exact]
         pivot_cols = [[args[0][j] for j in out] for args, out in calls]
         assert any(cols != sorted(cols) for cols in pivot_cols)
-        if primes == (Q,):
-            assert len(pivot_cols[-1]) == RULE
+        # the first step's pivot indices are its rows
+        assert calls[steps][1] == ones
+        pivots.append(pivot_cols)
+    assert all(cols == pivots[0] for cols in pivots)
 
 
 @pytest.mark.parametrize("n", [RULE - 1, RULE, RULE + 1, 160, 300])
@@ -894,9 +903,11 @@ def test_schur_step_matches_the_whole_sweep(n):
 @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint32])
 def test_schur_step_on_dense_and_wide_stacks(dtype):
     """Dense stacks at n = MIN_SCHUR_N + 1, where few structural pivots
-    exist: int64 and int8 with negative entries, reduced in int64 first, and
-    uint32 entries near 2^32, reduced in their own dtype; each lane equals
-    the kernels on the whole stack, and one lane equals Bareiss."""
+    exist: int8 with negative entries, and int64 (down to -2^40) and uint32
+    (up to 2^32 - 1) lanes past SCHUR_ENTRY_BOUND, which take no step; each
+    lane equals the kernels on the whole stack, which reduce int64 and int8
+    in int64 first and uint32 in its own dtype, and one lane equals
+    Bareiss."""
     n = RULE + 1
     rng = np.random.default_rng(n)
     entries = {
@@ -967,3 +978,90 @@ def test_prime_table_through_the_structural_step(n):
         assert got.tolist() == alone
         assert np.array_equal(got, without_step(stack, table))
         assert not got[1].any()
+
+
+BOUND = gfp_core.SCHUR_ENTRY_BOUND
+
+
+def integer_stacks(n, seed):
+    """Stacks for the integer steps at n: uint8 adjacency lanes for d = 3, 4
+    and 5 with multi-edges, int8 adjacency lanes with random signs, and
+    int64 d = 3 lanes with one entry at +-SCHUR_ENTRY_BOUND, past it, and at
+    -2^62."""
+    rng = np.random.default_rng(seed)
+    stacks = [adjacency_stack(sample_permutations(n, d, seed, range(2)), d) for d in (3, 4, 5)]
+    signed = adjacency_stack(sample_permutations(n, 3, seed + 1, range(3)), 3).astype(np.int8)
+    stacks.append(signed * rng.choice(np.array([-1, 1], dtype=np.int8), signed.shape))
+    wide = adjacency_stack(sample_permutations(n, 3, seed + 2, range(4)), 3).astype(np.int64)
+    wide[:, 0, 1] = [BOUND, -BOUND, BOUND + 1, -(2**62)]
+    stacks.append(wide)
+    for stack in stacks[:3]:
+        assert (stack > 1).any()
+    assert (stacks[3] < 0).any()
+    return stacks
+
+
+def complements(stack):
+    """Each lane's integer Schur complement from `_schur_complement`, as a
+    list of int64 matrices, and the signs."""
+    lane, row, col, val, sizes, sign = gfp_core._schur_complement(stack)
+    dense = [np.zeros((m, m), dtype=np.int64) for m in sizes.tolist()]
+    for k, r, c, x in zip(lane.tolist(), row.tolist(), col.tolist(), val.tolist()):
+        assert x != 0 and dense[k][r, c] == 0
+        dense[k][r, c] = x
+    return dense, sign.tolist()
+
+
+@pytest.mark.parametrize("n", [RULE, RULE + 1, 2 * RULE])
+def test_integer_steps_match_bareiss_over_z(n):
+    """det A = sign * det(S) exactly over Z for the integer Schur complement
+    S of every lane: adjacency lanes with multi-edges, signed int8 lanes
+    and lanes with an entry at and past SCHUR_ENTRY_BOUND.  A lane with an
+    entry past the bound takes no pivots, and one at it does; every lane
+    that steps shrinks.  fp_dets_stack equals Bareiss mod each modulus."""
+    for stack in integer_stacks(n, n):
+        dense, sign = complements(stack)
+        exact = [det_bareiss(a) for a in stack]
+        assert [s * det_bareiss(c) for s, c in zip(sign, dense)] == exact
+        assert set(sign) <= {1, -1}
+        sizes = [len(c) for c in dense]
+        if stack.dtype == np.int64:
+            assert sizes[0] < n and sizes[1] < n and sizes[2:] == [n, n]
+            assert np.array_equal(dense[2], stack[2]) and np.array_equal(dense[3], stack[3])
+        else:
+            assert max(sizes) < n
+        for primes in ((5, Q), (2, 3, 5), (Q,)):
+            assert fp_dets_stack(stack, primes).tolist() == [[x % p for p in primes] for x in exact]
+
+
+@pytest.mark.parametrize("n", [RULE, 2 * RULE, 300])
+def test_broadcast_tail_takes_its_steps_once(n):
+    """k - 1 broadcast copies of one lane, as the zero test's tail passes
+    them, take the structural steps of that one lane only, and their dets
+    equal Bareiss mod each tail prime."""
+    lane = integer_stacks(n, 3)[0][0] if n < 300 else adjacency_lanes(n, 3, 7, 1)[0]
+    exact = det_bareiss(lane)
+    tail = crt_primes(9)[1:]
+    patch, alone = recording("_structural_pivots")
+    with patch:
+        fp_dets_stack(lane[None], (Q,))
+    patch, calls = recording("_structural_pivots")
+    with patch:
+        got = fp_dets_stack(np.broadcast_to(lane, (8, n, n)), np.array(tail)[:, None])
+    assert got[:, 0].tolist() == [exact % p for p in tail]
+    assert [out for _, out in calls] == [out for _, out in alone] and len(calls) >= 2
+
+
+def test_structural_steps_run_over_slices():
+    """A stack of 13 lanes takes its steps in slices of SCHUR_LANES = 6, 6
+    and 1 lanes, and one sweep decides all 13, as the kernels on the whole
+    stack do."""
+    stack = adjacency_lanes(RULE, 3, 13, 13)
+    with mock.patch.object(gfp_core, "_schur_step", wraps=gfp_core._schur_step) as step, mock.patch.object(
+        gfp_core, "_eliminate_stack", wraps=gfp_core._eliminate_stack
+    ) as sweep:
+        got = fp_dets_stack(stack, (5, Q))
+    assert gfp_core.SCHUR_LANES == 6
+    assert sorted({c.args[4] for c in step.call_args_list}) == [1, 6]
+    assert len(sweep.call_args_list[0].args[0]) == 13
+    assert np.array_equal(got, without_step(stack, (5, Q)))

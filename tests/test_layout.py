@@ -1,8 +1,12 @@
 """Package layout: every public top-level function or class in src/regsing is
-reached from outside the tests, or is a listed independent oracle."""
+reached from outside the tests, or is a listed independent oracle, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import re
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +60,24 @@ def test_only_oracles_are_reached_from_tests_alone():
     # equality, not inclusion: an oracle that the package starts to use, or
     # that is deleted, leaves the list too
     assert unreached() == ORACLES
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    """perfbench/worker.py's Tracer wraps layer functions by name, such as
+    mc_harness.fp_det or sample_configuration, and a traced benchmark run
+    fails at start if one is missing.  Its install runs here on throwaway
+    copies of the regsing modules, which leaves the package as it is."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("bench_worker", ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    real, copies = {}, {}
+    for name in ("cli", "gfp_core", "graph_model", "lclt", "mc_harness", "rate_ldp", "walk_census"):
+        real[name] = importlib.import_module(f"regsing.{name}")
+        copies[name] = types.ModuleType(real[name].__name__)
+        vars(copies[name]).update(vars(real[name]))
+    worker.Tracer().install(copies)
+    wrapped = {
+        name for name, mod in copies.items() for attr, value in vars(mod).items() if value is not vars(real[name])[attr]
+    }
+    assert wrapped == {"mc_harness", "walk_census", "lclt", "rate_ldp"}

@@ -287,17 +287,21 @@ def test_pool_never_outnumbers_blocks(monkeypatch):
 
 
 def test_blocks_follow_the_block_rule():
-    # max(MIN_LANES, 2^16 // n^2) trials a block: 8 at n = 90 and MIN_LANES = 6
-    # at n = 128, 129 and 300, where 2^16 // n^2 is 4, 3 and 0.  Every block,
-    # swept as a stack or (a tail of one trial) eliminated prime by prime,
+    # max(MIN_LANES, 2^16 // n^2) trials a block below MIN_SCHUR_N, 16 at
+    # n = 63, and max(MIN_LANES, 2^20 // n^2) from it on: 256 at n = 64, 129
+    # at n = 90, 64 at n = 128, 63 at n = 129 and 11 at n = 300.  Every
+    # block, swept as a stack or (a tail of one trial) as a stack of one,
     # decides mod 2 and mod 5q as run_trial does, and mod 2 the sweep starts
     # from a uint8 lane whose multi-edge entries 2 and 3 are reduced first
     assert mc_harness.MIN_LANES == 6 and mc_harness.STACK_ENTRIES == 2**16
+    assert mc_harness.SCHUR_STACK_ENTRIES == 2**20 and mc_harness.MIN_SCHUR_N == 64
     for n, blocks in (
-        (90, [range(0, 8), range(8, 9)]),
-        (128, [range(0, 6), range(6, 7)]),
-        (129, [range(0, 6), range(6, 10)]),
-        (300, [range(0, 6), range(6, 10)]),
+        (63, [range(0, 16), range(16, 17)]),
+        (64, [range(0, 256), range(256, 257)]),
+        (90, [range(0, 129), range(129, 130)]),
+        (128, [range(0, 64), range(64, 65)]),
+        (129, [range(0, 63), range(63, 67)]),
+        (300, [range(0, 11), range(11, 15)]),
     ):
         cfg = ExperimentConfig(n=n, d=3, primes=(2, 5), trials=blocks[-1].stop, seed=2)
         with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
