@@ -12,9 +12,13 @@ Feasibility is decided exactly: nv is feasible iff c . nv >= 0 for every
 integer facet normal c of the cone spanned by the atoms, evaluated on the
 rational value of nv.  On feasible densities the supremum is computed
 through the smooth convex dual: a_j(theta) is proportional to
-exp(<theta, w_j>) and Newton iterations drive the moment residual below
-tolerance.  A closed-form stationary candidate and the AM-GM upper bound
-ln(amgm_sum) provide independent cross-checks.
+exp(<theta, w_j>) and damped Newton iterations drive the moment residual
+below tolerance.  One solver moves a stack of densities with one zero
+pattern in lock-step, one stacked least-squares call per step, and each
+lane gets the bits of a lone solve: a certificate is a stack of one, and a
+grid scan solves in stacks of at most NEWTON_LANES.  A closed-form
+stationary candidate and the AM-GM upper bound ln(amgm_sum) provide
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +36,16 @@ from .common import GuardError, require_coprime_degree
 from .gfp_core import det_bareiss
 from .walk_census import LATTICE_GUARD, build_U, type_vectors
 
+try:  # the gufunc behind np.linalg.lstsq, imported here alone
+    from numpy.linalg._umath_linalg import lstsq as _LSTSQ
+except ImportError as exc:
+    msg = f"numpy.linalg._umath_linalg.lstsq (as in NumPy 2.4.6) is missing in NumPy {np.__version__}"
+    raise ImportError(msg) from exc
+
 DEFAULT_TOL = 1e-10
 MAX_NEWTON_ITER = 200
+NEWTON_LANES = 512  # densities per lock-step Newton stack in a grid scan
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_density(nv: Sequence[float], p: int) -> np.ndarray:
@@ -120,72 +132,93 @@ class RateCertificate:
     newton_steps: int  # Newton directions solved; 0 when infeasible
 
 
-class _Solution(NamedTuple):
-    alpha: np.ndarray  # per-atom weight of each distinct profile
-    theta: np.ndarray
-    rate: float
-    residual: float
-    converged: bool
-    steps: int
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _newton(nv: np.ndarray, d: int, p: int) -> _Solution:
-    """Damped Newton on the dual at a checked, feasible float density nv."""
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a[i], b[i], rcond=None)[0] for every lane i, from one
+    call of its gufunc with the wrapper's rcond, signature and errstate."""
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _LSTSQ(a, b[:, :, None], _EPS * a.shape[-1], signature="ddd->ddid")[0][:, :, 0]
+
+
+def _lockstep_newton(nv: np.ndarray, d: int, p: int) -> Tuple[np.ndarray, ...]:
+    """Damped Newton on the dual at a (B, p) stack of checked, feasible float
+    densities sharing one zero pattern, every lane in lock-step.
+
+    Each lane takes exactly the iterations of a lone solve: numpy's stacked
+    matmul, row reductions and the lstsq gufunc run the same kernel per lane.
+    A lane leaves the stack once it converges; the lanes still live after
+    MAX_NEWTON_ITER steps stop together, unconverged.  Per lane it returns
+    alpha (per distinct profile), theta, rate, residual, converged, steps.
+    """
     w_all, m_all = _atoms(d, p)
-    target = d * nv
     # Support restriction: coordinates with nv_k = 0 force alpha_j = 0 for
     # every atom with w_j(k) > 0, since the atoms are nonnegative.
-    keep = ~((w_all > 0) & (nv == 0.0)[None, :]).any(axis=1)
-    w = w_all[keep]
-    m = m_all[keep]
+    keep = ~((w_all > 0) & (nv[0] == 0.0)[None, :]).any(axis=1)
+    w, m = w_all[keep], m_all[keep]
 
-    def tilt(th: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Grouped masses m_j exp(<th, w_j> - max) and the dual value at th."""
-        s = w @ th
-        c = s.max()
-        z = m * np.exp(s - c)
-        return z, c + math.log(float(z.sum())) - float(th @ target)
+    def tilt(th: np.ndarray, tg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Grouped masses m_j exp(<th, w_j> - max) and the dual value, per lane."""
+        s = np.matmul(w, th[:, :, None])[:, :, 0]
+        c = s.max(axis=1)
+        z = m * np.exp(s - c[:, None])
+        logs = np.array(list(map(math.log, z.sum(axis=1).tolist())))
+        return z, c + logs - np.matmul(th[:, None], tg[:, :, None])[:, 0, 0]
 
-    theta = np.zeros(p)
-    z, g0 = tilt(theta)
-    converged = False
-    steps = 0
+    n, steps = len(nv), 0
+    lanes, target, theta = np.arange(n), d * nv, np.zeros((n, p))
+    z, g0 = tilt(theta, target)
+    prob_at, theta_at = np.empty((n, len(w))), np.empty((n, p))
+    residual, converged, steps_at = np.empty(n), np.zeros(n, bool), np.empty(n, int)
     while True:
-        prob = z / z.sum()
-        mean = prob @ w
+        prob = z / z.sum(axis=1)[:, None]
+        mean = np.matmul(prob[:, None], w)[:, 0]
         grad = mean - target
-        if steps == MAX_NEWTON_ITER:
-            break
-        if float(np.abs(grad).max()) < DEFAULT_TOL:
-            converged = True
-            break
-        steps += 1
-        hess = (w * prob[:, None]).T @ w - mean[:, None] * mean
-        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        # Absolute noise allowance keeps full Newton steps near the optimum,
-        # where true dual decrease is below float resolution.
-        noise = 1e-15 * (1.0 + abs(g0))
-        # Backtrack to sufficient decrease; once t <= 1e-14 the point is taken
-        # untested.  The taken point's (z, dual) carry into the next step.
-        t = 1.0
-        while True:
-            trial = theta + t * step
-            z, g = tilt(trial)
-            if t <= 1e-14 or not g > g0 + 1e-4 * t * slope + noise:
+        err = np.abs(grad).max(axis=1)
+        conv = err < DEFAULT_TOL if steps < MAX_NEWTON_ITER else np.zeros(len(err), bool)
+        stop = conv if steps < MAX_NEWTON_ITER else ~conv
+        if np.count_nonzero(stop):
+            at = lanes[stop]
+            prob_at[at], theta_at[at], residual[at] = prob[stop], theta[stop], err[stop]
+            converged[at], steps_at[at] = conv[stop], steps
+            if len(at) == len(lanes):
                 break
-            t *= 0.5
+            live = ~stop
+            lanes, target, theta, g0 = lanes[live], target[live], theta[live], g0[live]
+            prob, mean, grad = prob[live], mean[live], grad[live]
+        steps += 1
+        hess = np.matmul((w * prob[:, :, None]).transpose(0, 2, 1), w) - mean[:, :, None] * mean[:, None]
+        step = _lstsq(hess, -grad)
+        slope = np.matmul(grad[:, None], step[:, :, None])[:, 0, 0]
+        # Backtrack to sufficient decrease, each lane with its own t from 1; the
+        # absolute noise allowance keeps full steps near the optimum, where true
+        # dual decrease is below float resolution.  Once t <= 1e-14 the point is
+        # taken untested.  The taken point's (z, dual) carry into the next step.
+        noise = 1e-15 * (1.0 + np.abs(g0))
+        trial = theta + step
+        z, g = tilt(trial, target)
+        back = g > g0 + 1e-4 * slope + noise
+        if np.count_nonzero(back):
+            back = np.flatnonzero(back)
+            t = np.ones(len(back))
+            while len(back):
+                t *= 0.5
+                trial[back] = theta[back] + t[:, None] * step[back]
+                z[back], g[back] = tilt(trial[back], target[back])
+                more = (t > 1e-14) & (g[back] > g0[back] + 1e-4 * t * slope[back] + noise[back])
+                back, t = back[more], t[more]
         theta, g0 = trial, g
 
     # Per-atom weights: prob is the grouped mass, each atom in the group
     # carries prob/mult.
-    weight = prob / m
-    entropy = -float(np.sum(prob * np.log(np.where(weight > 0, weight, 1.0))))
-    density_term = (d - 1) * float(sum(x * math.log(x) for x in nv if x > 0.0))
-    alpha = np.zeros(len(keep))
-    alpha[keep] = weight
-    residual = float(np.abs(grad).max())
-    return _Solution(alpha, theta, entropy + density_term, residual, converged, steps)
+    weight = prob_at / m
+    entropy = -np.sum(prob_at * np.log(np.where(weight > 0, weight, 1.0)), axis=1)
+    density_sum = [sum(x * math.log(x) for x in row if x > 0.0) for row in nv.tolist()]
+    alpha = np.zeros((n, len(keep)))
+    alpha[:, keep] = weight
+    return alpha, theta_at, entropy + (d - 1) * np.array(density_sum), residual, converged, steps_at
 
 
 def maxent_alpha(nv: Sequence[float], d: int, p: int) -> RateCertificate:
@@ -211,16 +244,16 @@ def maxent_alpha(nv: Sequence[float], d: int, p: int) -> RateCertificate:
             feasible=False,
             newton_steps=0,
         )
-    sol = _newton(nv_arr, d, p)
+    alpha, theta, rate, residual, converged, steps = _lockstep_newton(nv_arr[None], d, p)
     return RateCertificate(
         density=density_t,
-        alpha=_expand(sol.alpha, m_all),
-        dual=tuple(float(x) for x in sol.theta),
-        rate=sol.rate,
-        residual=sol.residual,
-        converged=sol.converged,
+        alpha=_expand(alpha[0], m_all),
+        dual=tuple(theta[0].tolist()),
+        rate=float(rate[0]),
+        residual=float(residual[0]),
+        converged=bool(converged[0]),
         feasible=True,
-        newton_steps=sol.steps,
+        newton_steps=int(steps[0]),
     )
 
 
@@ -312,7 +345,8 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
     point (uniform, e_0) are excluded; the maximum rate over the rest must
     be strictly negative.  Each row equals maxent_alpha's certificate at
     t/resolution: feasibility is decided for the whole grid in one facet
-    test, and each feasible point goes straight to the Newton solve.
+    test, and the feasible points of each zero pattern are solved in
+    lock-step stacks of at most NEWTON_LANES, keeping rate, flag and steps.
     """
     require_coprime_degree(p, d)
     if resolution < 10:
@@ -325,43 +359,34 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
         )
     types = np.array(list(type_vectors(resolution, p)), dtype=np.int64)
     feasible = _in_cone(types, d, p)
-    uniform = np.full(p, 1.0 / p)
-    e0 = np.zeros(p)
-    e0[0] = 1.0
-    cutoff = 2.0 / resolution
-    rows: List[Tuple[Tuple[float, ...], float, bool, bool]] = []
-    n_excluded = n_infeasible = n_nonconverged = newton_steps = 0
-    max_rate = float("-inf")
-    argmax: Tuple[float, ...] = ()
-    for nv, ok in zip(types / resolution, feasible.tolist()):
-        if (
-            float(np.linalg.norm(nv - uniform)) < cutoff
-            or float(np.linalg.norm(nv - e0)) < cutoff
-        ):
-            n_excluded += 1
-            continue
-        density = tuple(nv.tolist())
-        if not ok:
-            rows.append((density, float("-inf"), False, False))
-            n_infeasible += 1
-            continue
-        sol = _newton(nv, d, p)
-        rows.append((density, sol.rate, True, sol.converged))
-        newton_steps += sol.steps
-        if not sol.converged:
-            n_nonconverged += 1
-        if sol.rate > max_rate:
-            max_rate = sol.rate
-            argmax = density
+    grid = types / resolution
+    # |nv - x| < 2/resolution at x = uniform, e_0, as np.linalg.norm takes it (sqrt of a dot)
+    diff = grid - np.array([np.full(p, 1.0 / p), np.eye(p)[0]])[:, None]
+    dist = np.sqrt(np.matmul(diff[:, :, None], diff[..., None])[..., 0, 0])
+    excluded = (dist < 2.0 / resolution).any(axis=0)
+    del diff, dist  # freed before the rows are built: they set the peak memory
+    solve, kept = np.flatnonzero(feasible & ~excluded), ~excluded
+    rate, converged, steps = np.full(n_points, -np.inf), np.zeros(n_points, bool), np.zeros(n_points, int)
+    patterns, group = np.unique(grid[solve] == 0.0, axis=0, return_inverse=True)
+    for g in range(len(patterns)):
+        members = solve[group == g]
+        for part in np.array_split(members, range(NEWTON_LANES, len(members), NEWTON_LANES)):
+            _, _, rate[part], _, converged[part], steps[part] = _lockstep_newton(grid[part], d, p)
+    densities = zip(*grid[kept].T.tolist())  # one tuple per row, no list per row
+    rows = list(zip(densities, rate[kept].tolist(), feasible[kept].tolist(), converged[kept].tolist()))
+    max_rate, argmax = float("-inf"), ()
+    for density, r, _, _ in rows:
+        if r > max_rate:
+            max_rate, argmax = r, density
     return GridScanReport(
         d=d,
         p=p,
         resolution=resolution,
         n_points=n_points,
-        n_excluded=n_excluded,
-        n_infeasible=n_infeasible,
-        n_nonconverged=n_nonconverged,
-        newton_steps=newton_steps,
+        n_excluded=int(excluded.sum()),
+        n_infeasible=int((kept & ~feasible).sum()),
+        n_nonconverged=len(solve) - int(converged.sum()),
+        newton_steps=int(steps.sum()),
         max_rate=max_rate,
         argmax=argmax,
         rows=rows,

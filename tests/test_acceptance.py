@@ -12,6 +12,7 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from importlib.resources import files
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,14 +286,20 @@ def test_criterion_09_monte_carlo_committed_seed():
 
 def test_criterion_10_cli_byte_identity(tmp_path, monkeypatch):
     monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
-    mc_args = ["mc", "--n", "24", "--d", "3", "--p", "2,5", "--trials", "32", "--seed", "7"]
-    paths = {}
-    for tag, workers in (("serial", 1), ("parallel", 8), ("rerun", 1)):
-        out = tmp_path / tag / "mc.json"
+    # n = 24 blocks hold 2^16 // 576 = 113 trials: 150 trials are two blocks,
+    # so --parallel 8 runs them on two workers
+    mc_args = ["mc", "--n", "24", "--d", "3", "--p", "2,5", "--trials", "150", "--seed", "7"]
+
+    def run(workers, out):
         with redirect_stdout(io.StringIO()):
-            code = cli_main(mc_args + ["--parallel", str(workers), "--out", str(out)])
-        assert code == 0
-        paths[tag] = out
+            return cli_main(mc_args + ["--parallel", str(workers), "--out", str(out)])
+
+    paths = {tag: tmp_path / tag / "mc.json" for tag in ("serial", "parallel", "rerun")}
+    with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
+        assert run(1, paths["serial"]) == 0
+    assert spy.call_count >= 2
+    assert run(8, paths["parallel"]) == 0
+    assert run(1, paths["rerun"]) == 0
     summaries = {tag: p.read_bytes() for tag, p in paths.items()}
     records = {
         tag: p.with_suffix("").with_suffix(".records.jsonl").read_bytes()

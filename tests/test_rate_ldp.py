@@ -1,14 +1,17 @@
 """Rate function: dual solver optimality, closed forms, the step Gram matrix, negativity."""
 
+import importlib.util
 import io
 import json
 import math
 from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from regsing import rate_ldp
 from regsing.cli import main as cli_main
 from regsing.rate_ldp import (
     GridScanReport,
@@ -147,8 +150,9 @@ def test_facet_normals():
             assert np.linalg.matrix_rank(on) == p - 1
 
 
-# Newton step totals of the per-point solve (one lstsq call per step) on the
-# scans run below; (3, 5, 8) is below the scan's minimum resolution: LP only
+# Newton step totals on the scans run below, the same whether each density is
+# solved alone or in a lock-step stack (one stacked lstsq call per step for
+# all its live lanes); (3, 5, 8) is below the scan's minimum resolution: LP only
 SCAN_NEWTON_STEPS = {(3, 2, 100): 282, (4, 3, 40): 3585, (5, 3, 30): 2241}
 
 
@@ -182,6 +186,98 @@ def test_exact_feasibility_matches_lp_oracle(d, p, resolution, n_points, n_infea
     # the scan follows the per-point solve's Newton trajectory at every point
     steps = SCAN_NEWTON_STEPS[d, p, resolution]
     assert scan.newton_steps == sum(c.newton_steps for c in solved) == steps
+
+
+def solve_in_stacks(grid, stacks, d=4, p=3):
+    """Split each stack of grid indices by zero pattern, as the scan does, and
+    solve each part in one lock-step call; every field's bytes per point."""
+    out = {}
+    for stack in stacks:
+        zeros = grid[stack] == 0.0
+        for pattern in np.unique(zeros, axis=0):
+            part = stack[(zeros == pattern).all(axis=1)]
+            fields = rate_ldp._lockstep_newton(grid[part], d, p)
+            for j, i in enumerate(part.tolist()):
+                out[i] = tuple(np.asarray(f[j]).tobytes() for f in fields)
+    return out
+
+
+@pytest.mark.parametrize("max_iter", [rate_ldp.MAX_NEWTON_ITER, 2])
+def test_lockstep_lanes_match_lone_solves(monkeypatch, max_iter):
+    # alpha, dual, rate, residual, converged and steps of every feasible point
+    # are bit-identical however the points are stacked
+    monkeypatch.setattr(rate_ldp, "MAX_NEWTON_ITER", max_iter)
+    types = np.array(list(type_vectors(40, 3)), dtype=np.int64)
+    grid = (types / 40)[rate_ldp._in_cone(types, 4, 3)]
+    every = np.arange(len(grid))
+    rng = np.random.default_rng(24)
+    shuffled = rng.permutation(every)
+    cuts = np.sort(rng.choice(np.arange(1, len(grid)), size=12, replace=False))
+    slices = np.split(shuffled, cuts)
+    face = (grid == 0.0).any(axis=1)
+    assert any(face[s].any() and not face[s].all() for s in slices)
+    ways = [[every], [every[::-1]], slices, [every[i : i + 1] for i in every]]
+    lone = solve_in_stacks(grid, ways[-1])
+    assert len(lone) == len(grid) == 641
+    for stacks in ways[:-1]:
+        assert solve_in_stacks(grid, stacks) == lone
+    _, _, _, _, converged, steps = rate_ldp._lockstep_newton(grid[~face], 4, 3)
+    if max_iter == 2:
+        # the lanes still live at the cap stop together, unconverged
+        assert (steps == 2).any() and ((steps == 2) == ~converged).all()
+    else:
+        assert converged.all() and steps.max() < max_iter
+
+
+def test_stacked_lstsq_matches_public_wrapper(capfd):
+    # the Hessian stacks of a real scan, lane by lane against np.linalg.lstsq
+    calls = []
+
+    def record(a, b):
+        calls.append((a.copy(), b.copy()))
+        return lstsq(a, b)
+
+    lstsq = rate_ldp._lstsq
+    with mock.patch.object(rate_ldp, "_lstsq", side_effect=record):
+        negativity_grid_scan(4, 3, 40)
+    assert sum(len(a) for a, _ in calls) == SCAN_NEWTON_STEPS[4, 3, 40]
+    for a, b in calls:
+        got = lstsq(a, b)
+        for i in range(len(a)):
+            assert got[i].tobytes() == np.linalg.lstsq(a[i], b[i], rcond=None)[0].tobytes()
+    # an all-NaN Hessian among real ones raises, as the public wrapper does
+    # (LAPACK prints its illegal-value notice, held back by capfd)
+    a, b = calls[0][0].copy(), calls[0][1]
+    a[len(a) // 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(a[len(a) // 2], b[len(a) // 2], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        lstsq(a, b)
+    capfd.readouterr()
+
+
+def test_missing_lstsq_gufunc_fails_at_import(monkeypatch):
+    monkeypatch.delattr(np.linalg._umath_linalg, "lstsq")
+    spec = importlib.util.spec_from_file_location("regsing._rate_ldp_copy", rate_ldp.__file__)
+    with pytest.raises(ImportError, match=r"NumPy 2\.4\.6"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_scan_solves_over_slices():
+    """The (4,3) r = 40 scan solves its 632 points in lock-step stacks of at
+    most NEWTON_LANES = 512, and its rows equal one lone solve per point."""
+    with mock.patch.object(rate_ldp, "_lockstep_newton", wraps=rate_ldp._lockstep_newton) as spy:
+        scan = negativity_grid_scan(4, 3, 40)
+    sizes = [len(c.args[0]) for c in spy.call_args_list]
+    assert rate_ldp.NEWTON_LANES == 512
+    assert max(sizes) == 512 and sum(sizes) == len(scan.rows) - scan.n_infeasible == 632
+    steps = 0
+    for density, rate, feasible, converged in scan.rows:
+        if feasible:
+            _, _, r, _, c, s = rate_ldp._lockstep_newton(np.array([density]), 4, 3)
+            assert (rate.hex(), converged) == (float(r[0]).hex(), bool(c[0])), density
+            steps += int(s[0])
+    assert steps == scan.newton_steps == SCAN_NEWTON_STEPS[4, 3, 40]
 
 
 def test_boundary_density_decided_exactly():
