@@ -25,20 +25,17 @@ the lane's remaining block is kept, and after the sweep one more sweep
 finishes every kept block mod each prime of its row, one lane per (block,
 prime).  Every nonzero residue is a unit mod a prime, so that sweep never
 splits.  Each live matrix updates only its own rows with a nonzero entry
-below the pivot, scaling the multipliers rather than the pivot row.  Its
-unit test takes no division: a prime p divides no candidate x exactly when
-x times a constant mod 2^32 exceeds a bound (`_indivisible_by`), one
-uint32 multiply and compare per prime, which took 9-11 us per column of a
-stack of 6 at n = 300 mod 5q, against 16.5 us for two remainders.  It
-forms every product of uint32 residues in int64 through int64
-multipliers, because NumPy keeps a uint32 array times a Python int in
-uint32, where it wraps; the unit test wants that wrap.  When every lane
-shares M, as in every Monte Carlo block, the reductions (`_reduce`), the
-unit test and the det updates divide by the Python int M; only a table of
-different moduli (the zero test's tail, the second D5 sweep) indexes one
-per lane.  NumPy 2.4 floor-divided 10^4 int64 entries in 8 us by a scalar
-and in 34-37 us by an array.  A lone matrix, a stack of one, took 4.4 ms
-at n = 300 mod q, against 3.3 ms in the per-matrix loop the sweep replaced.
+below the pivot, scaling the multipliers rather than the pivot row.  A
+candidate is a unit when no prime of the lane's row divides it, and every
+product of uint32 residues is formed in int64 through int64 multipliers,
+because NumPy keeps a uint32 array times a Python int in uint32, where it
+wraps.  When every lane shares M, as in every Monte Carlo block, the
+reductions (`_reduce`), the unit test and the det updates divide by Python
+ints; only a table of different moduli (the zero test's tail, the second
+D5 sweep) indexes one per lane.  NumPy 2.4 floor-divided 10^4 int64
+entries in 8 us by a scalar and in 34-37 us by an array.  A lone matrix, a
+stack of one, took 4.4 ms at n = 300 mod q, against 3.3 ms in the
+per-matrix loop the sweep replaced.
 
 From n = MIN_SCHUR_N on, and for every M but 2 alone, structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990) first shrinks each matrix
@@ -75,10 +72,10 @@ first, q, all the others it needs go in one `fp_dets_stack` on broadcast
 copies of the matrix, one per prime, whose structural steps run once.
 That has no early exit at a nonzero residue, which only a nonsingular
 matrix with a zero residue mod q (about 1 in q) misses.  The bound keeps
-5q inside the size rule, so a Monte Carlo block decides its listed prime
-p <= 5 and the first CRT prime q in one `fp_dets_stack` mod pq
-(`fused_prime`) and hands the residues mod q to the zero test; with no
-listed p <= 5, one mod q alone.
+5q inside the size rule, so a Monte Carlo block decides the first CRT
+prime q, with its listed prime p <= 5 if it has one (`fused_prime`), in
+one `fp_dets_stack` mod pq or q, and hands the residues mod q to the zero
+test.
 `det_bareiss` (fraction-free elimination in Python ints) is the one exact
 determinant.  It shares no code with the kernels, so it is their and the
 zero test's independent oracle, and it is the cheaper route for tiny
@@ -163,16 +160,6 @@ def _reduce(x: np.ndarray, mod: int | np.ndarray) -> np.ndarray:
     return x
 
 
-def _indivisible_by(p: int) -> tuple[np.uint32, int]:
-    """(m, t) such that a prime p divides no uint32 x exactly when
-    x * m mod 2^32 > t (Granlund and Montgomery, PLDI 1994): for odd p, m is
-    the inverse of p mod 2^32, which maps the multiples of p onto
-    0..floor((2^32 - 1) / p); for p = 2, m = 2^31 keeps the low bit alone."""
-    if p == 2:
-        return np.uint32(2**31), 0
-    return np.uint32(pow(p, -1, 2**32)), (2**32 - 1) // p
-
-
 def _eliminate_stack(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """det mod each prime of its row of the (B, k) int64 prime table, for
     the stack a of residues mod each lane's M = prod(row), of shape
@@ -180,33 +167,28 @@ def _eliminate_stack(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     a (B, k) int64 array.
 
     One column at a time for the whole stack: the pivot is the first unit
-    mod M at or below the diagonal (tested on the column read as uint32, a
-    copy only for residues of another dtype), multipliers are scaled, and
-    each live matrix updates only its own rows with a nonzero entry below
-    the pivot, taken as (matrix, row) pairs.  A matrix with no nonzero
-    candidate has det 0 and becomes a dead lane.  One with nonzero
-    candidates but no unit splits (D5) and is dead too; one recursive sweep
-    then finishes its remaining block mod each prime of its row, padded
-    with an identity to the earliest, widest split block.
+    mod M at or below the diagonal (an entry that no prime of the lane's
+    row divides), multipliers are scaled, and each live matrix updates only
+    its own rows with a nonzero entry below the pivot, taken as (matrix,
+    row) pairs.  A matrix with no nonzero candidate has det 0 and becomes a
+    dead lane.  One with nonzero candidates but no unit splits (D5) and is
+    dead too; one recursive sweep then finishes its remaining block mod
+    each prime of its row, padded with an identity to the earliest, widest
+    split block.
     """
     b, n, _ = a.shape
     mod = _lane_moduli(table)
     mods = np.broadcast_to(mod, b).tolist()
-    if isinstance(mod, int):
-        tests = [_indivisible_by(p) for p in table[0].tolist()]
-    else:
-        # (multipliers, bounds) for each column of the table, one row per lane
-        tests = [[_indivisible_by(p) for p in col] for col in table.T.tolist()]
-        tests = [np.array(t, dtype=np.uint32).reshape(-1, 2).T[:, :, None] for t in tests]
+    # each prime of the shared row as a Python int, else each column of the table
+    ps = table[0].tolist() if isinstance(mod, int) else list(table.T[:, :, None])
     det = np.ones(b, dtype=np.int64)
     live = np.ones(b, dtype=bool)
     splits = []  # (lane, remaining block, det so far) of each D5 split
     for c in range(n):
         col = a[:, c:, c]
-        x = col.astype(np.uint32, copy=False)
-        unit = x * tests[0][0] > tests[0][1]
-        for mult, bound in tests[1:]:
-            unit &= x * mult > bound
+        unit = col % ps[0] != 0
+        for p in ps[1:]:
+            unit &= col % p != 0
         has_unit = unit.any(axis=1)
         if not has_unit.all():
             for k in (live & ~has_unit).nonzero()[0].tolist():
@@ -444,8 +426,8 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.n
     residues mod each lane's M: from n = MIN_SCHUR_N on, of the integer
     Schur complements of structural pivots (`_schur_complement`), padded
     with an identity to the widest, whose steps a broadcast stack takes
-    once; below it, of the stack itself (which an unsigned stack whose
-    dtype holds no M already is)."""
+    once; below it, of the stack reduced mod each lane's M, or copied as it
+    is when it is unsigned and its dtype holds no lane's M."""
     if not _within_int64(stack.dtype):
         raise ValueError(f"integer stack within int64 required, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -471,23 +453,20 @@ def fp_dets_stack(stack: np.ndarray, primes: Sequence[int] | np.ndarray) -> np.n
         a[:, range(m), range(m)] = np.arange(m) >= sizes[:, None]
         a[lanes, row, col] = val % _by_lane(mod, lanes)
         return _eliminate_stack(a, table) * sign[:, None] % table
+    if stack.dtype.kind == "u" and np.all(np.iinfo(stack.dtype).max < mod):
+        # every entry is already a residue; the sweep row-reduces this copy
+        return _eliminate_stack(stack.astype(np.uint32), table)
+    # reduced in int64: a negative entry would wrap in uint32
     div = mod if isinstance(mod, int) else mod[:, None, None]
-    if stack.dtype.kind != "u":
-        # reduced in int64 first: a negative entry would wrap in uint32
-        res = np.remainder(stack, div, dtype=np.int64).astype(np.uint32)
-    elif np.iinfo(stack.dtype).max >= np.max(mod, initial=0):
-        res = stack % div
-    else:
-        res = stack
-    # the sweep row-reduces in place, never in the caller's stack
-    return _eliminate_stack(res.astype(np.uint32, copy=res is stack), table)
+    return _eliminate_stack(np.remainder(stack, div, dtype=np.int64).astype(np.uint32), table)
 
 
-def fused_prime(primes: Sequence[int]) -> int | None:
-    """The largest of primes whose product with the first CRT prime can be
-    eliminated in int64 (p <= 5), or None; one `fp_dets_stack` decides both."""
-    q = crt_primes(1)[0]
-    return max((p for p in primes if _fits_int64(p * q)), default=None)
+def fused_prime(primes: Sequence[int]) -> tuple[int, ...]:
+    """The largest of primes whose product with the first CRT prime q can be
+    eliminated in int64 (p <= 5) as a 1-tuple, or () when none can; one
+    `fp_dets_stack` mod (*fused_prime(primes), q) decides them."""
+    fit = [p for p in primes if _fits_int64(p * crt_primes(1)[0])]
+    return (max(fit),) if fit else ()
 
 
 def fp_det(m: MatrixLike, p: int) -> int:

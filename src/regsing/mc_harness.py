@@ -173,23 +173,19 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     The determinant of each sampled matrix is decided once; singularity mod
     a listed prime reads the determinant residue at that prime (reduction
     commutes with the determinant), not a separate rational elimination.
-    The listed prime named by `fused_prime` (the largest p <= 5) shares one
-    `fp_dets_stack` over the block's stacked adjacency matrices with the
-    first CRT prime q, mod p*q; its residues mod q go to the zero test, one
-    call per matrix, which alone still decides det_zero; with no listed
-    p <= 5, those residues come from one `fp_dets_stack` mod q alone.  Every
+    One `fp_dets_stack` over the block's stacked adjacency matrices decides
+    the first CRT prime q and the listed prime named by `fused_prime` (the
+    largest p <= 5, if any), mod p*q or q; its residues mod q go to the zero
+    test, one call per matrix, which alone still decides det_zero.  Every
     other listed prime gets its own `fp_dets_stack`.
     """
     t0 = time.perf_counter()
     stack = adjacency_stack(sample_permutations(n, d, seed, trials), d)
     identical = identical_rows(stack)
     fused = fused_prime(primes)
-    residue = {p: fp_dets_stack(stack, (p,))[:, 0].tolist() for p in primes if p != fused}
-    q = crt_primes(1)[0]
-    if fused is None:
-        first = fp_dets_stack(stack, (q,))[:, 0].tolist()
-    else:
-        residue[fused], first = fp_dets_stack(stack, (fused, q)).T.tolist()
+    residue = {p: fp_dets_stack(stack, (p,))[:, 0].tolist() for p in primes if p not in fused}
+    *dets, first = fp_dets_stack(stack, (*fused, crt_primes(1)[0])).T.tolist()
+    residue.update(zip(fused, dets))
     det_zero = [int_determinant_is_zero(a, f) for a, f in zip(stack, first)]
     elapsed = (time.perf_counter() - t0) / len(trials)
     records = []

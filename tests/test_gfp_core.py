@@ -169,7 +169,7 @@ def test_crt_prime_list_deterministic():
         assert q < 2**29
         assert is_prime_by_trial_division(q)
     # 5 q is an int64 elimination modulus, M (M - 1) < 2^63, and 7 q is not
-    assert fused_prime([2, 3, 5, 7]) == 5
+    assert fused_prime([2, 3, 5, 7]) == (5,)
 
 
 PRIMES = st.sampled_from([2, 3, 5, 101, 2**31 - 1])
@@ -385,7 +385,7 @@ def test_fused_residue_mod_q_does_not_decide_mod_5():
 def test_listed_primes_beyond_fusion_take_their_own_elimination():
     rnd = random.Random(23)
     for p in (7, 101, 2**31 - 1):
-        assert fused_prime([p]) is None
+        assert fused_prime([p]) == ()
         with pytest.raises(ValueError):
             fp_dets_stack(np.ones((1, 1, 1), dtype=np.int64), (p, Q))
         for _ in range(10):
@@ -428,32 +428,6 @@ def stacks(draw):
             rows[i] = list(rows[j])
         lanes.append(rows)
     return lanes
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, Q])
-def test_indivisible_by_matches_remainder(p):
-    """The sweep's multiply-compare unit test agrees with x % p != 0 on
-    random uint32 values and on 0, p, multiples of p, the largest multiple
-    of p below 2^32, the largest residues mod 2Q and 5Q, and 2^32 - 1."""
-    mult, bound = gfp_core._indivisible_by(p)
-    top = (2**32 - 1) // p * p
-    edges = [0, 1, p - 1, p, p + 1, 2 * p, 7 * p, top - 1, top]
-    edges += [2 * Q - 1, 5 * Q - 1, 2**31, 2**32 - 2, 2**32 - 1]
-    rng = np.random.default_rng(p)
-    multiples = rng.integers(0, top // p, size=1000, endpoint=True, dtype=np.uint64) * np.uint64(p)
-    x = np.concatenate(
-        [
-            np.array(edges, dtype=np.uint32),
-            rng.integers(0, 2**32, size=100_000, dtype=np.uint32),
-            multiples.astype(np.uint32),
-            (multiples + np.uint64(1)).astype(np.uint32),
-        ]
-    )
-    assert mult.dtype == np.uint32
-    got = x * mult > bound
-    assert got.dtype == bool
-    assert np.array_equal(got, x % p != 0)
-    assert got.any() and not got.all()
 
 
 @pytest.mark.parametrize("primes", [(2,), (7,), (5, Q)], ids=["2", "7", "5Q"])
@@ -559,15 +533,23 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
     """fp_dets_stack on uint8, uint32, int8 with negative entries and int64
     stacks, in both kernels, against Bareiss: a uint32 entry near 2^32 must
     be reduced mod 5Q before any product, and a negative int8 entry before
-    the stack narrows to uint32."""
+    the stack narrows to uint32.  The uint32 entries hold the unit test's
+    edge values: 0, p, 2p and 7p for each prime p of the row, the largest
+    residues mod 2Q and 5Q, 2^31 and 2^32 - 2; in the second lane a first
+    column of multiples of 5 that are not multiples of Q (2^32 - 1 is one)
+    splits mod 5Q at once."""
     rnd = random.Random(31)
+    edges = [k * p for p in primes for k in (1, 2, 7)]
     for dtype, entries in (
         (np.uint8, (0, 1, 2, 3, 255)),
-        (np.uint32, (0, 1, 3, Q, 2**32 - 5, 2**32 - 1)),
+        (np.uint32, (0, 1, 3, Q, 2 * Q - 1, 5 * Q - 1, 2**31, 2**32 - 5, 2**32 - 2, 2**32 - 1, *edges)),
         (np.int8, (-128, -5, -1, 0, 1, 3, 127)),
         (np.int64, (-(2**40), -Q, -5, -1, 0, 1, 5, Q)),
     ):
         lanes = [[[rnd.choice(entries) for _ in range(5)] for _ in range(5)] for _ in range(6)]
+        if dtype == np.uint32:
+            for row in lanes[1]:
+                row[0] = rnd.choice((5, 10, 35, 2**32 - 1))
         for b in (1, 2, 3, 6):
             got = fp_dets_stack(np.array(lanes[:b], dtype=dtype), primes)
             assert got.shape == (b, len(primes)) and got.dtype == np.int64
@@ -577,6 +559,29 @@ def test_narrow_and_signed_stacks_match_per_matrix(primes):
     for dtype in (np.uint64, np.float64):
         with pytest.raises(ValueError, match="integer stack"):
             fp_dets_stack(np.zeros((4, 2, 2), dtype=dtype), primes)
+
+
+@pytest.mark.parametrize(
+    "dtype, rows", [(np.uint8, [(7,), (Q,)]), (np.uint16, [(2, 3), (5, Q)])], ids=["uint8", "uint16"]
+)
+def test_narrow_stacks_reach_the_sweep_as_residues(dtype, rows):
+    """A narrow unsigned stack below MIN_SCHUR_N whose lanes' moduli lie on
+    both sides of its dtype's max (M = 7 or 6 below it, Q or 5Q above) is
+    reduced before the sweep: every call of `_eliminate_stack` sees each
+    lane's entries below that lane's M, and the dets equal Bareiss."""
+    rnd = random.Random(41)
+    top = int(np.iinfo(dtype).max)
+    lanes = [[[rnd.choice((0, 1, 5, 7, 227, top - 1, top)) for _ in range(5)] for _ in range(5)] for _ in range(6)]
+    table = [rows[k % 2] for k in range(len(lanes))]
+    patch, sweeps = recording("_eliminate_stack")
+    with patch:
+        got = fp_dets_stack(np.array(lanes, dtype=dtype), np.array(table))
+    assert sweeps and sweeps[0][0][0].dtype == np.uint32
+    for (a, tab), _ in sweeps:
+        assert (a.max(axis=(1, 2)) < tab.prod(axis=1)).all()
+    for lane, row, dets in zip(lanes, table, got.tolist()):
+        exact = det_bareiss(lane)
+        assert dets == [exact % p for p in row]
 
 
 Q2, Q3 = crt_primes(3)[1:]

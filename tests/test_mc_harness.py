@@ -138,6 +138,25 @@ def test_block_without_a_fused_prime_stacks_its_first_residue(primes):
         assert rec.singular_mod == tuple((p, e % p == 0) for p in primes)
 
 
+@pytest.mark.parametrize("n", [30, 64])
+def test_block_eliminations_by_listed_primes(n):
+    # a block's own eliminations, in order: one per listed prime that
+    # `fused_prime` leaves alone, then one mod q with the fused prime if any;
+    # d = 11 is prime to every listed prime
+    q = gfp_core.crt_primes(1)[0]
+    expected = {
+        (5,): [(5, q)],
+        (2, 5): [(2,), (5, q)],
+        (2,): [(2, q)],
+        (7,): [(7,), (q,)],
+        (3, 5, 7): [(3,), (7,), (5, q)],
+    }
+    for primes, calls in expected.items():
+        with mock.patch.object(mc_harness, "fp_dets_stack", wraps=mc_harness.fp_dets_stack) as spy:
+            mc_harness.run_block(n, 11, 5, primes, range(0, 8))
+        assert [tuple(call.args[1]) for call in spy.call_args_list] == calls
+
+
 def test_layer_entry_points_stay_module_attributes():
     # perfbench/worker.py wraps these attributes of mc_harness in trace spans
     # and labels a zero-test span singular by bool(result)
