@@ -121,9 +121,7 @@ def _sample(args) -> Artifact:
 def _exact(args) -> Artifact:
     require_coprime_degree(args.p, args.d)
     counts = walk_census.walk_endpoint_counts(args.n, args.d, args.p)
-    e_sum, n_sum, zero_term = walk_census.type_class_partition(
-        args.n, args.d, args.p, args.b_threshold, counts
-    )
+    e_sum, n_sum, zero_term = walk_census.type_class_partition(counts, args.b_threshold)
     ks = e_sum + n_sum
     payload = {
         "kind": "exact", **_fields(args, "n d p"), "b": args.b_threshold,
@@ -131,7 +129,7 @@ def _exact(args) -> Artifact:
         "class_e_sum": str(e_sum), "class_e_float": float(e_sum),
         "class_n_sum": str(n_sum), "class_n_float": float(n_sum),
         "zero_type_term": str(zero_term),
-        "total_mass_ok": counts.total_mass_ok(), "parity_ok": counts.parity_ok(),
+        "total_mass_ok": counts.total_mass_ok, "parity_ok": counts.parity_ok,
     }
     stem = f"exact_n{args.n}_d{args.d}_p{args.p}"
     return Artifact(stem, payload, ("field", "value"), payload.items())
@@ -151,7 +149,8 @@ def _oracle(args) -> Artifact:
 
 def _lclt(args) -> Artifact:
     require_coprime_degree(args.p, args.d)
-    scan = lclt.lclt_error_scan(args.n, args.d, args.p, args.b_threshold)
+    counts = walk_census.walk_endpoint_counts(args.n, args.d, args.p)
+    scan = lclt.lclt_error_scan(counts, args.b_threshold)
     payload = {"kind": "lclt", **_fields(scan, "n d p b max_rel_error zero_probability_types")}
     payload["rows"] = [
         {"type": list(t), "exact": e, "gaussian": g, "rel_error": r} for t, e, g, r in scan.rows

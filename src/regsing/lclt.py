@@ -27,7 +27,6 @@ from .walk_census import (
     is_near_uniform,
     squared_deviation,
     type_vectors,
-    walk_endpoint_counts,
 )
 
 # Default window parameter for equidistributed-class scans.  Pinned by pilot
@@ -87,24 +86,21 @@ class LcltScan:
     zero_probability_types: int  # class-E admissible types the walk cannot reach
 
 
-def lclt_error_scan(
-    n: int, d: int, p: int, b: float = DEFAULT_B, counts: LatticeCounts | None = None
-) -> LcltScan:
+def lclt_error_scan(counts: LatticeCounts, b: float = DEFAULT_B) -> LcltScan:
     """Exact vs Gaussian over every admissible equidistributed profile.
 
     Exact probabilities are rationals count(d*t) / p^((d-1)n), converted to
     float only for the comparison.  Unreachable profiles (exact probability
     zero) are tallied separately since relative error is undefined there.
     """
-    if counts is None:
-        counts = walk_endpoint_counts(n, d, p)
+    n, d, p = counts.n, counts.d, counts.p
     denom = p ** ((d - 1) * n)
     rows: List[Tuple[TypeVec, float, float, float]] = []
     zero_types = 0
     for t in type_vectors(n, p):
         if not is_admissible(t, p) or not is_near_uniform(t, p, b):
             continue
-        c = counts.count(tuple(d * tj for tj in t))
+        c = counts.profile_count(t)
         g = gaussian_point_mass(t, d, p)
         if c == 0:
             zero_types += 1

@@ -149,7 +149,9 @@ def _lockstep_newton(nv: np.ndarray, d: int, p: int) -> Tuple[np.ndarray, ...]:
 
     Each lane takes exactly the iterations of a lone solve: numpy's stacked
     matmul, row reductions and the lstsq gufunc run the same kernel per lane.
-    A lane leaves the stack once it converges; the lanes still live after
+    A lane leaves the stack once it converges, or unconverged once its
+    gradient is not finite (a non-finite probability makes it so), since
+    lstsq raises or never returns on a NaN; the lanes still live after
     MAX_NEWTON_ITER steps stop together, unconverged.  Per lane it returns
     alpha (per distinct profile), theta, rate, residual, converged, steps.
     """
@@ -178,7 +180,7 @@ def _lockstep_newton(nv: np.ndarray, d: int, p: int) -> Tuple[np.ndarray, ...]:
         grad = mean - target
         err = np.abs(grad).max(axis=1)
         conv = err < DEFAULT_TOL if steps < MAX_NEWTON_ITER else np.zeros(len(err), bool)
-        stop = conv if steps < MAX_NEWTON_ITER else ~conv
+        stop = (conv | ~np.isfinite(err)) if steps < MAX_NEWTON_ITER else ~conv
         if np.count_nonzero(stop):
             at = lanes[stop]
             prob_at[at], theta_at[at], residual[at] = prob[stop], theta[stop], err[stop]

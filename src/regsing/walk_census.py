@@ -77,26 +77,29 @@ def build_U(d: int, p: int) -> UMultiset:
     return u
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeCounts:
-    """Exact endpoint distribution of the n-step walk on {x >= 0 : sum x = dn}."""
+    """Exact endpoint distribution of the n-step walk on {x >= 0 : sum x = dn}.
+
+    The one census table: every census function reads n, d, p and its
+    endpoint counts from here.  The walk decides the two checks as it decodes
+    its endpoints: the counts sum to p^((d-1)n), and every endpoint reached
+    is admissible.
+    """
 
     n: int
     d: int
     p: int
-    counts: Dict[TypeVec, int]
+    counts: Dict[TypeVec, int]  # every endpoint reached, not only the d*t
+    total_mass_ok: bool
+    parity_ok: bool
 
-    def count(self, endpoint: Sequence[int]) -> int:
-        return self.counts.get(tuple(endpoint), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def total_mass_ok(self) -> bool:
-        return self.total() == self.p ** ((self.d - 1) * self.n)
-
-    def parity_ok(self) -> bool:
-        return all(is_admissible(e, self.p) for e, c in self.counts.items() if c)
+    def profile_count(self, t: Sequence[int]) -> int:
+        """Walks ending at d*t, for a profile t of n of length p."""
+        t = tuple(t)
+        if len(t) != self.p or sum(t) != self.n:
+            raise ValueError(f"{t} is not a profile of n={self.n} of length p={self.p}")
+        return self.counts.get(tuple(self.d * tj for tj in t), 0)
 
 
 def _lattice_size(n: int, d: int, p: int) -> int:
@@ -171,6 +174,7 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
                     k = key + offset
                     target[k] = target.get(k, 0) + c * val
     counts: Dict[TypeVec, int] = {}
+    mass, parity_ok = 0, True
     for s, layer in enumerate(layers):
         for key, val in layer.items():
             if not val:
@@ -180,7 +184,9 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
                 key, x = divmod(key, radix)
                 e.append(x)
             counts[tuple(e)] = val
-    return LatticeCounts(n=n, d=d, p=p, counts=counts)
+            mass += val
+            parity_ok = parity_ok and is_admissible(e, p)
+    return LatticeCounts(n, d, p, counts, mass == p ** ((d - 1) * n), parity_ok)
 
 
 def type_vectors(n: int, p: int) -> Iterator[TypeVec]:
@@ -195,45 +201,41 @@ def type_vectors(n: int, p: int) -> Iterator[TypeVec]:
 
 def graphs_with_null_vector(t: Sequence[int], counts: LatticeCounts) -> int:
     """Configurations annihilating any fixed vector of profile t, exactly."""
-    t = tuple(t)
-    if sum(t) != counts.n:
-        raise ValueError(f"profile {t} does not sum to n={counts.n}")
-    d = counts.d
-    prefactor = 1
+    num = counts.profile_count(t)
     for tj in t:
-        prefactor *= _factorial(d * tj)
-    return prefactor * counts.count(tuple(d * tj for tj in t))
+        num *= _factorial(counts.d * tj)
+    return num
 
 
-def _type_numerators(n: int, d: int, p: int, counts: LatticeCounts) -> Iterator[Tuple[TypeVec, int]]:
+def _type_numerators(counts: LatticeCounts) -> Iterator[Tuple[TypeVec, int]]:
     """(t, count(d*t) * prod_j (d*t_j)! / t_j!) for each reachable profile t.
 
     Times n! / (dn)! each is profile t's kernel-pair term
     multinomial(n, t) * count(d*t) / multinomial(dn, d*t).
     """
+    n, d = counts.n, counts.d
     ratio = [1]  # ratio[k] = (d*k)! / k!, exact: (dk)!/(k-1)! is an integer multiple of k
     for k in range(1, n + 1):
         ratio.append(ratio[-1] * math.perm(d * k, d) // k)
-    for t in type_vectors(n, p):
-        num = counts.count(tuple(d * tj for tj in t))
+    for t in type_vectors(n, counts.p):
+        num = counts.profile_count(t)
         if num:
             for tj in t:
                 num *= ratio[tj]
             yield t, num
 
 
-def key_sum(n: int, d: int, p: int, counts: LatticeCounts | None = None) -> Fraction:
+def key_sum(counts: LatticeCounts) -> Fraction:
     """Normalized count of (graph, nonzero kernel vector) pairs, exact."""
-    if counts is None:
-        counts = walk_endpoint_counts(n, d, p)
-    total = sum(num for t, num in _type_numerators(n, d, p, counts) if t[0] != n)
-    return Fraction(_factorial(n) * total, _factorial(d * n))
+    n = counts.n
+    total = sum(num for t, num in _type_numerators(counts) if t[0] != n)
+    return Fraction(_factorial(n) * total, _factorial(counts.d * n))
 
 
 def squared_deviation(t: Sequence[int], p: int) -> Fraction:
-    """sum_j (t_j/n - 1/p)^2, exact."""
+    """sum_j (t_j/n - 1/p)^2 = sum_j (p*t_j - n)^2 / (p*n)^2, exact."""
     n = sum(t)
-    return sum((Fraction(tj, n) - Fraction(1, p)) ** 2 for tj in t)
+    return Fraction(sum((p * tj - n) ** 2 for tj in t), (p * n) ** 2)
 
 
 def is_near_uniform(t: Sequence[int], p: int, b: float) -> bool:
@@ -246,9 +248,7 @@ def is_near_uniform(t: Sequence[int], p: int, b: float) -> bool:
     return float(squared_deviation(t, p)) <= b * math.log(n) / n
 
 
-def type_class_partition(
-    n: int, d: int, p: int, b: float, counts: LatticeCounts | None = None
-) -> Tuple[Fraction, Fraction, Fraction]:
+def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fraction, Fraction]:
     """Split the key sum into equidistributed / non-equidistributed parts.
 
     Returns (e_sum, n_sum, degenerate) where e_sum + n_sum equals the key
@@ -256,17 +256,16 @@ def type_class_partition(
     """
     if b <= 0:
         raise ValueError("threshold b must be positive")
-    if counts is None:
-        counts = walk_endpoint_counts(n, d, p)
+    n, p = counts.n, counts.p
     e_num = n_num = degenerate = 0
-    for t, num in _type_numerators(n, d, p, counts):
+    for t, num in _type_numerators(counts):
         if t[0] == n:
             degenerate += num
         elif is_near_uniform(t, p, b):
             e_num += num
         else:
             n_num += num
-    scale, denom = _factorial(n), _factorial(d * n)
+    scale, denom = _factorial(n), _factorial(counts.d * n)
     return (
         Fraction(scale * e_num, denom),
         Fraction(scale * n_num, denom),

@@ -77,10 +77,11 @@ def test_criterion_01_oracle_equivalence(oracle_results):
 
 def test_criterion_02_key_sum_exactness_and_trend(trend_counts):
     start = time.monotonic()
-    ks3 = walk_census.key_sum(3, D, P)
+    ks3 = walk_census.key_sum(walk_census.walk_endpoint_counts(3, D, P))
     ns = sorted(set(TREND_NS) | set(LADDER_NS))
-    # key_sum builds the table itself (dense p=2 path) for n past TREND_NS
-    gaps = {n: abs(1 - walk_census.key_sum(n, D, P, counts=trend_counts.get(n))) for n in ns}
+    # the tables for n past TREND_NS are built here
+    tables = {n: trend_counts.get(n) or walk_census.walk_endpoint_counts(n, D, P) for n in ns}
+    gaps = {n: abs(1 - walk_census.key_sum(tables[n])) for n in ns}
     bounds = {n: 5 * math.log(n) ** 1.5 / math.sqrt(n) for n in ns}
     elapsed = time.monotonic() - start
     exact_ok = ks3 == Fraction(27, 28)
@@ -112,8 +113,8 @@ def test_criterion_03_mass_and_parity(trend_counts, oracle_results):
     results, _ = oracle_results
     tables = [(n, d, p, walk_census.walk_endpoint_counts(n, d, p)) for n, d, p in results]
     tables += [(n, D, P, trend_counts[n]) for n in TREND_NS]
-    mass_bad = [(n, d, p) for n, d, p, c in tables if not c.total_mass_ok()]
-    parity_bad = [(n, d, p) for n, d, p, c in tables if not c.parity_ok()]
+    mass_bad = [(n, d, p) for n, d, p, c in tables if not c.total_mass_ok]
+    parity_bad = [(n, d, p) for n, d, p, c in tables if not c.parity_ok]
     ok = not mass_bad and not parity_bad
     report(3, ok, f"{len(tables)} endpoint tables, mass and parity exact on all")
     assert not mass_bad
@@ -160,8 +161,8 @@ def test_criterion_05_gram_spectrum():
 
 
 def test_criterion_06_lclt_error_shrinks():
-    err24 = lclt.lclt_error_scan(24, D, P).max_rel_error
-    err96 = lclt.lclt_error_scan(96, D, P).max_rel_error
+    err24 = lclt.lclt_error_scan(walk_census.walk_endpoint_counts(24, D, P)).max_rel_error
+    err96 = lclt.lclt_error_scan(walk_census.walk_endpoint_counts(96, D, P)).max_rel_error
     ok = err96 < err24 and err96 <= 0.2
     report(
         6,
@@ -222,7 +223,7 @@ def test_criterion_07_rate_function():
 def test_criterion_08_far_class_bounded(trend_counts):
     scaled = {}
     for n in (20, 40, 80):
-        _, n_sum, _ = walk_census.type_class_partition(n, D, P, 10.0, trend_counts[n])
+        _, n_sum, _ = walk_census.type_class_partition(trend_counts[n], 10.0)
         scaled[n] = float(n_sum) * n ** (D - 2)
     base = scaled[20]
     ok = all(scaled[n] <= 2 * base for n in (40, 80))

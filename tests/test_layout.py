@@ -1,11 +1,13 @@
 """Package layout: every public top-level function or class in src/regsing is
-reached from outside the tests, or is a listed independent oracle, and every
-name the benchmark's tracer wraps exists."""
+reached from outside the tests, or is a listed independent oracle, every
+name the benchmark's tracer wraps exists, and src imports nothing but the
+standard library, numpy and itself."""
 
 import ast
 import importlib
 import importlib.util
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -13,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "regsing"
 # kept though only the tests call them: each checks a claim by another route
 ORACLES = {"moments_from_multiset"}
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "regsing"}
 
 
 def mentions(node: ast.AST) -> set:
@@ -81,3 +84,18 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
         name for name, mod in copies.items() for attr, value in vars(mod).items() if value is not vars(real[name])[attr]
     }
     assert wrapped == {"mc_harness", "walk_census", "lclt", "rate_ldp"}
+
+
+def test_src_imports_only_stdlib_numpy_and_itself():
+    # scipy, sympy and hypothesis are test-only; the package runs on numpy alone
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            outside.update(f"{path.name}: {top}" for top in tops if top not in ALLOWED_IMPORTS)
+    assert not outside

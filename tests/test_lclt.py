@@ -119,7 +119,7 @@ def test_gaussian_point_mass_values():
 
 def test_gaussian_matches_exact_at_moderate_deviation():
     counts = walk_endpoint_counts(50, 3, 2)
-    exact = Fraction(counts.count((78, 72)), 2 ** (2 * 50))
+    exact = Fraction(counts.profile_count((26, 24)), 2 ** (2 * 50))
     g = gaussian_point_mass((26, 24), 3, 2)
     assert abs(g - float(exact)) / float(exact) < 0.1
 
@@ -127,7 +127,7 @@ def test_gaussian_matches_exact_at_moderate_deviation():
 def test_error_scan_window_and_exactness():
     n, d, p = 20, 3, 2
     counts = walk_endpoint_counts(n, d, p)
-    scan = lclt_error_scan(n, d, p, b=0.5, counts=counts)
+    scan = lclt_error_scan(counts, b=0.5)
     threshold = 0.5 * math.log(n) / n
     denom = p ** ((d - 1) * n)
     seen = set()
@@ -135,7 +135,7 @@ def test_error_scan_window_and_exactness():
         assert sum(t) == n
         assert sum(j * tj for j, tj in enumerate(t)) % p == 0
         assert float(squared_deviation(t, p)) <= threshold
-        assert exact == float(Fraction(counts.count(tuple(d * x for x in t)), denom))
+        assert exact == float(Fraction(counts.profile_count(t), denom))
         assert err == abs(gauss - exact) / exact
         seen.add(t)
     assert scan.max_rel_error == max(r[3] for r in scan.rows)
@@ -153,13 +153,13 @@ def test_error_scan_window_and_exactness():
 
 def test_error_scan_excludes_unreachable_types():
     # d=3, p=2: endpoints need t_1 <= 2n/3; wider windows hit that edge
-    scan = lclt_error_scan(12, 3, 2, b=10.0)
+    scan = lclt_error_scan(walk_endpoint_counts(12, 3, 2), b=10.0)
     assert scan.zero_probability_types > 0
 
 
 def test_error_improves_with_n_at_default_window():
-    err24 = lclt_error_scan(24, 3, 2, b=DEFAULT_B).max_rel_error
-    err48 = lclt_error_scan(48, 3, 2, b=DEFAULT_B).max_rel_error
+    err24 = lclt_error_scan(walk_endpoint_counts(24, 3, 2), b=DEFAULT_B).max_rel_error
+    err48 = lclt_error_scan(walk_endpoint_counts(48, 3, 2), b=DEFAULT_B).max_rel_error
     assert 0 < err48 < err24
 
 
@@ -169,7 +169,7 @@ def test_partial_near_uniform_sum_approaches_one():
 
     gaps = []
     for n in (20, 60):
-        e_sum, _, _ = type_class_partition(n, 3, 2, 10.0)
+        e_sum, _, _ = type_class_partition(walk_endpoint_counts(n, 3, 2), 10.0)
         gaps.append(abs(1 - float(e_sum)))
     assert gaps[1] < gaps[0]
 
@@ -180,7 +180,7 @@ def test_scan_csv_header(monkeypatch):
     with redirect_stdout(io.StringIO()) as out:
         assert cli_main(argv) == 0
     obj = json.loads(out.getvalue())
-    assert len(obj["rows"]) == len(lclt_error_scan(10, 3, 2, b=0.5).rows)
+    assert len(obj["rows"]) == len(lclt_error_scan(walk_endpoint_counts(10, 3, 2), b=0.5).rows)
     with redirect_stdout(io.StringIO()) as out:
         assert cli_main(argv + ["--format", "csv"]) == 0
     text = out.getvalue()

@@ -4,8 +4,12 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -254,6 +258,53 @@ def test_stacked_lstsq_matches_public_wrapper(capfd):
     with pytest.raises(np.linalg.LinAlgError):
         lstsq(a, b)
     capfd.readouterr()
+
+
+def test_nonfinite_lane_stops_before_lstsq():
+    # a lane whose gradient is NaN leaves the stack unconverged at step 0 and
+    # never reaches lstsq; the healthy lane keeps the bits of its lone solve
+    # ((0.3, 0.7) would lie outside the d = 3, p = 2 cone, hence (0.4, 0.6))
+    sizes = []
+
+    def finite_only(a, b):
+        sizes.append(len(a))
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        return lstsq(a, b)
+
+    lstsq = rate_ldp._lstsq
+    healthy = [0.4, 0.6]
+    with mock.patch.object(rate_ldp, "_lstsq", side_effect=finite_only):
+        stacked = rate_ldp._lockstep_newton(np.array([healthy, [np.nan, 0.5]]), 3, 2)
+    lone = rate_ldp._lockstep_newton(np.array([healthy]), 3, 2)
+    assert [np.asarray(f[0]).tobytes() for f in stacked] == [np.asarray(f[0]).tobytes() for f in lone]
+    _, _, _, residual, converged, steps = stacked
+    assert converged[0] and not converged[1] and steps[1] == 0 and np.isnan(residual[1])
+    assert sizes and set(sizes) == {1}
+
+
+NAN_LANE_CHILD = """
+import json, numpy as np
+from regsing import rate_ldp
+stack = np.array([[0.3, 0.3, 0.4], [np.nan, 0.5, 0.5]])
+_, _, rate, _, converged, steps = rate_ldp._lockstep_newton(stack, 4, 3)
+_, _, lone_rate, _, _, lone_steps = rate_ldp._lockstep_newton(stack[:1], 4, 3)
+print(json.dumps([converged.tolist(), steps.tolist(), rate[0].hex(), lone_rate[0].hex(), int(lone_steps[0])]))
+"""
+
+
+def test_nan_lane_cannot_hang_a_stack():
+    # Unguarded, the NaN lane's Hessian is NaN from the second step on, and
+    # LAPACK's least squares on a partly-NaN matrix raises or never returns
+    # (np.linalg.lstsq on an identity with one NaN entry does not return), so
+    # the stack runs in a child under a timeout: a regression fails, not hangs.
+    src = str(Path(rate_ldp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NAN_LANE_CHILD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    converged, steps, rate, lone_rate, lone_steps = json.loads(proc.stdout)
+    assert converged == [True, False] and steps == [lone_steps, 0] and rate == lone_rate
 
 
 def test_missing_lstsq_gufunc_fails_at_import(monkeypatch):

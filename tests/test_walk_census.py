@@ -1,5 +1,6 @@
 """Exact walk census: step multisets, the power recurrence, kernel-vector counts."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -121,8 +122,8 @@ def test_convolution_against_sequence_enumeration():
 def test_mass_and_parity_invariants():
     for n, d, p in [(6, 3, 2), (4, 4, 3), (3, 3, 5), (12, 3, 2)]:
         counts = walk_endpoint_counts(n, d, p)
-        assert counts.total_mass_ok()
-        assert counts.parity_ok()
+        assert counts.total_mass_ok
+        assert counts.parity_ok
 
 
 def test_p2_closed_form():
@@ -131,7 +132,7 @@ def test_p2_closed_form():
         counts = walk_endpoint_counts(n, 3, 2)
         for k in range(0, (3 * n) // 2 + 1):
             expected = math.comb(n, k) * 3**k if k <= n else 0
-            assert counts.count((3 * n - 2 * k, 2 * k)) == expected
+            assert counts.counts.get((3 * n - 2 * k, 2 * k), 0) == expected
 
 
 def test_key_sum_p2_closed_form():
@@ -144,7 +145,7 @@ def test_key_sum_p2_closed_form():
             Fraction(math.comb(n, 2 * j) * math.comb(n, 3 * j) * 27**j, math.comb(3 * n, 6 * j))
             for j in range(1, n // 3 + 1)
         )
-        assert key_sum(n, 3, 2) == expected
+        assert key_sum(walk_endpoint_counts(n, 3, 2)) == expected
 
 
 def test_lattice_guard():
@@ -153,9 +154,9 @@ def test_lattice_guard():
 
 
 def test_key_sum_values():
-    assert key_sum(3, 3, 2) == Fraction(27, 28)
-    assert key_sum(2, 3, 2) == 0
-    assert key_sum(1, 3, 2) == 0
+    assert key_sum(walk_endpoint_counts(3, 3, 2)) == Fraction(27, 28)
+    assert key_sum(walk_endpoint_counts(2, 3, 2)) == 0
+    assert key_sum(walk_endpoint_counts(1, 3, 2)) == 0
 
 
 def test_graphs_with_null_vector_values():
@@ -163,8 +164,20 @@ def test_graphs_with_null_vector_values():
     assert graphs_with_null_vector((2, 0), counts2) == math.factorial(6)
     counts3 = walk_endpoint_counts(3, 3, 2)
     assert graphs_with_null_vector((1, 2), counts3) == 116640
-    with pytest.raises(ValueError):
-        graphs_with_null_vector((1, 1), counts3)
+    # a profile must have length p and sum n: (1, 1) sums to 2, and (1, 1, 1)
+    # has length 3 at p = 2
+    for bad in ((1, 1), (1, 1, 1), (3,)):
+        with pytest.raises(ValueError):
+            graphs_with_null_vector(bad, counts3)
+
+
+def test_lattice_counts_is_one_frozen_table():
+    counts = walk_endpoint_counts(3, 3, 2)
+    assert (counts.n, counts.d, counts.p) == (3, 3, 2)
+    assert counts.profile_count((1, 2)) == counts.counts[(3, 6)] == 27
+    assert counts.profile_count((3, 0)) == counts.counts[(9, 0)] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        counts.n = 10
 
 
 def test_type_vectors_cover_simplex():
@@ -178,6 +191,11 @@ def test_squared_deviation_exact():
     assert squared_deviation((2, 2), 2) == 0
     assert squared_deviation((4, 0), 2) == Fraction(1, 2)
     assert squared_deviation((3, 1), 2) == 2 * Fraction(1, 4) ** 2
+    for p in (2, 3, 5):
+        for n in (1, 7, 20):
+            for t in type_vectors(n, p):
+                by_parts = sum((Fraction(tj, n) - Fraction(1, p)) ** 2 for tj in t)
+                assert squared_deviation(t, p) == by_parts, (t, p)
 
 
 def test_is_near_uniform():
@@ -193,18 +211,18 @@ def test_is_near_uniform():
 def test_class_partition_is_exact_split():
     n, d, p = 14, 3, 2
     counts = walk_endpoint_counts(n, d, p)
-    ks = key_sum(n, d, p, counts=counts)
+    ks = key_sum(counts)
     for b in (0.5, 1.0, 10.0):
-        e_sum, n_sum, degenerate = type_class_partition(n, d, p, b, counts)
+        e_sum, n_sum, degenerate = type_class_partition(counts, b)
         assert e_sum + n_sum == ks
         assert degenerate == 1
     # small windows leave mass outside; huge windows capture everything
-    e_small, n_small, _ = type_class_partition(n, d, p, 0.05, counts)
+    e_small, n_small, _ = type_class_partition(counts, 0.05)
     assert n_small > 0
-    e_big, n_big, _ = type_class_partition(n, d, p, 100.0, counts)
+    e_big, n_big, _ = type_class_partition(counts, 100.0)
     assert n_big == 0 and e_big == ks
     with pytest.raises(ValueError):
-        type_class_partition(n, d, p, 0.0, counts)
+        type_class_partition(counts, 0.0)
 
 
 def test_far_class_nonempty_and_bounded_past_n80():
@@ -213,7 +231,7 @@ def test_far_class_nonempty_and_bounded_past_n80():
     # deviation), so the bound is checked where the class is populated.
     scaled = {}
     for n in (160, 320, 640):
-        _, far, _ = type_class_partition(n, 3, 2, 10.0, walk_endpoint_counts(n, 3, 2))
+        _, far, _ = type_class_partition(walk_endpoint_counts(n, 3, 2), 10.0)
         assert far > 0, f"far class empty at n={n}"
         scaled[n] = far * n
     # measured: 2.5495, 2.3629, 2.2885
@@ -225,7 +243,7 @@ def test_far_class_nonempty_and_bounded_past_n80():
 def support_bound_ok(t, counts):
     """count(d*t)^2 <= (p^(d-1) * n)^(d*m) with m = n - t_0 (squared to keep d*m/2 integral)."""
     m = counts.n - t[0]
-    c = counts.count(tuple(counts.d * tj for tj in t))
+    c = counts.profile_count(t)
     return c * c <= (counts.p ** (counts.d - 1) * counts.n) ** (counts.d * m)
 
 
