@@ -93,6 +93,8 @@ def lclt_error_scan(counts: LatticeCounts, b: float = DEFAULT_B) -> LcltScan:
     float only for the comparison.  Unreachable profiles (exact probability
     zero) are tallied separately since relative error is undefined there.
     """
+    if not 0 < b < math.inf:
+        raise ValueError(f"threshold b={b} must be finite and > 0")
     n, d, p = counts.n, counts.d, counts.p
     denom = p ** ((d - 1) * n)
     rows: List[Tuple[TypeVec, float, float, float]] = []

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .common import GuardError, require_degree, require_prime
-from .graph_model import ENUMERATION_GUARD, enumerate_all_configurations
+from .graph_model import adjacency_multiset
 
 TypeVec = Tuple[int, ...]
 
@@ -147,6 +147,8 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
                 pushes[j].append((offset, sum(r), m * n * r[j], m))
     layers: List[Dict[int, int]] = [{} for _ in range(top + 1)]
     layers[0][0] = 1
+    counts: Dict[TypeVec, int] = {}
+    mass, parity_ok = 0, True
     for s in range(top + 1):
         layer = layers[s]
         for key, acc in layer.items():
@@ -173,9 +175,7 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
                     target = layers[s + deg]
                     k = key + offset
                     target[k] = target.get(k, 0) + c * val
-    counts: Dict[TypeVec, int] = {}
-    mass, parity_ok = 0, True
-    for s, layer in enumerate(layers):
+        # the layer is final: decode and drop it (its own loop keeps pushes tight)
         for key, val in layer.items():
             if not val:
                 continue
@@ -186,6 +186,7 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
             counts[tuple(e)] = val
             mass += val
             parity_ok = parity_ok and is_admissible(e, p)
+        layers[s] = {}
     return LatticeCounts(n, d, p, counts, mass == p ** ((d - 1) * n), parity_ok)
 
 
@@ -254,8 +255,8 @@ def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fra
     Returns (e_sum, n_sum, degenerate) where e_sum + n_sum equals the key
     sum exactly and degenerate is the excluded all-zero-vector term.
     """
-    if b <= 0:
-        raise ValueError("threshold b must be positive")
+    if not 0 < b < math.inf:
+        raise ValueError(f"threshold b={b} must be finite and > 0")
     n, p = counts.n, counts.p
     e_num = n_num = degenerate = 0
     for t, num in _type_numerators(counts):
@@ -273,34 +274,14 @@ def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fra
     )
 
 
-@lru_cache(maxsize=None)
-def _adjacency_multiset(n: int, d: int) -> Tuple[Tuple[TypeVec, int], ...]:
-    """(flattened adjacency matrix, multiplicity) over all (nd)! permutations.
-
-    Each matrix is counted in Python ints, point by point: at n*d <= 10 a
-    numpy call per permutation costs more than the whole count."""
-    tally: Dict[TypeVec, int] = {}
-    for sample in enumerate_all_configurations(n, d):
-        flat = [0] * (n * n)
-        for point, image in enumerate(sample.perm.tolist()):
-            flat[point // d * n + image // d] += 1
-        key = tuple(flat)
-        tally[key] = tally.get(key, 0) + 1
-    return tuple(sorted(tally.items()))
-
-
 def brute_force_null_count(v: Sequence[int], n: int, d: int, p: int) -> int:
-    """Count configurations with A v = 0 mod p by direct enumeration."""
+    """Count configurations with A v = 0 mod p, read off the exact law of A."""
     require_prime(p)
-    if n * d > ENUMERATION_GUARD:
-        raise GuardError(
-            f"brute force over ({n}*{d})! permutations refused; guard is n*d <= {ENUMERATION_GUARD}"
-        )
     v = [int(x) % p for x in v]
     if len(v) != n:
         raise ValueError(f"vector length {len(v)} != n={n}")
     hits = 0
-    for flat, mult in _adjacency_multiset(n, d):
+    for flat, mult in adjacency_multiset(n, d):
         if all(
             sum(flat[k * n + l] * v[l] for l in range(n)) % p == 0
             for k in range(n)

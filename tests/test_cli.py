@@ -119,6 +119,15 @@ def test_invalid_input_exits_2_with_its_message(argv, message, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("b", ["0", "-1", "nan", "inf"])
+def test_window_b_must_be_finite_and_positive(b, monkeypatch):
+    for cmd in ("exact", "lclt"):
+        argv = [cmd, "--n", "10", "--d", "3", "--p", "2", f"--b-threshold={b}"]
+        code, out, err = run_cli(argv, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "must be finite and > 0" in err
+
+
 def test_rate_has_no_tol_option():
     with redirect_stderr(io.StringIO()) as err:
         with pytest.raises(SystemExit) as exc:

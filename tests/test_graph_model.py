@@ -1,6 +1,7 @@
 """Configuration-model sampling: regularity, determinism, uniformity."""
 
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -16,8 +17,8 @@ from regsing.common import GuardError
 from regsing.graph_model import (
     ConfigurationSample,
     adjacency_from_permutation,
+    adjacency_multiset,
     adjacency_stack,
-    enumerate_all_configurations,
     has_identical_rows,
     identical_rows,
     philox_generator,
@@ -137,26 +138,25 @@ def test_identical_rows_stack_matches_pairwise_comparison():
 
 
 def test_enumeration_is_exhaustive_and_guarded():
-    samples = list(enumerate_all_configurations(1, 3))
-    assert len(samples) == math.factorial(3)
-    for s in samples:
-        assert (adjacency_from_permutation(s) == [[3]]).all()
-    assert len(list(enumerate_all_configurations(2, 3))) == math.factorial(6)
+    assert adjacency_multiset(1, 3) == (((3,), 6),)
+    assert sum(m for _, m in adjacency_multiset(2, 3)) == math.factorial(6)
     with pytest.raises(GuardError):
-        list(enumerate_all_configurations(4, 3))
+        adjacency_multiset(4, 3)
+    # an independent recount: the numpy stack builder over all 8! permutations
+    perms = np.array(list(itertools.permutations(range(8))))
+    stack = adjacency_stack(perms, 4).reshape(len(perms), -1)
+    assert tuple(sorted(Counter(map(tuple, stack.tolist())).items())) == adjacency_multiset(2, 4)
 
 
 def test_sampler_uniform_against_exact_enumeration():
     # frequencies of adjacency matrices at n=2, d=3 vs their exact counts
     # over all 720 permutations, chi-square at a fixed seed
-    exact = Counter()
-    for s in enumerate_all_configurations(2, 3):
-        exact[tuple(adjacency_from_permutation(s).ravel())] += 1
+    exact = dict(adjacency_multiset(2, 3))
     draws = 4000
     observed = Counter()
     for i in range(draws):
         s = sample_configuration(2, 3, seed=31337, stream=i)
-        observed[tuple(adjacency_from_permutation(s).ravel())] += 1
+        observed[tuple(adjacency_from_permutation(s).ravel().tolist())] += 1
     keys = sorted(exact)
     f_exp = np.array([exact[k] / 720 * draws for k in keys])
     f_obs = np.array([observed.get(k, 0) for k in keys])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,20 @@ def test_key_sum_p2_closed_form():
         assert key_sum(walk_endpoint_counts(n, 3, 2)) == expected
 
 
+def test_walk_holds_little_beyond_its_table():
+    # each layer is dropped once decoded, so the traced peak stays near the
+    # size of the table returned: about 1.10 of it, against 1.55 for a walk
+    # that keeps every layer to the end
+    tracemalloc.start()
+    try:
+        counts = walk_endpoint_counts(12, 3, 5)
+        table, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.total_mass_ok
+    assert peak < 1.25 * table, (peak, table)
+
+
 def test_lattice_guard():
     with pytest.raises(GuardError):
         walk_endpoint_counts(2000, 3, 5)
@@ -221,8 +236,9 @@ def test_class_partition_is_exact_split():
     assert n_small > 0
     e_big, n_big, _ = type_class_partition(counts, 100.0)
     assert n_big == 0 and e_big == ks
-    with pytest.raises(ValueError):
-        type_class_partition(counts, 0.0)
+    for b in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            type_class_partition(counts, b)
 
 
 def test_far_class_nonempty_and_bounded_past_n80():
