@@ -79,25 +79,26 @@ def build_U(d: int, p: int) -> UMultiset:
 
 @dataclass(frozen=True)
 class LatticeCounts:
-    """Exact endpoint distribution of the n-step walk on {x >= 0 : sum x = dn}.
+    """Exact counts of the n-step walk on {x >= 0 : sum x = dn} at its d*t endpoints.
 
     The one census table: every census function reads n, d, p and its
     endpoint counts from here.  The walk decides the two checks as it decodes
-    its endpoints: the counts sum to p^((d-1)n), and every endpoint reached
-    is admissible.
+    every endpoint it reaches, kept or not: the counts sum to p^((d-1)n), and
+    every endpoint reached is admissible.
     """
 
     n: int
     d: int
     p: int
-    counts: Dict[TypeVec, int]  # every endpoint reached, not only the d*t
+    counts: Dict[TypeVec, int]  # only the endpoints d*t, the ones the census reads
+    reached: int  # nonzero endpoints the walk decoded, kept or not
     total_mass_ok: bool
     parity_ok: bool
 
     def profile_count(self, t: Sequence[int]) -> int:
         """Walks ending at d*t, for a profile t of n of length p."""
         t = tuple(t)
-        if len(t) != self.p or sum(t) != self.n:
+        if len(t) != self.p or sum(t) != self.n or min(t) < 0:
             raise ValueError(f"{t} is not a profile of n={self.n} of length p={self.p}")
         return self.counts.get(tuple(self.d * tj for tj in t), 0)
 
@@ -106,8 +107,8 @@ def _lattice_size(n: int, d: int, p: int) -> int:
     return math.comb(d * n + p - 1, p - 1)
 
 
-def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
-    """Endpoint counts of the n-step walk: the coefficients of P = U^n, exact.
+def _walk_endpoints(n: int, d: int, p: int) -> Iterator[Tuple[int, int, int]]:
+    """(x_0, key, P_x) for each nonzero coefficient of P = U^n, exact, layer by layer.
 
     With x_0 = 1 the zero step w_1 is U's constant term 1, and Euler's
     identity U * x_j dP/dx_j = n * P * x_j dU/dx_j gives, for any j with
@@ -115,9 +116,11 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
 
         f_j * P_f = sum over steps w != w_1 of m_w * ((n + 1) * w_j - f_j) * P_{f-w}.
 
-    Points of (x_1, ..., x_{p-1}) are keyed in radix dn + 1 and visited by
-    degree; each final P_e pushes its terms into the layers above, with j
-    the first nonzero coordinate of the target, min(that of e, that of w).
+    Points of (x_1, ..., x_{p-1}) are keyed in radix dn + 1 as
+    key = sum_i x_i (dn + 1)^(i-1) and visited by degree; each final P_e
+    pushes its terms into the layers above, with j the first nonzero
+    coordinate of the target, min(that of e, that of w).  A layer is yielded
+    as soon as it is final and then dropped.
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
@@ -147,8 +150,6 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
                 pushes[j].append((offset, sum(r), m * n * r[j], m))
     layers: List[Dict[int, int]] = [{} for _ in range(top + 1)]
     layers[0][0] = 1
-    counts: Dict[TypeVec, int] = {}
-    mass, parity_ok = 0, True
     for s in range(top + 1):
         layer = layers[s]
         for key, acc in layer.items():
@@ -175,19 +176,39 @@ def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
                     target = layers[s + deg]
                     k = key + offset
                     target[k] = target.get(k, 0) + c * val
-        # the layer is final: decode and drop it (its own loop keeps pushes tight)
-        for key, val in layer.items():
-            if not val:
-                continue
-            e = [top - s]
-            for _ in range(p - 1):
-                key, x = divmod(key, radix)
-                e.append(x)
-            counts[tuple(e)] = val
-            mass += val
-            parity_ok = parity_ok and is_admissible(e, p)
+        # the layer is final: hand it out and drop it (its own loop keeps pushes tight)
         layers[s] = {}
-    return LatticeCounts(n, d, p, counts, mass == p ** ((d - 1) * n), parity_ok)
+        for key, val in layer.items():
+            if val:
+                yield top - s, key, val
+
+
+def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
+    """The census table of the n-step walk: its counts at the endpoints d*t, exact.
+
+    Every nonzero endpoint of `_walk_endpoints` is decoded once: its count
+    goes into the mass, its weight sum_i i*x_i into the parity check, and
+    only an endpoint whose coordinates are all multiples of d is kept
+    (x_0 = dn minus the rest, so it is one when they all are).
+    """
+    radix = d * n + 1
+    counts: Dict[TypeVec, int] = {}
+    reached, mass, parity_ok = 0, 0, True
+    for x0, key, val in _walk_endpoints(n, d, p):
+        reached += 1
+        mass += val
+        e, weight, kept = [x0], 0, True
+        for i in range(1, p):
+            key, x = divmod(key, radix)
+            e.append(x)
+            weight += i * x
+            if x % d:
+                kept = False
+        if weight % p:
+            parity_ok = False
+        if kept:
+            counts[tuple(e)] = val
+    return LatticeCounts(n, d, p, counts, reached, mass == p ** ((d - 1) * n), parity_ok)
 
 
 def type_vectors(n: int, p: int) -> Iterator[TypeVec]:

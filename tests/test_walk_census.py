@@ -8,8 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from regsing import walk_census
 from regsing.common import GuardError
 from regsing.walk_census import (
+    UMultiset,
+    _walk_endpoints,
     brute_force_null_count,
     build_U,
     graphs_with_null_vector,
@@ -93,6 +96,31 @@ def dict_convolution_oracle(n, d, p):
     return cur
 
 
+def full_endpoint_table(n, d, p):
+    """Every nonzero endpoint the walk reaches, decoded from its radix-(dn+1) keys."""
+    radix, table = d * n + 1, {}
+    for x0, key, val in _walk_endpoints(n, d, p):
+        e = [x0]
+        for _ in range(p - 1):
+            key, x = divmod(key, radix)
+            e.append(x)
+        table[tuple(e)] = val
+    return table
+
+
+def dt_restriction(table, d):
+    """The endpoints d*t of a whole endpoint table: what LatticeCounts keeps."""
+    return {e: v for e, v in table.items() if all(x % d == 0 for x in e)}
+
+
+def assert_whole_table(n, d, p, oracle):
+    """The walk's every endpoint equals the oracle's, and the census keeps its d*t part."""
+    assert full_endpoint_table(n, d, p) == oracle, (n, d, p)
+    counts = walk_endpoint_counts(n, d, p)
+    assert counts.counts == dt_restriction(oracle, d), (n, d, p)
+    assert counts.reached == len(oracle), (n, d, p)
+
+
 # (d, p, largest n): at the largest n the oracle takes about a second.
 ORACLE_GRID = [
     (3, 2, 256),
@@ -111,13 +139,12 @@ ORACLE_GRID = [
 def test_power_recurrence_against_dict_convolution(d, p, top):
     assert math.gcd(d, p) == 1
     for n in sorted({*range(1, min(top, 5) + 1), top // 4, top // 2, top}):
-        assert walk_endpoint_counts(n, d, p).counts == dict_convolution_oracle(n, d, p), (n, d, p)
+        assert_whole_table(n, d, p, dict_convolution_oracle(n, d, p))
 
 
 def test_convolution_against_sequence_enumeration():
     for n, d, p in [(1, 3, 2), (3, 3, 2), (2, 4, 3), (2, 3, 5)]:
-        counts = walk_endpoint_counts(n, d, p)
-        assert {k: v for k, v in counts.counts.items() if v} == brute_endpoints(n, d, p)
+        assert_whole_table(n, d, p, brute_endpoints(n, d, p))
 
 
 def test_mass_and_parity_invariants():
@@ -130,10 +157,8 @@ def test_mass_and_parity_invariants():
 def test_p2_closed_form():
     # endpoints (3n-2k, 2k) carry weight C(n,k) * 3^k when d=3, p=2
     for n in (3, 7, 12):
-        counts = walk_endpoint_counts(n, 3, 2)
-        for k in range(0, (3 * n) // 2 + 1):
-            expected = math.comb(n, k) * 3**k if k <= n else 0
-            assert counts.counts.get((3 * n - 2 * k, 2 * k), 0) == expected
+        closed = {(3 * n - 2 * k, 2 * k): math.comb(n, k) * 3**k for k in range(n + 1)}
+        assert_whole_table(n, 3, 2, closed)
 
 
 def test_key_sum_p2_closed_form():
@@ -149,18 +174,41 @@ def test_key_sum_p2_closed_form():
         assert key_sum(walk_endpoint_counts(n, 3, 2)) == expected
 
 
-def test_walk_holds_little_beyond_its_table():
-    # each layer is dropped once decoded, so the traced peak stays near the
-    # size of the table returned: about 1.10 of it, against 1.55 for a walk
-    # that keeps every layer to the end
+def traced(build):
+    """(result, traced size it leaves, traced peak while building it)."""
     tracemalloc.start()
     try:
-        counts = walk_endpoint_counts(12, 3, 5)
-        table, peak = tracemalloc.get_traced_memory()
+        out = build()
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert counts.total_mass_ok
-    assert peak < 1.25 * table, (peak, table)
+    return out, size, peak
+
+
+def test_walk_holds_little_beyond_its_table():
+    # each layer is dropped once decoded and only the d*t endpoints are kept,
+    # so the walk's traced peak is a small part of the whole endpoint table:
+    # 1.11 / 8.95 MB = 0.12 at (20,3,5), against 1.08 for a walk that keeps
+    # every endpoint; the bound leaves twice that ratio as margin
+    counts, _, peak = traced(lambda: walk_endpoint_counts(20, 3, 5))
+    assert counts.total_mass_ok and counts.parity_ok
+    _, whole, _ = traced(lambda: full_endpoint_table(20, 3, 5))
+    assert peak < 0.25 * whole, (peak, whole)
+
+
+def test_mass_and_parity_flags_can_fail(monkeypatch):
+    # (2, 1) sums to d = 3 but has odd weight at p = 2: one more step adds
+    # mass and reaches inadmissible endpoints, and both flags must see it
+    real = walk_census.build_U
+
+    def with_bad_step(d, p):
+        u = real(d, p)
+        return UMultiset(d, p, u.items + (((2, 1), 1),))
+
+    monkeypatch.setattr(walk_census, "build_U", with_bad_step)
+    counts = walk_endpoint_counts(4, 3, 2)
+    assert not counts.total_mass_ok
+    assert not counts.parity_ok
 
 
 def test_lattice_guard():
@@ -184,6 +232,13 @@ def test_graphs_with_null_vector_values():
     for bad in ((1, 1), (1, 1, 1), (3,)):
         with pytest.raises(ValueError):
             graphs_with_null_vector(bad, counts3)
+
+
+def test_profile_count_refuses_a_negative_part():
+    # (-1, 4) has length p = 2 and sums to n = 3, but is no profile
+    counts = walk_endpoint_counts(3, 3, 2)
+    with pytest.raises(ValueError):
+        counts.profile_count((-1, 4))
 
 
 def test_lattice_counts_is_one_frozen_table():
