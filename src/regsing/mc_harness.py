@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Sequence, Tuple
@@ -240,6 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[SummaryStats, List[TrialRecor
     if cfg.parallelism == 1:
         records = [rec for recs in map(work, blocks) for rec in recs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # so a serial run never loads multiprocessing
         chunk = max(1, len(blocks) // (cfg.parallelism * 8))
         # the pool starts all its workers at once: no more than there are blocks
         with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(blocks))) as pool:

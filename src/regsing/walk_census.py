@@ -6,7 +6,8 @@ the number of configurations whose adjacency matrix annihilates it mod p
 equals (prod_j (d*n_j)!) times the number of n-step walks with steps drawn
 (with multiplicity) from the profile multiset of sum-zero d-tuples that
 end at d*t.  Summing over nonzero profiles and normalizing by (nd)! gives
-the key sum, whose limit is 1.
+the key sum, whose limit is 1, summed line by line over the profiles by
+binary splitting (Haible and Papanikolaou, 1998).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .common import GuardError, require_degree, require_prime
 from .graph_model import adjacency_multiset
@@ -229,29 +230,59 @@ def graphs_with_null_vector(t: Sequence[int], counts: LatticeCounts) -> int:
     return num
 
 
-def _type_numerators(counts: LatticeCounts) -> Iterator[Tuple[TypeVec, int]]:
-    """(t, count(d*t) * prod_j (d*t_j)! / t_j!) for each reachable profile t.
+def _line_sum(d: int, line: Sequence[Tuple[int, int, int]]) -> int:
+    """sum of c * (d*a)!/a! * (d*b)!/b! over points (a, b, c), a + b fixed, a rising.
 
-    Times n! / (dn)! each is profile t's kernel-pair term
-    multinomial(n, t) * count(d*t) / multinomial(dn, d*t).
+    From (a, b) to (a + k, b - k) the factor gains g(a + k, k) / g(b, k), g(m, k) =
+    (dm)!/(d(m-k))! / (m!/(m-k)!) an integer: P/Q/T binary splitting (Haible and
+    Papanikolaou, 1998) and one exact division give the sum.
     """
-    n, d = counts.n, counts.d
-    ratio = [1]  # ratio[k] = (d*k)! / k!, exact: (dk)!/(k-1)! is an integer multiple of k
-    for k in range(1, n + 1):
-        ratio.append(ratio[-1] * math.perm(d * k, d) // k)
-    for t in type_vectors(n, counts.p):
-        num = counts.profile_count(t)
-        if num:
-            for tj in t:
-                num *= ratio[tj]
-            yield t, num
+
+    def split(lo: int, hi: int) -> Tuple[int, int, int]:
+        if hi - lo == 1:
+            (a, b, _), (a1, _, c) = line[lo - 1], line[lo]
+            k = a1 - a
+            up = math.perm(d * a1, d * k) // math.perm(a1, k)
+            return up, math.perm(d * b, d * k) // math.perm(b, k), c * up
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    a, b, c = line[0]
+    first = math.perm(d * a, (d - 1) * a) * math.perm(d * b, (d - 1) * b)
+    _, q, t = split(1, len(line)) if len(line) > 1 else (1, 1, 0)
+    total, rem = divmod(first * (c * q + t), q)
+    if rem:
+        raise ArithmeticError(f"line sum at d={d} from {line[0][:2]}: {rem} left over dividing by Q")
+    return total
+
+
+def _class_sums(counts: LatticeCounts, near: Callable[[TypeVec], bool]) -> List[int]:
+    """[near, far, all-zero] sums of count(d*t) * prod_j (d*t_j)!/t_j!, exact.
+
+    Times n!/(dn)! a term is profile t's kernel-pair term.  The sorted endpoints
+    fall into lines fixing all but the last two coordinates, held one at a time;
+    each class's part of a line is one `_line_sum`.
+    """
+    n, d, table = counts.n, counts.d, counts.counts
+    sums = [0, 0, 0]
+    for head, points in itertools.groupby(sorted(table), key=lambda e: e[:-2]):
+        parts: Tuple[List[Tuple[int, int, int]], ...] = ([], [], [])
+        for e in points:
+            t = tuple(x // d for x in e)
+            parts[2 if t[0] == n else 0 if near(t) else 1].append((t[-2], t[-1], table[e]))
+        prefix = math.prod(math.perm(x, x - x // d) for x in head)
+        for k, line in enumerate(parts):
+            if line:
+                sums[k] += prefix * _line_sum(d, line)
+    return sums
 
 
 def key_sum(counts: LatticeCounts) -> Fraction:
     """Normalized count of (graph, nonzero kernel vector) pairs, exact."""
-    n = counts.n
-    total = sum(num for t, num in _type_numerators(counts) if t[0] != n)
-    return Fraction(_factorial(n) * total, _factorial(counts.d * n))
+    total = _class_sums(counts, lambda t: True)[0]
+    return Fraction(_factorial(counts.n) * total, _factorial(counts.d * counts.n))
 
 
 def squared_deviation(t: Sequence[int], p: int) -> Fraction:
@@ -278,21 +309,9 @@ def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fra
     """
     if not 0 < b < math.inf:
         raise ValueError(f"threshold b={b} must be finite and > 0")
-    n, p = counts.n, counts.p
-    e_num = n_num = degenerate = 0
-    for t, num in _type_numerators(counts):
-        if t[0] == n:
-            degenerate += num
-        elif is_near_uniform(t, p, b):
-            e_num += num
-        else:
-            n_num += num
-    scale, denom = _factorial(n), _factorial(counts.d * n)
-    return (
-        Fraction(scale * e_num, denom),
-        Fraction(scale * n_num, denom),
-        Fraction(scale * degenerate, denom),
-    )
+    sums = _class_sums(counts, lambda t: is_near_uniform(t, counts.p, b))
+    scale, denom = _factorial(counts.n), _factorial(counts.d * counts.n)
+    return tuple(Fraction(scale * num, denom) for num in sums)
 
 
 def brute_force_null_count(v: Sequence[int], n: int, d: int, p: int) -> int:

@@ -1,12 +1,15 @@
 """Package layout: every public top-level function or class in src/regsing is
 reached from outside the tests, or is a listed independent oracle, every
-name the benchmark's tracer wraps exists, and src imports nothing but the
-standard library, numpy and itself."""
+name the benchmark's tracer wraps exists, src imports nothing but the
+standard library, numpy and itself, and importing the CLI starts no
+process machinery."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -99,3 +102,14 @@ def test_src_imports_only_stdlib_numpy_and_itself():
                 continue
             outside.update(f"{path.name}: {top}" for top in tops if top not in ALLOWED_IMPORTS)
     assert not outside
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # mc_harness imports its process pool only for a parallel run, so a serial
+    # command does not load concurrent.futures.process or multiprocessing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, regsing.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

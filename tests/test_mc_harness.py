@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, invariant chain, intervals."""
 
+import concurrent.futures
 import hashlib
 import importlib.util
 import io
@@ -295,7 +296,7 @@ def test_pool_never_outnumbers_blocks(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     # n = 24 blocks hold 2^16 // 576 = 113 trials
     for trials, parallelism, workers in [(32, 8, 1), (32, 5000, 1), (250, 2, 2), (250, 8, 3)]:
         cfg = ExperimentConfig(n=24, d=3, primes=(2, 5), trials=trials, seed=3)

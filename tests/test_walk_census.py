@@ -7,11 +7,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsing import walk_census
 from regsing.common import GuardError
 from regsing.walk_census import (
+    LatticeCounts,
     UMultiset,
+    _class_sums,
+    _line_sum,
     _walk_endpoints,
     brute_force_null_count,
     build_U,
@@ -166,12 +171,83 @@ def test_key_sum_p2_closed_form():
     # of the 3k marked in-points, so k = 2j is even: choose the 3j vertices
     # that get 2 and 2 of their 3 out-points, then wire marked and unmarked
     # points apart.
-    for n in (3, 10, 20, 40, 80, 160):
+    for n in (3, 10, 20, 40, 80, 160, 320, 640):
         expected = sum(
             Fraction(math.comb(n, 2 * j) * math.comb(n, 3 * j) * 27**j, math.comb(3 * n, 6 * j))
             for j in range(1, n // 3 + 1)
         )
         assert key_sum(walk_endpoint_counts(n, 3, 2)) == expected
+
+
+def direct_numerator(t, d, count):
+    """count * prod_j (d*t_j)!/t_j!, one profile at a time: the per-profile route."""
+    for tj in t:
+        count *= math.factorial(d * tj) // math.factorial(tj)
+    return count
+
+
+def direct_numerators(counts):
+    """(t, count(d*t) * prod_j (d*t_j)!/t_j!) for every profile t of n."""
+    return [(t, direct_numerator(t, counts.d, counts.profile_count(t))) for t in type_vectors(counts.n, counts.p)]
+
+
+def direct_class_sums(numerators, n, near):
+    """[near, far, all-zero] numerators summed one profile at a time."""
+    sums = [0, 0, 0]
+    for t, num in numerators:
+        sums[2 if t[0] == n else 0 if near(t) else 1] += num
+    return sums
+
+
+@pytest.mark.parametrize("n,d,p", [(1280, 3, 2), (20, 3, 5), (60, 4, 3), (5, 4, 7), (11, 3, 7)])
+def test_key_sum_and_classes_against_direct_sum(n, d, p):
+    # (11,3,7) is the largest n at d = 3, p = 7 under LATTICE_GUARD.  b = 0.3
+    # fills both classes at every size, b = 0.01 leaves the near class empty
+    # at p = 7 and b = 100 the far class empty
+    counts = walk_endpoint_counts(n, d, p)
+    numerators = direct_numerators(counts)
+    scale = Fraction(math.factorial(n), math.factorial(d * n))
+    for b in (0.01, 0.3, 100.0):
+        sums = direct_class_sums(numerators, n, lambda t: is_near_uniform(t, p, b))
+        near, far, zero = (scale * x for x in sums)
+        assert type_class_partition(counts, b) == (near, far, zero), b
+        assert key_sum(counts) == near + far > 0, b
+        assert b != 0.3 or near * far > 0
+
+
+@st.composite
+def synthetic_lines(draw):
+    """(d, points (a, b, c) of one line a + b = s), increasing a with gaps of any size."""
+    d = draw(st.integers(2, 6))
+    s = draw(st.integers(0, 80))
+    starts = sorted(draw(st.sets(st.integers(0, s), min_size=1, max_size=12)))
+    return d, [(a, s - a, draw(st.integers(-(10**30), 10**30))) for a in starts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=synthetic_lines())
+def test_line_sum_against_direct_terms(case):
+    d, line = case
+    assert _line_sum(d, line) == sum(direct_numerator((a, b), d, c) for a, b, c in line)
+
+
+@st.composite
+def synthetic_tables(draw):
+    """A census table of made-up counts at some profiles, and a near set among them."""
+    n, d, p = draw(st.integers(1, 12)), draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    profiles = draw(st.sets(st.sampled_from(list(type_vectors(n, p))), max_size=30))
+    table = {tuple(d * tj for tj in t): draw(st.integers(1, 10**20)) for t in profiles}
+    near = draw(st.sets(st.sampled_from(sorted(profiles)))) if profiles else set()
+    return LatticeCounts(n, d, p, table, len(table), True, True), near
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=synthetic_tables())
+def test_class_sums_against_direct_sum(case):
+    # one-profile lines, lines split between classes, and empty classes
+    counts, near = case
+    expected = direct_class_sums(direct_numerators(counts), counts.n, near.__contains__)
+    assert _class_sums(counts, near.__contains__) == expected
 
 
 def traced(build):
@@ -194,6 +270,14 @@ def test_walk_holds_little_beyond_its_table():
     assert counts.total_mass_ok and counts.parity_ok
     _, whole, _ = traced(lambda: full_endpoint_table(20, 3, 5))
     assert peak < 0.25 * whole, (peak, whole)
+
+
+def test_class_split_holds_no_ratio_table():
+    # the sums hold one line at a time: 0.13 MB traced at (1280,3,2), against
+    # 2.44 MB when a table of the 1281 ratios (3k)!/k! is built first
+    counts = walk_endpoint_counts(1280, 3, 2)
+    _, _, peak = traced(lambda: type_class_partition(counts, 1.0))
+    assert peak < 0.5e6, peak
 
 
 def test_mass_and_parity_flags_can_fail(monkeypatch):
