@@ -24,7 +24,7 @@ from .walk_census import (
     TypeVec,
     UMultiset,
     is_admissible,
-    is_near_uniform,
+    near_uniform,
     squared_deviation,
     type_vectors,
 )
@@ -67,7 +67,7 @@ def moments_from_multiset(u: UMultiset) -> MomentData:
 def gaussian_point_mass(t: Sequence[int], d: int, p: int) -> float:
     """Gaussian approximation to P(walk endpoint = d*t); 0 is exact when inadmissible."""
     n = sum(t)
-    q = float(squared_deviation(t, p))
+    q = squared_deviation(t, p)
     return (
         p**1.5
         * (p / (2 * math.pi * d * n)) ** ((p - 1) / 2)
@@ -93,14 +93,13 @@ def lclt_error_scan(counts: LatticeCounts, b: float = DEFAULT_B) -> LcltScan:
     float only for the comparison.  Unreachable profiles (exact probability
     zero) are tallied separately since relative error is undefined there.
     """
-    if not 0 < b < math.inf:
-        raise ValueError(f"threshold b={b} must be finite and > 0")
     n, d, p = counts.n, counts.d, counts.p
+    near = near_uniform(n, p, b)
     denom = p ** ((d - 1) * n)
     rows: List[Tuple[TypeVec, float, float, float]] = []
     zero_types = 0
     for t in type_vectors(n, p):
-        if not is_admissible(t, p) or not is_near_uniform(t, p, b):
+        if not is_admissible(t, p) or not near(t):
             continue
         c = counts.profile_count(t)
         g = gaussian_point_mass(t, d, p)

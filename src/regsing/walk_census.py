@@ -1,13 +1,14 @@
 """Exact counting: step multisets, lattice walks, and kernel-vector sums.
 
-Everything here is integer/rational arithmetic end to end.  The central
-identity: for a vector with value-frequency profile t = (n_0,...,n_{p-1}),
-the number of configurations whose adjacency matrix annihilates it mod p
-equals (prod_j (d*n_j)!) times the number of n-step walks with steps drawn
-(with multiplicity) from the profile multiset of sum-zero d-tuples that
-end at d*t.  Summing over nonzero profiles and normalizing by (nd)! gives
-the key sum, whose limit is 1, summed line by line over the profiles by
-binary splitting (Haible and Papanikolaou, 1998).
+Counts and sums here are integer/rational arithmetic end to end; only the
+near/far window is a float comparison.  The central identity: for a vector
+with value-frequency profile t = (n_0,...,n_{p-1}), the number of
+configurations whose adjacency matrix annihilates it mod p equals
+(prod_j (d*n_j)!) times the number of n-step walks with steps drawn (with
+multiplicity) from the profile multiset of sum-zero d-tuples that end at
+d*t.  Summing over nonzero profiles and normalizing by (nd)! gives the key
+sum, whose limit is 1, summed line by line over the profiles by binary
+splitting (Haible and Papanikolaou, 1998).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .common import GuardError, require_degree, require_prime
@@ -25,11 +25,6 @@ from .graph_model import adjacency_multiset
 TypeVec = Tuple[int, ...]
 
 LATTICE_GUARD = 5_000_000  # max C(dn+p-1, p-1) lattice points per walk table
-
-
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    return math.factorial(k)
 
 
 def phi(a: Sequence[int], p: int) -> TypeVec:
@@ -226,7 +221,7 @@ def graphs_with_null_vector(t: Sequence[int], counts: LatticeCounts) -> int:
     """Configurations annihilating any fixed vector of profile t, exactly."""
     num = counts.profile_count(t)
     for tj in t:
-        num *= _factorial(counts.d * tj)
+        num *= math.factorial(counts.d * tj)
     return num
 
 
@@ -258,12 +253,13 @@ def _line_sum(d: int, line: Sequence[Tuple[int, int, int]]) -> int:
     return total
 
 
-def _class_sums(counts: LatticeCounts, near: Callable[[TypeVec], bool]) -> List[int]:
-    """[near, far, all-zero] sums of count(d*t) * prod_j (d*t_j)!/t_j!, exact.
+def _class_sums(counts: LatticeCounts, near: Callable[[TypeVec], bool]) -> Tuple[Fraction, ...]:
+    """(near, far, all-zero) sums of profile t's kernel-pair term, exact.
 
-    Times n!/(dn)! a term is profile t's kernel-pair term.  The sorted endpoints
-    fall into lines fixing all but the last two coordinates, held one at a time;
-    each class's part of a line is one `_line_sum`.
+    Profile t's term is count(d*t) * prod_j (d*t_j)!/t_j! * n!/(dn)!.  The
+    sorted endpoints fall into lines fixing all but the last two coordinates,
+    held one at a time; each class's part of a line is one `_line_sum`, and
+    n!/(dn)! is applied once per class.
     """
     n, d, table = counts.n, counts.d, counts.counts
     sums = [0, 0, 0]
@@ -276,29 +272,32 @@ def _class_sums(counts: LatticeCounts, near: Callable[[TypeVec], bool]) -> List[
         for k, line in enumerate(parts):
             if line:
                 sums[k] += prefix * _line_sum(d, line)
-    return sums
+    scale, denom = math.factorial(n), math.factorial(d * n)
+    return tuple(Fraction(scale * num, denom) for num in sums)
 
 
 def key_sum(counts: LatticeCounts) -> Fraction:
     """Normalized count of (graph, nonzero kernel vector) pairs, exact."""
-    total = _class_sums(counts, lambda t: True)[0]
-    return Fraction(_factorial(counts.n) * total, _factorial(counts.d * counts.n))
+    return _class_sums(counts, lambda t: True)[0]
 
 
-def squared_deviation(t: Sequence[int], p: int) -> Fraction:
-    """sum_j (t_j/n - 1/p)^2 = sum_j (p*t_j - n)^2 / (p*n)^2, exact."""
+def squared_deviation(t: Sequence[int], p: int) -> float:
+    """sum_j (t_j/n - 1/p)^2 = sum_j (p*t_j - n)^2 / (p*n)^2, correctly rounded."""
     n = sum(t)
-    return Fraction(sum((p * tj - n) ** 2 for tj in t), (p * n) ** 2)
+    return sum((p * tj - n) ** 2 for tj in t) / (p * n) ** 2
 
 
-def is_near_uniform(t: Sequence[int], p: int, b: float) -> bool:
-    """Profile t is in the near-uniform class: squared deviation <= b ln(n) / n.
+def near_uniform(n: int, p: int, b: float) -> Callable[[Sequence[int]], bool]:
+    """The near-uniform class of profiles of n: squared deviation <= b ln(n) / n.
 
-    The one near/far test of the package; the comparison is in floats, so
-    the class of a profile on the boundary is that of the float threshold.
+    The one near/far test of the package.  It refuses a window b that is not
+    finite and > 0.  The comparison is in floats, so the class of a profile
+    on the boundary is that of the float threshold.
     """
-    n = sum(t)
-    return float(squared_deviation(t, p)) <= b * math.log(n) / n
+    if not 0 < b < math.inf:
+        raise ValueError(f"threshold b={b} must be finite and > 0")
+    limit = b * math.log(n) / n
+    return lambda t: squared_deviation(t, p) <= limit
 
 
 def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fraction, Fraction]:
@@ -307,11 +306,7 @@ def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fra
     Returns (e_sum, n_sum, degenerate) where e_sum + n_sum equals the key
     sum exactly and degenerate is the excluded all-zero-vector term.
     """
-    if not 0 < b < math.inf:
-        raise ValueError(f"threshold b={b} must be finite and > 0")
-    sums = _class_sums(counts, lambda t: is_near_uniform(t, counts.p, b))
-    scale, denom = _factorial(counts.n), _factorial(counts.d * counts.n)
-    return tuple(Fraction(scale * num, denom) for num in sums)
+    return _class_sums(counts, near_uniform(counts.n, counts.p, b))
 
 
 def brute_force_null_count(v: Sequence[int], n: int, d: int, p: int) -> int:

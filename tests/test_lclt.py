@@ -12,7 +12,7 @@ import pytest
 
 from regsing.cli import main as cli_main
 from regsing.lclt import DEFAULT_B, gaussian_point_mass, lclt_error_scan, moments_from_multiset
-from regsing.walk_census import build_U, is_admissible, squared_deviation, walk_endpoint_counts
+from regsing.walk_census import build_U, is_admissible, walk_endpoint_counts
 
 
 def closed_form_moments(d, p):
@@ -124,6 +124,12 @@ def test_gaussian_matches_exact_at_moderate_deviation():
     assert abs(g - float(exact)) / float(exact) < 0.1
 
 
+def exact_deviation(t, p):
+    """sum_j (t_j/n - 1/p)^2 as a Fraction, apart from the package's float."""
+    n = sum(t)
+    return sum((Fraction(tj, n) - Fraction(1, p)) ** 2 for tj in t)
+
+
 def test_error_scan_window_and_exactness():
     n, d, p = 20, 3, 2
     counts = walk_endpoint_counts(n, d, p)
@@ -134,7 +140,7 @@ def test_error_scan_window_and_exactness():
     for t, exact, gauss, err in scan.rows:
         assert sum(t) == n
         assert sum(j * tj for j, tj in enumerate(t)) % p == 0
-        assert float(squared_deviation(t, p)) <= threshold
+        assert float(exact_deviation(t, p)) <= threshold
         assert exact == float(Fraction(counts.profile_count(t), denom))
         assert err == abs(gauss - exact) / exact
         seen.add(t)
@@ -146,7 +152,7 @@ def test_error_scan_window_and_exactness():
         t
         for t in type_vectors(n, p)
         if sum(j * tj for j, tj in enumerate(t)) % p == 0
-        and float(squared_deviation(t, p)) <= threshold
+        and float(exact_deviation(t, p)) <= threshold
     ]
     assert len(expected) == len(scan.rows) + scan.zero_probability_types
 
@@ -172,6 +178,23 @@ def test_partial_near_uniform_sum_approaches_one():
         e_sum, _, _ = type_class_partition(walk_endpoint_counts(n, 3, 2), 10.0)
         gaps.append(abs(1 - float(e_sum)))
     assert gaps[1] < gaps[0]
+
+
+def test_census_meets_the_local_limit_closed_form_at_half():
+    # At (d,p) = (3,2) and nu = (1/2, 1/2) the local limit has a closed form:
+    # ln term(n/2, n/2) = -(1/2) ln n + (1/2) ln(8/pi) + O(1/n), where
+    # term(t) = multinomial(n; t) * count(d*t) * prod_j (d*t_j)! / (dn)!.  The
+    # band on n times the O(1/n) part was fixed before the test was run
+    # (measured -0.52776 to -0.52778 for n from 100 to 800).
+    d = 3
+    for n in (100, 200, 400, 800):
+        t = (n // 2, n // 2)
+        counts = walk_endpoint_counts(n, d, 2)
+        num = math.factorial(n) * counts.profile_count(t)
+        for tj in t:
+            num = num * math.factorial(d * tj) // math.factorial(tj)
+        c = math.log(Fraction(num, math.factorial(d * n))) + 0.5 * math.log(n)
+        assert -0.53 <= n * (c - 0.5 * math.log(8 / math.pi)) <= -0.52, n
 
 
 def test_scan_csv_header(monkeypatch):

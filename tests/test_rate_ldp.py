@@ -25,7 +25,7 @@ from regsing.rate_ldp import (
     negativity_grid_scan,
     stationary_alpha,
 )
-from regsing.walk_census import build_U, type_vectors
+from regsing.walk_census import build_U, is_admissible, type_vectors, walk_endpoint_counts
 
 
 def slice_entropy_d3p2(nv0: float, spread: float = 0.0) -> float:
@@ -152,6 +152,22 @@ def test_facet_normals():
             # a facet holds p-1 independent atoms
             on = np.array([w for (w, _), x in zip(build_U(d, p).items, dots) if x == 0])
             assert np.linalg.matrix_rank(on) == p - 1
+
+
+@pytest.mark.parametrize("d,p,n", [(3, 2, 100), (3, 2, 400), (4, 3, 100), (4, 3, 200)])
+def test_census_reachability_is_exact_feasibility(d, p, n):
+    # claim 1 checks claim 3's cone with no tolerance: an admissible profile t
+    # is reached by the walk exactly when t/n passes the facet test; both
+    # sides occur at every size (17, 67, 416 and 1,666 unreached profiles)
+    counts = walk_endpoint_counts(n, d, p)
+    seen = {True: 0, False: 0}
+    for t in type_vectors(n, p):
+        if not is_admissible(t, p):
+            continue
+        reached = counts.profile_count(t) > 0
+        assert reached == rate_ldp._feasible([Fraction(x, n) for x in t], d, p), t
+        seen[reached] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
 
 
 # Newton step totals on the scans run below, the same whether each density is

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from regsing import walk_census
 from regsing.common import GuardError
+from regsing.lclt import lclt_error_scan
 from regsing.walk_census import (
     LatticeCounts,
     UMultiset,
@@ -22,8 +24,8 @@ from regsing.walk_census import (
     build_U,
     graphs_with_null_vector,
     is_admissible,
-    is_near_uniform,
     key_sum,
+    near_uniform,
     phi,
     representative_vector,
     squared_deviation,
@@ -191,12 +193,12 @@ def direct_numerators(counts):
     return [(t, direct_numerator(t, counts.d, counts.profile_count(t))) for t in type_vectors(counts.n, counts.p)]
 
 
-def direct_class_sums(numerators, n, near):
-    """[near, far, all-zero] numerators summed one profile at a time."""
+def direct_class_sums(numerators, n, d, near):
+    """(near, far, all-zero) numerators summed one profile at a time, times n!/(dn)!."""
     sums = [0, 0, 0]
     for t, num in numerators:
         sums[2 if t[0] == n else 0 if near(t) else 1] += num
-    return sums
+    return tuple(Fraction(math.factorial(n) * x, math.factorial(d * n)) for x in sums)
 
 
 @pytest.mark.parametrize("n,d,p", [(1280, 3, 2), (20, 3, 5), (60, 4, 3), (5, 4, 7), (11, 3, 7)])
@@ -206,10 +208,8 @@ def test_key_sum_and_classes_against_direct_sum(n, d, p):
     # at p = 7 and b = 100 the far class empty
     counts = walk_endpoint_counts(n, d, p)
     numerators = direct_numerators(counts)
-    scale = Fraction(math.factorial(n), math.factorial(d * n))
     for b in (0.01, 0.3, 100.0):
-        sums = direct_class_sums(numerators, n, lambda t: is_near_uniform(t, p, b))
-        near, far, zero = (scale * x for x in sums)
+        near, far, zero = direct_class_sums(numerators, n, d, near_uniform(n, p, b))
         assert type_class_partition(counts, b) == (near, far, zero), b
         assert key_sum(counts) == near + far > 0, b
         assert b != 0.3 or near * far > 0
@@ -246,7 +246,7 @@ def synthetic_tables(draw):
 def test_class_sums_against_direct_sum(case):
     # one-profile lines, lines split between classes, and empty classes
     counts, near = case
-    expected = direct_class_sums(direct_numerators(counts), counts.n, near.__contains__)
+    expected = direct_class_sums(direct_numerators(counts), counts.n, counts.d, near.__contains__)
     assert _class_sums(counts, near.__contains__) == expected
 
 
@@ -342,24 +342,39 @@ def test_type_vectors_cover_simplex():
 
 
 def test_squared_deviation_exact():
+    # the float is the exact rational correctly rounded, bit for bit
     assert squared_deviation((2, 2), 2) == 0
-    assert squared_deviation((4, 0), 2) == Fraction(1, 2)
-    assert squared_deviation((3, 1), 2) == 2 * Fraction(1, 4) ** 2
+    assert squared_deviation((4, 0), 2) == 0.5
+    assert squared_deviation((3, 1), 2) == float(2 * Fraction(1, 4) ** 2)
     for p in (2, 3, 5):
         for n in (1, 7, 20):
             for t in type_vectors(n, p):
                 by_parts = sum((Fraction(tj, n) - Fraction(1, p)) ** 2 for tj in t)
-                assert squared_deviation(t, p) == by_parts, (t, p)
+                assert squared_deviation(t, p) == float(by_parts), (t, p)
 
 
-def test_is_near_uniform():
-    assert is_near_uniform((50, 50), 2, 1.0)
-    assert is_near_uniform((80, 20), 2, 10.0)
-    assert not is_near_uniform((80, 20), 2, 1.0)
-    assert not is_near_uniform((100, 0), 2, 1.0)
+def test_near_uniform():
+    assert near_uniform(100, 2, 1.0)((50, 50))
+    assert near_uniform(100, 2, 10.0)((80, 20))
+    assert not near_uniform(100, 2, 1.0)((80, 20))
+    assert not near_uniform(100, 2, 1.0)((100, 0))
     # squared deviations 1/150 and 49/150 against ln(100)/100 = 0.0461; the zero
-    # type and b <= 0 are type_class_partition's, checked in the split test below
-    assert is_near_uniform((40, 30, 30), 3, 1.0) and not is_near_uniform((80, 10, 10), 3, 1.0)
+    # type is type_class_partition's, checked in the split test below
+    assert near_uniform(100, 3, 1.0)((40, 30, 30)) and not near_uniform(100, 3, 1.0)((80, 10, 10))
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, math.nan, math.inf])
+def test_near_uniform_refuses_a_window_that_is_not_finite_and_positive(b):
+    # the classifier refuses b itself, with the message the census and the
+    # local-limit scan pass on, before any profile is classified
+    message = re.escape(f"threshold b={b} must be finite and > 0")
+    with pytest.raises(ValueError, match=message):
+        near_uniform(100, 2, b)
+    counts = walk_endpoint_counts(4, 3, 2)
+    with pytest.raises(ValueError, match=message):
+        type_class_partition(counts, b)
+    with pytest.raises(ValueError, match=message):
+        lclt_error_scan(counts, b)
 
 
 def test_class_partition_is_exact_split():
