@@ -7,6 +7,8 @@ artifact directory when --out is not given.
 The artifact format lives in this module only: each subcommand returns an
 Artifact, and `_write` renders it as compact JSON or CSV, prints it and
 writes it to its file; mc adds <stem>.records.jsonl, one record per line.
+Only `walk_census` and `lclt` load here; sample, rate and mc import their
+numpy layers when they run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
-from . import graph_model, lclt, mc_harness, rate_ldp, walk_census
+from . import lclt, walk_census
 from .common import GuardError, require_coprime_degree
 
 OUT_DIR_ENV = "REGSING_OUT_DIR"
@@ -108,6 +110,7 @@ def _parse_density(raw: str, p: int) -> List[Fraction]:
 
 
 def _sample(args) -> Artifact:
+    from . import graph_model
     sample = graph_model.sample_configuration(args.n, args.d, args.seed, stream=args.stream)
     a = graph_model.adjacency_from_permutation(sample)
     payload = {
@@ -161,6 +164,7 @@ def _lclt(args) -> Artifact:
 
 
 def _rate(args) -> Artifact:
+    from . import rate_ldp
     require_coprime_degree(args.p, args.d)
     if args.density is not None:
         nv = _parse_density(args.density, args.p)
@@ -190,6 +194,7 @@ def _wilson(fraction: float, low: float, high: float) -> dict:
 
 
 def _mc(args) -> Artifact:
+    from . import mc_harness
     primes = _parse_primes(args.p)
     summary, records = mc_harness.run_experiment(mc_harness.ExperimentConfig(
         n=args.n, d=args.d, primes=primes, trials=args.trials, seed=args.seed,

@@ -20,25 +20,17 @@ keys of each matrix in a set; it calls no numpy sort, whose first call in
 a process maps its kernels' code pages and raises peak memory.
 `sample_configuration`, `adjacency_from_permutation` and
 `has_identical_rows` are the same functions on a stack of one.
-
-`adjacency_multiset`, the exact law of A at guarded sizes, is the package's
-one exhaustive enumeration: every brute-force oracle reads it.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .common import GuardError, require_degree, require_word
+from .common import require_degree, require_word
 from .gfp_core import int_matrix
-
-ENUMERATION_GUARD = 10  # (n*d)! grows past desk scale beyond 10 points
 
 
 def philox_generator(seed: int, stream: int) -> np.random.Generator:
@@ -103,32 +95,6 @@ def adjacency_from_permutation(sample: ConfigurationSample) -> np.ndarray:
     """n x n matrix counting directed edges between fibers, in the narrowest
     unsigned dtype that holds d: `adjacency_stack` on a stack of one."""
     return adjacency_stack(np.asarray(sample.perm)[None], sample.d)[0]
-
-
-@lru_cache(maxsize=None)
-def adjacency_multiset(n: int, d: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """The exact law of A: sorted (flattened adjacency matrix, multiplicity)
-    pairs over all (n*d)! point permutations, each counted in Python ints
-    (at n*d <= 10 a numpy call per permutation costs more than the count)."""
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    require_degree(d)
-    nd = n * d
-    if nd > ENUMERATION_GUARD:
-        raise GuardError(
-            f"brute force over ({n}*{d})! = {math.factorial(nd)} permutations refused; "
-            f"the guard allows n*d <= {ENUMERATION_GUARD}"
-        )
-    row = [point // d * n for point in range(nd)]
-    col = [point // d for point in range(nd)]
-    tally: Dict[Tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(nd)):
-        flat = [0] * (n * n)
-        for r, image in zip(row, perm):
-            flat[r + col[image]] += 1
-        key = tuple(flat)
-        tally[key] = tally.get(key, 0) + 1
-    return tuple(sorted(tally.items()))
 
 
 def identical_rows(stack: np.ndarray) -> list[bool]:

@@ -96,10 +96,7 @@ class ExperimentConfig:
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
         if self.n * self.trials > WORKLOAD_GUARD:
-            raise GuardError(
-                f"n*trials = {self.n * self.trials} exceeds the workload guard "
-                f"{WORKLOAD_GUARD}"
-            )
+            raise GuardError(f"n*trials exceeds the workload guard {WORKLOAD_GUARD}")
 
 
 @dataclass(frozen=True)

@@ -356,7 +356,7 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
     n_points = math.comb(resolution + p - 1, p - 1)
     if n_points > LATTICE_GUARD:
         raise GuardError(
-            f"density grid has C({resolution}+{p - 1},{p - 1}) = {n_points} points, "
+            f"density grid has C({resolution}+{p - 1},{p - 1}) points, "
             f"over the guard of {LATTICE_GUARD}"
         )
     types = np.array(list(type_vectors(resolution, p)), dtype=np.int64)

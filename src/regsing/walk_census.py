@@ -8,7 +8,9 @@ configurations whose adjacency matrix annihilates it mod p equals
 multiplicity) from the profile multiset of sum-zero d-tuples that end at
 d*t.  Summing over nonzero profiles and normalizing by (nd)! gives the key
 sum, whose limit is 1, summed line by line over the profiles by binary
-splitting (Haible and Papanikolaou, 1998).
+splitting (Haible and Papanikolaou, 1998).  `adjacency_multiset`, the exact
+law of A at guarded sizes, is the package's one exhaustive enumeration: the
+brute-force oracle of the identity, and of the sampler's uniformity, reads it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .common import GuardError, require_degree, require_prime
-from .graph_model import adjacency_multiset
 
 TypeVec = Tuple[int, ...]
 
 LATTICE_GUARD = 5_000_000  # max C(dn+p-1, p-1) lattice points per walk table
+ENUMERATION_GUARD = 10  # (n*d)! grows past desk scale beyond 10 points
 
 
 def phi(a: Sequence[int], p: int) -> TypeVec:
@@ -123,7 +126,7 @@ def _walk_endpoints(n: int, d: int, p: int) -> Iterator[Tuple[int, int, int]]:
     size = _lattice_size(n, d, p)
     if size > LATTICE_GUARD:
         raise GuardError(
-            f"endpoint lattice has C({d * n}+{p - 1},{p - 1}) = {size} points, "
+            f"endpoint lattice has C({d * n}+{p - 1},{p - 1}) points, "
             f"over the guard of {LATTICE_GUARD}"
         )
     u = build_U(d, p)
@@ -309,6 +312,32 @@ def type_class_partition(counts: LatticeCounts, b: float) -> Tuple[Fraction, Fra
     return _class_sums(counts, near_uniform(counts.n, counts.p, b))
 
 
+@lru_cache(maxsize=None)
+def adjacency_multiset(n: int, d: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The exact law of A: sorted (flattened adjacency matrix, multiplicity)
+    pairs over all (n*d)! point permutations, each counted in Python ints
+    (at n*d <= 10 a numpy call per permutation costs more than the count)."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    require_degree(d)
+    nd = n * d
+    if nd > ENUMERATION_GUARD:
+        raise GuardError(
+            f"brute force over all ({n}*{d})! permutations refused; "
+            f"the guard allows n*d <= {ENUMERATION_GUARD}"
+        )
+    row = [point // d * n for point in range(nd)]
+    col = [point // d for point in range(nd)]
+    tally: Dict[Tuple[int, ...], int] = {}
+    for perm in itertools.permutations(range(nd)):
+        flat = [0] * (n * n)
+        for r, image in zip(row, perm):
+            flat[r + col[image]] += 1
+        key = tuple(flat)
+        tally[key] = tally.get(key, 0) + 1
+    return tuple(sorted(tally.items()))
+
+
 def brute_force_null_count(v: Sequence[int], n: int, d: int, p: int) -> int:
     """Count configurations with A v = 0 mod p, read off the exact law of A."""
     require_prime(p)
@@ -335,6 +364,7 @@ def representative_vector(t: Sequence[int]) -> List[int]:
 
 def oracle_all_types(n: int, d: int, p: int) -> List[Tuple[TypeVec, int, int]]:
     """(profile, formula count, brute-force count) for every profile of length p."""
+    adjacency_multiset(n, d)  # the enumeration guard refuses before the walk runs
     counts = walk_endpoint_counts(n, d, p)
     out = []
     for t in type_vectors(n, p):

@@ -56,17 +56,46 @@ def test_oracle_reports_equality(monkeypatch):
 
 
 def test_oracle_guard_exit_code(monkeypatch):
-    code, _, err = run_cli(["oracle", "--n", "5", "--d", "3", "--p", "2"], monkeypatch=monkeypatch)
-    assert code == 3
-    assert "refused" in err
+    # (520*3)! has over 4,300 digits, past Python's int-to-str limit: a
+    # refusal that wrote it in decimal failed while it was built, and exited 2
+    for n in ("5", "519", "520"):
+        code, _, err = run_cli(["oracle", "--n", n, "--d", "3", "--p", "2"], monkeypatch=monkeypatch)
+        assert code == 3, n
+        assert "refused" in err
 
 
 def test_rate_scan_guard_exit_code(monkeypatch):
-    # C(1004, 4) ~ 4.2e10 grid points: refused before the grid is built
-    argv = ["rate", "--d", "3", "--p", "5", "--resolution", "1000"]
+    argvs = [
+        # C(1004, 4) ~ 4.2e10 grid points: refused before the grid is built
+        "rate --d 3 --p 5 --resolution 1000",
+        # lattice and grid counts past the int-to-str limit, as for the oracle
+        "rate --d 3 --p 100000007 --resolution 1000",
+        "exact --n 1000 --d 3 --p 2147483647",
+        "lclt --n 1000 --d 4 --p 1000003",
+    ]
+    for argv in argvs:
+        code, out, err = run_cli(argv.split(), monkeypatch=monkeypatch)
+        assert code == 3 and out == "", argv
+        assert "refused" in err and str(walk_census.LATTICE_GUARD) in err
+
+
+def test_oracle_refuses_before_the_walk(monkeypatch):
+    # both guards refuse (30,3,7); the enumeration guard, checked first, speaks
+    def walk(*args):
+        raise AssertionError("the walk ran before the refusal")
+
+    monkeypatch.setattr(walk_census, "walk_endpoint_counts", walk)
+    code, out, err = run_cli("oracle --n 30 --d 3 --p 7".split(), monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("refused: brute force over all (30*3)! permutations")
+
+
+def test_workload_guard_exit_code_past_the_int_to_str_limit(monkeypatch):
+    big = "1" + "0" * 2200  # n*trials has 4,401 digits
+    argv = ["mc", "--n", big, "--d", "3", "--p", "5", "--trials", big]
     code, out, err = run_cli(argv, monkeypatch=monkeypatch)
     assert code == 3 and out == ""
-    assert "refused" in err and str(walk_census.LATTICE_GUARD) in err
+    assert "refused" in err and str(mc_harness.WORKLOAD_GUARD) in err
 
 
 def test_bad_coprimality_exit_code(monkeypatch):

@@ -17,7 +17,6 @@ from regsing.common import GuardError
 from regsing.graph_model import (
     ConfigurationSample,
     adjacency_from_permutation,
-    adjacency_multiset,
     adjacency_stack,
     has_identical_rows,
     identical_rows,
@@ -25,6 +24,7 @@ from regsing.graph_model import (
     sample_configuration,
     sample_permutations,
 )
+from regsing.walk_census import adjacency_multiset
 
 
 def test_row_and_column_sums_are_d():

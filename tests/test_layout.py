@@ -1,8 +1,9 @@
 """Package layout: every public top-level function or class in src/regsing is
 reached from outside the tests, or is a listed independent oracle, every
 name the benchmark's tracer wraps exists, src imports nothing but the
-standard library, numpy and itself, and importing the CLI starts no
-process machinery."""
+standard library, numpy and itself, the exact core imports no numpy, and
+importing the CLI, or running a serial or exact subcommand, starts no
+process machinery and loads no module it does not call."""
 
 import ast
 import importlib
@@ -19,6 +20,9 @@ SRC = ROOT / "src" / "regsing"
 # kept though only the tests call them: each checks a claim by another route
 ORACLES = {"moments_from_multiset"}
 ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "regsing"}
+# the exact core: the census, the local limit and their checks, numpy-free
+CORE = ("common", "walk_census", "lclt")
+POOL = {"concurrent.futures.process", "multiprocessing"}
 
 
 def mentions(node: ast.AST) -> set:
@@ -89,27 +93,57 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     assert wrapped == {"mc_harness", "walk_census", "lclt", "rate_ldp"}
 
 
+def imported(path: Path) -> set:
+    """Modules path imports, anywhere in it: dotted names as written, a
+    relative import as regsing.<module>."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            mods = [node.module] if node.module else [alias.name for alias in node.names]
+            names.update(f"regsing.{mod}" for mod in mods)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return names
+
+
 def test_src_imports_only_stdlib_numpy_and_itself():
-    # scipy, sympy and hypothesis are test-only; the package runs on numpy alone
-    outside = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                tops = [alias.name.partition(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                tops = [node.module.partition(".")[0]]
-            else:
-                continue
-            outside.update(f"{path.name}: {top}" for top in tops if top not in ALLOWED_IMPORTS)
-    assert not outside
+    # scipy, sympy and hypothesis are test-only; the package runs on numpy
+    # alone, and the exact core on the standard library and itself alone
+    cases = [
+        (sorted(SRC.glob("*.py")), ALLOWED_IMPORTS, set()),
+        ([SRC / f"{name}.py" for name in CORE], sys.stdlib_module_names, {f"regsing.{mod}" for mod in CORE}),
+    ]
+    for paths, tops, modules in cases:
+        outside = {
+            f"{path.name}: {name}"
+            for path in paths
+            for name in imported(path)
+            if name.partition(".")[0] not in tops and name not in modules
+        }
+        assert not outside
 
 
-def test_cli_import_leaves_the_process_pool_out():
+def test_cli_import_leaves_the_process_pool_out(tmp_path):
     # mc_harness imports its process pool only for a parallel run, so a serial
-    # command does not load concurrent.futures.process or multiprocessing
+    # command does not load concurrent.futures.process or multiprocessing; the
+    # CLI imports a subcommand's numpy layers only when that subcommand runs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, regsing.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    env.pop("REGSING_OUT_DIR", None)
+    runs = ["exact --n 10 --d 3 --p 2".split(), "lclt --n 12 --d 3 --p 2".split(), "oracle --n 2 --d 3 --p 2".split()]
+    runs.append(["report", "--out", str(tmp_path)])
+    cli_absent = POOL | {"numpy"}
+    table = [
+        ("import " + ", ".join(f"regsing.{name}" for name in CORE), {"numpy"}),
+        ("import regsing.cli", cli_absent),
+    ]
+    table += [(f"import regsing.cli; assert regsing.cli.main({argv!r}) == 0", cli_absent) for argv in runs]
+    for code, absent in table:
+        code += f"; import sys; print(sorted({sorted(absent)!r} & sys.modules.keys()))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (code, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "[]", code

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from regsing import walk_census
 from regsing.common import GuardError
+from regsing.gfp_core import det_bareiss
 from regsing.lclt import lclt_error_scan
+from regsing.mc_harness import ExperimentConfig, run_experiment
 from regsing.walk_census import (
     LatticeCounts,
     UMultiset,
     _class_sums,
     _line_sum,
     _walk_endpoints,
+    adjacency_multiset,
     brute_force_null_count,
     build_U,
     graphs_with_null_vector,
@@ -422,6 +425,34 @@ def test_support_bound_holds_everywhere():
         counts = walk_endpoint_counts(n, d, p)
         for t in type_vectors(n, p):
             assert support_bound_ok(t, counts)
+
+
+def test_singular_fraction_within_the_key_sum_bound_exactly():
+    # a matrix singular mod p has at least p - 1 nonzero kernel vectors, so
+    # P(singular mod p) <= key_sum/(p - 1): the paper's inequality at finite n
+    table = {}
+    for n, d in [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)]:
+        law = adjacency_multiset(n, d)
+        dets = [(det_bareiss([flat[k * n : (k + 1) * n] for k in range(n)]), m) for flat, m in law]
+        for p in (2, 3, 5, 7):
+            if math.gcd(p, d) == 1:
+                singular = Fraction(sum(m for det, m in dets if det % p == 0), math.factorial(n * d))
+                bound = key_sum(walk_endpoint_counts(n, d, p)) / (p - 1)
+                assert singular <= bound, (n, d, p)
+                table[n, d, p] = singular, bound
+    # not vacuous: strict at (3,3,2), 0.7071 <= 0.9643; equal at n = 2, d = 4
+    assert table[3, 3, 2] == (Fraction(99, 140), Fraction(27, 28))
+    assert all(table[2, 4, p] == (Fraction(18, 35),) * 2 for p in (3, 5, 7))
+
+
+@pytest.mark.parametrize("n,d,p", [(30, 3, 5), (60, 4, 3)])
+def test_monte_carlo_singular_fraction_within_the_key_sum_bound(n, d, p):
+    # pre-registered at seed 7 and 4000 trials: (30,3,5) 0.3130 [0.2988, 0.3275]
+    # against 0.3921, (60,4,3) 0.4370 [0.4217, 0.4524] against 0.5022
+    bound = key_sum(walk_endpoint_counts(n, d, p)) / (p - 1)
+    summary, _ = run_experiment(ExperimentConfig(n=n, d=d, primes=(p,), trials=4000, seed=7))
+    ((_, _, low, _),) = summary.per_prime
+    assert low <= bound < 1
 
 
 def test_brute_force_guard_and_validation():
