@@ -46,11 +46,13 @@ from .graph_model import adjacency_from_permutation, has_identical_rows, sample_
 WORKLOAD_GUARD = 5_000_000
 # Normal quantile of every reported interval: 95 % two-sided.
 WILSON_Z = 1.96
-# Matrix entries in one block below gfp_core.MIN_SCHUR_N: 72 matrices at
-# n = 30, 16 at n = 63.  2000 trials at n = 30 (p = 2, 5) took about 0.85,
-# 0.6, 0.45 and 0.4-0.5 CPU s in-process at 2^14, 2^15, 2^16 and 2^17, and
-# 2^17 raised peak memory by 1.1 MB over 2^16 for little or no gain.
-STACK_ENTRIES = 2**16
+# Matrix entries in one block below gfp_core.MIN_SCHUR_N: 291 matrices at
+# n = 30, 66 at n = 63, 1820 at n = 12.  The benchmark's mc-n30 job (2000
+# trials, p = 2, 5) took a median 0.245, 0.207, 0.187 and 0.184 CPU s at
+# 2^16, 2^17, 2^18 and 2^19, for 0.7, 1.3 and 3.1 MB more peak memory than
+# at 2^16 (BENCH_32); in-process, a trial at n = 48 took 0.34 ms at 2^16
+# and 0.21 ms at 2^18.  2^18 is the largest budget within 1.5 MB.
+STACK_ENTRIES = 2**18
 # Matrix entries in one block from MIN_SCHUR_N on, where the sweep sees
 # only the Schur complements and `gfp_core` takes the structural steps
 # over SCHUR_LANES = 6 lanes at a time: 11 trials at n = 300, 256 at

@@ -34,7 +34,7 @@ import numpy as np
 
 from .common import GuardError, require_coprime_degree
 from .gfp_core import det_bareiss
-from .walk_census import LATTICE_GUARD, build_U, type_vectors
+from .walk_census import LATTICE_GUARD, build_U, over_lattice_guard, type_vectors
 
 try:  # the gufunc behind np.linalg.lstsq, imported here alone
     from numpy.linalg._umath_linalg import lstsq as _LSTSQ
@@ -353,13 +353,13 @@ def negativity_grid_scan(d: int, p: int, resolution: int) -> GridScanReport:
     require_coprime_degree(p, d)
     if resolution < 10:
         raise ValueError("resolution must be at least 10")
-    n_points = math.comb(resolution + p - 1, p - 1)
-    if n_points > LATTICE_GUARD:
+    if over_lattice_guard(resolution, p - 1):
         raise GuardError(
             f"density grid has C({resolution}+{p - 1},{p - 1}) points, "
             f"over the guard of {LATTICE_GUARD}"
         )
     types = np.array(list(type_vectors(resolution, p)), dtype=np.int64)
+    n_points = len(types)
     feasible = _in_cone(types, d, p)
     grid = types / resolution
     # |nv - x| < 2/resolution at x = uniform, e_0, as np.linalg.norm takes it (sqrt of a dot)

@@ -102,8 +102,16 @@ class LatticeCounts:
         return self.counts.get(tuple(self.d * tj for tj in t), 0)
 
 
-def _lattice_size(n: int, d: int, p: int) -> int:
-    return math.comb(d * n + p - 1, p - 1)
+def over_lattice_guard(a: int, b: int) -> bool:
+    """C(a+b, b) > LATTICE_GUARD, by a running product of C(a+b, i) that
+    stops once it passes the guard, so a refusal costs a few steps however
+    large the binomial (C(m, i) >= 2^i for i <= m/2)."""
+    m, c = a + b, 1
+    for i in range(1, min(a, b) + 1):
+        c = c * (m - i + 1) // i
+        if c > LATTICE_GUARD:
+            return True
+    return False
 
 
 def _walk_endpoints(n: int, d: int, p: int) -> Iterator[Tuple[int, int, int]]:
@@ -123,8 +131,7 @@ def _walk_endpoints(n: int, d: int, p: int) -> Iterator[Tuple[int, int, int]]:
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    size = _lattice_size(n, d, p)
-    if size > LATTICE_GUARD:
+    if over_lattice_guard(d * n, p - 1):
         raise GuardError(
             f"endpoint lattice has C({d * n}+{p - 1},{p - 1}) points, "
             f"over the guard of {LATTICE_GUARD}"

@@ -287,9 +287,9 @@ def test_criterion_09_monte_carlo_committed_seed():
 
 def test_criterion_10_cli_byte_identity(tmp_path, monkeypatch):
     monkeypatch.delenv("REGSING_OUT_DIR", raising=False)
-    # n = 24 blocks hold 2^16 // 576 = 113 trials: 150 trials are two blocks,
+    # n = 24 blocks hold 2^18 // 576 = 455 trials: 600 trials are two blocks,
     # so --parallel 8 runs them on two workers
-    mc_args = ["mc", "--n", "24", "--d", "3", "--p", "2,5", "--trials", "150", "--seed", "7"]
+    mc_args = ["mc", "--n", "24", "--d", "3", "--p", "2,5", "--trials", "600", "--seed", "7"]
 
     def run(workers, out):
         with redirect_stdout(io.StringIO()):

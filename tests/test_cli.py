@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -72,9 +73,15 @@ def test_rate_scan_guard_exit_code(monkeypatch):
         "rate --d 3 --p 100000007 --resolution 1000",
         "exact --n 1000 --d 3 --p 2147483647",
         "lclt --n 1000 --d 4 --p 1000003",
+        # counted in full, these binomials took 36 and 40 CPU s before the
+        # refusal; the guards' running product stops once it passes the guard
+        "exact --n 1000000 --d 3 --p 1000003",
+        "rate --d 3 --p 1000003 --resolution 10000000",
     ]
     for argv in argvs:
+        start = time.process_time()
         code, out, err = run_cli(argv.split(), monkeypatch=monkeypatch)
+        assert time.process_time() - start < 1.0, argv
         assert code == 3 and out == "", argv
         assert "refused" in err and str(walk_census.LATTICE_GUARD) in err
 
@@ -540,9 +547,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):
-    # n = 20 blocks hold 2^16 // 400 = 163 trials: 200 trials are two blocks,
+    # n = 20 blocks hold 2^18 // 400 = 655 trials: 800 trials are two blocks,
     # so --parallel 8 runs them on two workers
-    base = ["mc", "--n", "20", "--d", "3", "--p", "2,5", "--trials", "200", "--seed", "5"]
+    base = ["mc", "--n", "20", "--d", "3", "--p", "2,5", "--trials", "800", "--seed", "5"]
     with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
         code, out1, _ = run_cli(
             base + ["--parallel", "1", "--out", str(tmp_path / "a.json")], monkeypatch=monkeypatch
@@ -557,7 +564,7 @@ def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     rec_a = (tmp_path / "a.records.jsonl").read_text().splitlines()
     rec_b = (tmp_path / "b.records.jsonl").read_text().splitlines()
-    assert rec_a == rec_b and len(rec_a) == 200
+    assert rec_a == rec_b and len(rec_a) == 800
     summary = json.loads(out1)
     assert summary["kind"] == "mc"
     assert set(summary["singular_mod"]) == {"2", "5"}

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from regsing.mc_harness import (
     InvariantError,
     TrialRecord,
     check_trial_invariants,
+    run_block,
     run_experiment,
     run_trial,
     summarize,
@@ -263,18 +265,18 @@ def test_summary_monotonicity_guard():
 
 
 def test_parallel_schedules_agree():
-    # at n = 25 blocks hold max(MIN_LANES, 2^16 // 625) = 104 trials: the
-    # trials run as one stacked block of 104 and a stacked tail of 6
-    cfg1 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=110, seed=11, parallelism=1)
-    cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=110, seed=11, parallelism=4)
+    # at n = 25 blocks hold max(MIN_LANES, 2^18 // 625) = 419 trials: the
+    # trials run as one stacked block of 419 and a stacked tail of 6
+    cfg1 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=425, seed=11, parallelism=1)
+    cfg4 = ExperimentConfig(n=25, d=3, primes=(2, 5), trials=425, seed=11, parallelism=4)
     with mock.patch.object(mc_harness, "run_block", wraps=mc_harness.run_block) as spy:
         s1, r1 = run_experiment(cfg1)
-    assert [c.args[-1] for c in spy.call_args_list] == [range(0, 104), range(104, 110)]
+    assert [c.args[-1] for c in spy.call_args_list] == [range(0, 419), range(419, 425)]
     s4, r4 = run_experiment(cfg4)
     assert canonical(r1) == canonical(r4)
-    assert canonical(r1) == canonical([run_trial(25, 3, 11, (2, 5), t) for t in range(110)])
+    assert canonical(r1) == canonical([run_trial(25, 3, 11, (2, 5), t) for t in range(425)])
     assert s1 == s4
-    assert [r.trial for r in r1] == list(range(110))
+    assert [r.trial for r in r1] == list(range(425))
 
 
 def test_pool_never_outnumbers_blocks(monkeypatch):
@@ -297,8 +299,8 @@ def test_pool_never_outnumbers_blocks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    # n = 24 blocks hold 2^16 // 576 = 113 trials
-    for trials, parallelism, workers in [(32, 8, 1), (32, 5000, 1), (250, 2, 2), (250, 8, 3)]:
+    # n = 24 blocks hold 2^18 // 576 = 455 trials
+    for trials, parallelism, workers in [(32, 8, 1), (32, 5000, 1), (1000, 2, 2), (1000, 8, 3)]:
         cfg = ExperimentConfig(n=24, d=3, primes=(2, 5), trials=trials, seed=3)
         s1, r1 = run_experiment(cfg)
         s2, r2 = run_experiment(replace(cfg, parallelism=parallelism))
@@ -307,16 +309,16 @@ def test_pool_never_outnumbers_blocks(monkeypatch):
 
 
 def test_blocks_follow_the_block_rule():
-    # max(MIN_LANES, 2^16 // n^2) trials a block below MIN_SCHUR_N, 16 at
+    # max(MIN_LANES, 2^18 // n^2) trials a block below MIN_SCHUR_N, 66 at
     # n = 63, and max(MIN_LANES, 2^20 // n^2) from it on: 256 at n = 64, 129
     # at n = 90, 64 at n = 128, 63 at n = 129 and 11 at n = 300.  Every
     # block, swept as a stack or (a tail of one trial) as a stack of one,
     # decides mod 2 and mod 5q as run_trial does, and mod 2 the sweep starts
     # from a uint8 lane whose multi-edge entries 2 and 3 are reduced first
-    assert mc_harness.MIN_LANES == 6 and mc_harness.STACK_ENTRIES == 2**16
+    assert mc_harness.MIN_LANES == 6 and mc_harness.STACK_ENTRIES == 2**18
     assert mc_harness.SCHUR_STACK_ENTRIES == 2**20 and mc_harness.MIN_SCHUR_N == 64
     for n, blocks in (
-        (63, [range(0, 16), range(16, 17)]),
+        (63, [range(0, 66), range(66, 67)]),
         (64, [range(0, 256), range(256, 257)]),
         (90, [range(0, 129), range(129, 130)]),
         (128, [range(0, 64), range(64, 65)]),
@@ -330,6 +332,24 @@ def test_blocks_follow_the_block_rule():
         assert canonical(records) == canonical(
             [run_trial(n, 3, 2, (2, 5), t) for t in range(blocks[-1].stop)]
         )
+
+
+@pytest.mark.parametrize("n", [30, 63])
+def test_block_holds_little_beyond_its_stack(n):
+    # one whole block below MIN_SCHUR_N, 2^18 // n^2 lanes (291 at n = 30, 66
+    # at n = 63), holds its uint8 stack of 2^18 entries, the sweep's uint32
+    # residues and the records; the bound, 3 MB traced, was set before the
+    # test was run, which then traced 1.83 MB at n = 30 and 1.68 MB at n = 63
+    size = mc_harness.STACK_ENTRIES // (n * n)
+    run_block(n, 3, 1, (2, 5), range(size))  # caches and first calls out of the trace
+    tracemalloc.start()
+    try:
+        records = run_block(n, 3, 2, (2, 5), range(size))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == size
+    assert peak < 3.0e6, peak
 
 
 def test_shorter_run_is_a_prefix_of_a_longer_one():

@@ -301,6 +301,18 @@ def test_mass_and_parity_flags_can_fail(monkeypatch):
 def test_lattice_guard():
     with pytest.raises(GuardError):
         walk_endpoint_counts(2000, 3, 5)
+    # the edge at (d, p) = (3, 5) stays put: C(106, 4) = 4,967,690 points at
+    # n = 34 are admitted, C(109, 4) = 5,563,251 at n = 35 are not; a density
+    # grid at p = 5 stops between resolutions 102 and 103 the same way
+    assert next(walk_census._walk_endpoints(34, 3, 5))
+    with pytest.raises(GuardError):
+        walk_endpoint_counts(35, 3, 5)
+    assert not walk_census.over_lattice_guard(102, 4)
+    assert walk_census.over_lattice_guard(103, 4)
+    # the running product that stops at the guard decides as the whole binomial
+    for a, b in itertools.product(range(120), range(64)):
+        want = math.comb(a + b, b) > walk_census.LATTICE_GUARD
+        assert walk_census.over_lattice_guard(a, b) == want, (a, b)
 
 
 def test_key_sum_values():
