@@ -19,9 +19,9 @@ prime, and the first CRT prime, with one `gfp_core.fp_dets_stack` call
 per modulus, which picks the elimination kernel (an unfused 2 goes to the
 packed-bit kernel) and, from n = MIN_SCHUR_N on, first shrinks each
 matrix to the integer Schur complement of its +-1 structural pivots, a
-few lanes at a time.  Only the integer zero test runs per matrix, on the
-narrow lanes, with one stacked call for a lane whose first CRT residue is
-0.  `run_trial` is a block of one trial.  A record's elapsed is the
+few lanes at a time, and sweeps it sparsest rows and columns first.  Only
+the integer zero test runs per matrix, on the narrow lanes, with one
+stacked sweep for a lane whose first CRT residue is 0.  `run_trial` is a block of one trial.  A record's elapsed is the
 block's wall time divided by its size: diagnostics only, never in the
 canonical records.
 """

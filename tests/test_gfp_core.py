@@ -757,19 +757,40 @@ def test_zero_test_with_a_nonzero_tail():
                 assert len(stack) == k - 1 and all(np.array_equal(c, m) for c in stack)
 
 
+def tail_primes_of(lane):
+    """The CRT primes the zero test takes from n = MIN_SCHUR_N on: the fewer
+    of tail_primes of the lane and of its Schur complement."""
+    return min(tail_primes(lane), tail_primes(complements(lane[None])[0][0]))
+
+
 def test_zero_test_calls_by_tail_length():
-    """A duplicate-row d = 3 lane at n = 300 takes one stacked call of 8
-    lanes after its zero first residue, one at n = 30 needs no more primes
-    than q (k = 1) and takes none, and a nonzero first residue takes none."""
-    for n, calls in ((300, 1), (30, 0)):
-        lane = adjacency_lanes(n, 3, 7, 2)[1]
-        assert tail_primes(lane) == (9 if n == 300 else 1)
-        with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
+    """From n = MIN_SCHUR_N on, the zero test bounds det by the Hadamard
+    bound of the Schur complement S, as |det A| = |det S|.  Trial 26 at
+    seed 20240813 (n = 300, det 0) needs 6 CRT primes by S's bound against
+    9 by A's, and after its zero first residue takes one tail sweep of the
+    5 lanes of its complement, with no `fp_dets_stack` call.  A
+    duplicate-row lane at n = 300, whose complement has a zero row (bound
+    0), and one at n = 30 (k = 1) take none, nor does a nonzero first
+    residue."""
+    trial = adjacency_stack(sample_permutations(300, 3, 20240813, range(26, 27)), 3)[0]
+    duplicate = adjacency_lanes(300, 3, 7, 2)[1]
+    small = adjacency_lanes(30, 3, 7, 2)[1]
+    assert tail_primes(complements(trial[None])[0][0]) == tail_primes_of(trial) == 6
+    assert tail_primes(complements(duplicate[None])[0][0]) == tail_primes_of(duplicate) == 1
+    for lane, k, calls in ((trial, 9, 1), (duplicate, 9, 0), (small, 1, 0)):
+        assert tail_primes(lane) == k
+        with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy, mock.patch.object(
+            gfp_core, "_sweep_complements", wraps=gfp_core._sweep_complements
+        ) as tail:
             assert int_determinant_is_zero(lane, 0)
             assert not int_determinant_is_zero(lane, 1)
-        assert spy.call_count == calls
+        assert not spy.called
+        assert tail.call_count == calls
         if calls:
-            assert spy.call_args.args[0].shape == (8, n, n)
+            complement, table = tail.call_args.args
+            assert table.tolist() == [[p] for p in crt_primes(6)[1:]]
+            want = gfp_core._schur_complement(lane[None])
+            assert all(np.array_equal(x, y) for x, y in zip(complement, want))
 
 
 @pytest.mark.parametrize(
@@ -1039,21 +1060,76 @@ def test_integer_steps_match_bareiss_over_z(n):
             assert fp_dets_stack(stack, primes).tolist() == [[x % p for p in primes] for x in exact]
 
 
+@pytest.mark.parametrize("n", [RULE, RULE + 1, 2 * RULE])
+def test_complements_are_swept_sparsest_first(n):
+    """`_sweep_complements` writes each lane's complement S with its rows,
+    and its columns, in the stable order of their nonzero counts, so the
+    counts never decrease and ties keep their order, and the identity
+    padding last; sign * det(written S) = det A over Z.  The stacks are
+    those of `integer_stacks` (multi-edges, signed int8 lanes, lanes past
+    SCHUR_ENTRY_BOUND) and all of their lanes as one int64 stack, whose
+    complements differ in size.  fp_dets_stack equals Bareiss mod 5Q,
+    2 * 3 * 5 and Q."""
+    stacks = integer_stacks(n, n + 1)
+    exact = [[det_bareiss(a) for a in stack] for stack in stacks]
+    stacks.append(np.concatenate([stack.astype(np.int64) for stack in stacks]))
+    exact.append(sum(exact, []))
+    ties = 0
+    for stack, want in zip(stacks, exact):
+        dense, _ = complements(stack)
+        complement = gfp_core._schur_complement(stack)
+        lane, row, col, val, sizes, sign = gfp_core._sparsest_first(complement)
+        m = int(sizes.max())
+        patch, sweeps = recording("_eliminate_stack")
+        with patch:
+            gfp_core._sweep_complements(complement, np.full((len(stack), 1), Q))
+        written = sweeps[0][0][0]
+        assert written.shape == (len(stack), m, m) and written.dtype == np.uint32
+        for k, s in enumerate(dense):
+            size = len(s)
+            rows = np.argsort(np.count_nonzero(s, axis=1), kind="stable")
+            cols = np.argsort(np.count_nonzero(s, axis=0), kind="stable")
+            ordered = s[rows][:, cols]
+            got = np.zeros((size, size), dtype=np.int64)
+            got[row[lane == k], col[lane == k]] = val[lane == k]
+            assert np.array_equal(got, ordered)
+            for counts in (np.count_nonzero(got, axis=1), np.count_nonzero(got, axis=0)):
+                assert (np.diff(counts) >= 0).all()
+                ties += int((np.diff(counts) == 0).sum())
+            assert int(sign[k]) * det_bareiss(got) == want[k]
+            assert np.array_equal(written[k, :size, :size], got % Q)
+            assert not written[k, :size, size:].any() and not written[k, size:, :size].any()
+            assert np.array_equal(written[k, size:, size:], np.eye(m - size, dtype=np.uint32))
+        for primes in ((5, Q), (2, 3, 5), (Q,)):
+            assert fp_dets_stack(stack, primes).tolist() == [[x % p for p in primes] for x in want]
+    assert ties and len(set(map(len, dense))) > 1
+
+
 @pytest.mark.parametrize("n", [RULE, 2 * RULE, 300])
 def test_broadcast_tail_takes_its_steps_once(n):
-    """k - 1 broadcast copies of one lane, as the zero test's tail passes
-    them, take the structural steps of that one lane only, and their dets
-    equal Bareiss mod each tail prime."""
-    lane = integer_stacks(n, 3)[0][0] if n < 300 else adjacency_lanes(n, 3, 7, 1)[0]
+    """The zero test's tail, after a zero first residue, takes the
+    structural steps of its one lane once, though it has two or more
+    primes, and its sweep's residues equal Bareiss mod each tail prime:
+    the lanes are not singular, so the tail answers False.  Below n = 300
+    two rows times SCHUR_ENTRY_BOUND, at which a lane still steps, raise
+    the bound past one tail prime."""
+    if n < 300:
+        lane = integer_stacks(n, 3)[0][0].astype(np.int64)
+        lane[-2:] *= BOUND
+    else:
+        lane = adjacency_lanes(n, 3, 7, 1)[0]
     exact = det_bareiss(lane)
-    tail = crt_primes(9)[1:]
+    assert exact != 0
     patch, alone = recording("_structural_pivots")
     with patch:
         fp_dets_stack(lane[None], (Q,))
     patch, calls = recording("_structural_pivots")
-    with patch:
-        got = fp_dets_stack(np.broadcast_to(lane, (8, n, n)), np.array(tail)[:, None])
-    assert got[:, 0].tolist() == [exact % p for p in tail]
+    sweep, tails = recording("_sweep_complements")
+    with patch, sweep:
+        assert not int_determinant_is_zero(lane, 0)
+    ((complement, table), got), = tails
+    assert len(table) == tail_primes_of(lane) - 1 >= 2
+    assert got[:, 0].tolist() == [exact % p for p in table[:, 0].tolist()]
     assert [out for _, out in calls] == [out for _, out in alone] and len(calls) >= 2
 
 
