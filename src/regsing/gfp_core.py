@@ -75,16 +75,16 @@ and 0.2x at n = 300 in stacks of 6.
 `int_determinant_is_zero` decides det == 0 from the residues mod a fixed
 list of CRT primes, the largest below 2^29, against twice a Hadamard
 bound: after a zero residue mod the first, q, all the others it needs go
-in one sweep, one lane per prime.  From MIN_SCHUR_N on, the matrix's
-structural steps run once, the bound is the smaller of the matrix's and
-its Schur complement's, as |det A| = |det S|, and the sweep takes copies
-of S (`_sweep_complements`); below it, copies of the matrix go to
-`fp_dets_stack`.  That has no early exit at a nonzero residue, which only
-a nonsingular matrix with a zero residue mod q (about 1 in q) misses.  The bound keeps
-5q inside the size rule, so a Monte Carlo block decides the first CRT
-prime q, with its listed prime p <= 5 if it has one (`fused_prime`), in
-one `fp_dets_stack` mod pq or q, and hands the residues mod q to the zero
-test.
+in one sweep, one lane per prime.  When the matrix's own bound needs
+only q the test ends there; otherwise, at every n, its structural steps
+run once, the bound is the smaller of the matrix's and its Schur
+complement's, as |det A| = |det S|, and the sweep takes copies of S
+(`_sweep_complements`).  That has no early exit at a nonzero residue,
+which only a nonsingular matrix with a zero residue mod q (about 1 in q)
+misses.  The bound keeps 5q inside the size rule, so a Monte Carlo block
+decides the first CRT prime q, with its listed prime p <= 5 if it has
+one (`fused_prime`), in one `fp_dets_stack` mod pq or q, and hands the
+residues mod q to the zero test.
 `det_bareiss` (fraction-free elimination in Python ints) is the one exact
 determinant.  It shares no code with the kernels, so it is their and the
 zero test's independent oracle, and it is the cheaper route for tiny
@@ -613,9 +613,8 @@ def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
     A nonzero residue mod the first CRT prime q certifies det != 0.  After a
     zero one, with k the fewest CRT primes whose product exceeds twice a
     Hadamard bound, k = 1 certifies det == 0, and so do zero residues mod
-    the other k - 1.  Below MIN_SCHUR_N the bound is m's and the k - 1
-    residues come from one `fp_dets_stack` on k - 1 copies of m.  From it
-    on, m's structural steps run once (`_schur_complement`): as
+    the other k - 1.  When m's own bound gives k = 1 that is the answer;
+    otherwise m's structural steps run once (`_schur_complement`): as
     |det m| = |det S| for its Schur complement S, the bound is the smaller
     of m's and S's (for d = 3 adjacency matrices at n = 300 S's needs 6
     primes where m's needs 9, and none past q when S has a zero row), and
@@ -631,18 +630,16 @@ def int_determinant_is_zero(m: MatrixLike, first: int | None = None) -> bool:
     if (fp_det(a, crt_primes(1)[0]) if first is None else first) != 0:
         return False
     bound = hadamard_bound(a)
-    if len(a) >= MIN_SCHUR_N:
-        complement = _schur_complement(a[None])
-        _, row, col, val, sizes, _ = complement
-        s = np.zeros((int(sizes[0]),) * 2, dtype=np.int64)
-        s[row, col] = val
-        bound = min(bound, hadamard_bound(s))
+    if 2 * bound < crt_primes(1)[0]:
+        return True
+    complement = _schur_complement(a[None])
+    _, row, col, val, sizes, _ = complement
+    s = np.zeros((int(sizes[0]),) * 2, dtype=np.int64)
+    s[row, col] = val
+    bound = min(bound, hadamard_bound(s))
     k = 1
     while math.prod(crt_primes(k)) <= 2 * bound:
         k += 1
     if k == 1:
         return True
-    tail = np.array(crt_primes(k)[1:])[:, None]
-    if len(a) < MIN_SCHUR_N:
-        return not fp_dets_stack(np.broadcast_to(a, (k - 1, *a.shape)), tail).any()
-    return not _sweep_complements(complement, tail).any()
+    return not _sweep_complements(complement, np.array(crt_primes(k)[1:])[:, None]).any()

@@ -81,7 +81,7 @@ class LatticeCounts:
     """Exact counts of the n-step walk on {x >= 0 : sum x = dn} at its d*t endpoints.
 
     The one census table: every census function reads n, d, p and its
-    endpoint counts from here.  The walk decides the two checks as it decodes
+    endpoint counts from here.  The walk decides the two checks as it reads
     every endpoint it reaches, kept or not: the counts sum to p^((d-1)n), and
     every endpoint reached is admissible.
     """
@@ -90,7 +90,7 @@ class LatticeCounts:
     d: int
     p: int
     counts: Dict[TypeVec, int]  # only the endpoints d*t, the ones the census reads
-    reached: int  # nonzero endpoints the walk decoded, kept or not
+    reached: int  # nonzero endpoints the walk read, kept or not
     total_mass_ok: bool
     parity_ok: bool
 
@@ -189,31 +189,67 @@ def _walk_endpoints(n: int, d: int, p: int) -> Iterator[Tuple[int, int, int]]:
                 yield top - s, key, val
 
 
+def _half_weights(first: int, h: int, radix: int, d: int, p: int) -> List[int]:
+    """Entry v, for v < radix^h read as the digits x_first, ..., x_(first+h-1):
+    sum_i i*x_i mod p, plus p if one of those digits is not a multiple of d."""
+    off = h * p  # a multiple of p past every sum of h weights mod p
+    table = [0]
+    for i in reversed(range(first, first + h)):
+        digit = [i * x % p + (off if x % d else 0) for x in range(radix)]
+        table = [a + b for a in table for b in digit]
+    return [v % p + (p if v >= off else 0) for v in table]
+
+
 def walk_endpoint_counts(n: int, d: int, p: int) -> LatticeCounts:
     """The census table of the n-step walk: its counts at the endpoints d*t, exact.
 
-    Every nonzero endpoint of `_walk_endpoints` is decoded once: its count
-    goes into the mass, its weight sum_i i*x_i into the parity check, and
-    only an endpoint whose coordinates are all multiples of d is kept
-    (x_0 = dn minus the rest, so it is one when they all are).
+    Every nonzero endpoint of `_walk_endpoints` is read once: its count goes
+    into the mass, its weight sum_i i*x_i into the parity check, and only an
+    endpoint whose coordinates are all multiples of d is kept (x_0 = dn
+    minus the rest, so it is one when they all are) and decoded into its
+    tuple.  A key is read as two halves of h = min(ceil((p-1)/2), 3) digits,
+    each looked up in a list of radix^h entries built once per call
+    (`_half_weights`); any digits past both lists (p > 7) are read one at a
+    time.  At p = 2 the key is x_1 itself, read directly.
     """
+    walk = _walk_endpoints(n, d, p)
+    # the walk checks n, d, p and the lattice guard before its first endpoint,
+    # the origin, so a refused walk builds no list
+    endpoints = itertools.chain([next(walk)], walk)
     radix = d * n + 1
     counts: Dict[TypeVec, int] = {}
     reached, mass, parity_ok = 0, 0, True
-    for x0, key, val in _walk_endpoints(n, d, p):
-        reached += 1
-        mass += val
-        e, weight, kept = [x0], 0, True
-        for i in range(1, p):
-            key, x = divmod(key, radix)
-            e.append(x)
-            weight += i * x
-            if x % d:
-                kept = False
-        if weight % p:
-            parity_ok = False
-        if kept:
-            counts[tuple(e)] = val
+    if p == 2:
+        for x0, x1, val in endpoints:
+            reached += 1
+            mass += val
+            if x1 % 2:
+                parity_ok = False
+            if not x1 % d:
+                counts[(x0, x1)] = val
+    else:
+        h = min(p // 2, 3)
+        size = radix**h
+        low, high = _half_weights(1, h, radix, d, p), _half_weights(h + 1, h, radix, d, p)
+        for x0, key, val in endpoints:
+            reached += 1
+            mass += val
+            hi, lo = divmod(key, size)
+            a = low[lo]
+            if hi >= size:  # only at p > 7: the digits past both lists
+                rest, hi = divmod(hi, size)
+                for i in range(2 * h + 1, p):
+                    rest, x = divmod(rest, radix)
+                    a = (a + i * x) % p + (p if a >= p or x % d else 0)
+            b = high[hi]
+            if (a + b) % p:
+                parity_ok = False
+            if a < p and b < p:
+                e = [x0]
+                for _ in range(1, p):
+                    key, x = divmod(key, radix)
+                    e.append(x)
+                counts[tuple(e)] = val
     return LatticeCounts(n, d, p, counts, reached, mass == p ** ((d - 1) * n), parity_ok)
 
 

@@ -734,9 +734,11 @@ def test_zero_test_with_a_nonzero_tail():
     """Lanes with det = +-q1, +-q1 q2 and +-q1 q2 q3 for the leading CRT
     primes, padded so that the Hadamard bound needs one more prime, have a
     zero first residue and zero residues at the tail's first primes, but
-    are not singular; their twins with a repeated row are.  A zero first
-    residue makes exactly one stacked call, on k - 1 copies of the lane,
-    mod crt_primes(k)[1:]."""
+    are not singular; their twins with a repeated row are.  Their entries
+    pass SCHUR_ENTRY_BOUND, so they take no structural pivots and their
+    complement is the lane itself.  A zero first residue makes exactly one
+    tail sweep (`_sweep_complements`), on that complement mod
+    crt_primes(k)[1:], and no `fp_dets_stack` call."""
     for j in (1, 2, 3):
         for sign in (1, -1):
             diag = [sign * Q] + crt_primes(j)[1:]
@@ -749,29 +751,35 @@ def test_zero_test_with_a_nonzero_tail():
             for m, zero in ((lane, False), (twin, True)):
                 k = tail_primes(m)
                 assert int_determinant_is_zero(m) is zero
-                with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
+                with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy, mock.patch.object(
+                    gfp_core, "_sweep_complements", wraps=gfp_core._sweep_complements
+                ) as tail:
                     assert int_determinant_is_zero(m, 0) is zero
-                assert spy.call_count == 1
-                stack, table = spy.call_args.args
+                assert not spy.called
+                assert tail.call_count == 1
+                complement, table = tail.call_args.args
                 assert table.tolist() == [[p] for p in crt_primes(k)[1:]]
-                assert len(stack) == k - 1 and all(np.array_equal(c, m) for c in stack)
+                (s,), sign_s = complements(m[None])
+                assert np.array_equal(s, m) and sign_s == [1]
+                assert all(np.array_equal(x, y) for x, y in zip(complement, gfp_core._schur_complement(m[None])))
 
 
 def tail_primes_of(lane):
-    """The CRT primes the zero test takes from n = MIN_SCHUR_N on: the fewer
-    of tail_primes of the lane and of its Schur complement."""
+    """The CRT primes the zero test takes once the lane's own bound needs a
+    second one: the fewer of tail_primes of the lane and of its Schur
+    complement."""
     return min(tail_primes(lane), tail_primes(complements(lane[None])[0][0]))
 
 
 def test_zero_test_calls_by_tail_length():
-    """From n = MIN_SCHUR_N on, the zero test bounds det by the Hadamard
-    bound of the Schur complement S, as |det A| = |det S|.  Trial 26 at
-    seed 20240813 (n = 300, det 0) needs 6 CRT primes by S's bound against
-    9 by A's, and after its zero first residue takes one tail sweep of the
-    5 lanes of its complement, with no `fp_dets_stack` call.  A
-    duplicate-row lane at n = 300, whose complement has a zero row (bound
-    0), and one at n = 30 (k = 1) take none, nor does a nonzero first
-    residue."""
+    """Once A's own bound needs a second CRT prime, the zero test bounds det
+    by the Hadamard bound of the Schur complement S, as |det A| = |det S|.
+    Trial 26 at seed 20240813 (n = 300, det 0) needs 6 CRT primes by S's
+    bound against 9 by A's, and after its zero first residue takes one
+    tail sweep of the 5 lanes of its complement, with no `fp_dets_stack`
+    call.  A duplicate-row lane at n = 300, whose complement has a zero
+    row (bound 0), and one at n = 30 (k = 1) take none, nor does a nonzero
+    first residue."""
     trial = adjacency_stack(sample_permutations(300, 3, 20240813, range(26, 27)), 3)[0]
     duplicate = adjacency_lanes(300, 3, 7, 2)[1]
     small = adjacency_lanes(30, 3, 7, 2)[1]
@@ -791,6 +799,42 @@ def test_zero_test_calls_by_tail_length():
             assert table.tolist() == [[p] for p in crt_primes(6)[1:]]
             want = gfp_core._schur_complement(lane[None])
             assert all(np.array_equal(x, y) for x, y in zip(complement, want))
+
+
+@pytest.mark.parametrize("n", [30, 35, 36, 40, 63])
+def test_zero_test_takes_the_complement_at_every_n(n):
+    """Below MIN_SCHUR_N too, the zero test ends at q when A's own bound
+    needs no second CRT prime, and otherwise takes A's structural steps
+    once and sweeps copies of its complement.  On d = 3 adjacency lanes
+    (nonsingular ones, ones with two identical rows, and one with two
+    identical columns but no identical rows) `_schur_complement` runs
+    after a zero first residue exactly when A's bound needs a second
+    prime, and the answer is Bareiss's, with the first residue computed
+    or given.  Given a zero first residue, a nonsingular lane whose tail
+    has primes past q answers False from them."""
+    lanes = list(adjacency_lanes(n, 3, 20240813, 8))
+    twin = lanes[0].copy()
+    twin[:, n // 2] = twin[:, 3]
+    lanes.append(twin)
+    kinds, complements_run = set(), set()
+    for lane in lanes:
+        exact = det_bareiss(lane)
+        duplicate = bool(has_identical_rows(lane))
+        kinds.add((exact == 0, duplicate))
+        assert int_determinant_is_zero(lane) == (exact == 0)
+        with mock.patch.object(gfp_core, "_schur_complement", wraps=gfp_core._schur_complement) as steps:
+            zero = int_determinant_is_zero(lane, 0)
+        assert steps.call_count == (tail_primes(lane) > 1)
+        complements_run.add(steps.called)
+        if exact == 0 or tail_primes_of(lane) > 1:
+            assert zero == (exact == 0)
+        with mock.patch.object(gfp_core, "_schur_complement", wraps=gfp_core._schur_complement) as steps:
+            assert int_determinant_is_zero(lane, exact % Q) == (exact == 0)
+        assert steps.call_count == (exact % Q == 0 and tail_primes(lane) > 1)
+    # nonsingular, duplicate-row and singular lanes without duplicate rows
+    assert {(False, False), (True, True), (True, False)} <= kinds, kinds
+    # no lane's own bound needs a second prime at n = 30, and some do from 35 on
+    assert (True in complements_run) == (n > 30), complements_run
 
 
 @pytest.mark.parametrize(

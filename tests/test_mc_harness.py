@@ -116,25 +116,27 @@ def test_fused_and_separate_primes_match_bareiss():
 def test_block_without_a_fused_prime_stacks_its_first_residue(primes):
     # with no listed p <= 5 the first CRT residue comes from one stacked
     # elimination mod q; at n = 40 the Hadamard bound of a singular trial
-    # exceeds q / 2, so its zero test goes on to the next CRT primes
+    # exceeds q / 2, so its zero test goes on to the trial's Schur complement
     q = gfp_core.crt_primes(1)[0]
     trials = range(0, 40)
     # the block's own eliminations call mc_harness.fp_dets_stack; the zero
-    # test's tail calls gfp_core.fp_dets_stack
-    with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy:
+    # test's steps and tail call gfp_core's functions
+    with mock.patch.object(gfp_core, "fp_dets_stack", wraps=gfp_core.fp_dets_stack) as spy, mock.patch.object(
+        gfp_core, "_schur_complement", wraps=gfp_core._schur_complement
+    ) as steps, mock.patch.object(gfp_core, "_sweep_complements", wraps=gfp_core._sweep_complements) as tail:
         records = mc_harness.run_block(40, 3, 8, primes, trials)
     mats = [adjacency_from_permutation(sample_configuration(40, 3, 8, stream=t)) for t in trials]
     exact = [det_bareiss(a.tolist()) for a in mats]
     assert 0 < sum(e == 0 for e in exact) < len(trials)
-    # the zero test makes one stacked call for each trial whose residue mod
-    # q is 0, on copies of that trial's lane mod the later CRT primes
+    # the zero test takes the structural steps once for each trial whose
+    # residue mod q is 0, on that trial's lane; each complement's bound is
+    # below q / 2 here, so no tail sweep follows, and no stacked call
     singular = [a for a, e in zip(mats, exact) if e % q == 0]
-    assert spy.call_count == len(singular)
-    for call, a in zip(spy.call_args_list, singular):
-        stack, table = call.args
-        k = len(stack) + 1
-        assert k > 1 and table.tolist() == [[p] for p in gfp_core.crt_primes(k)[1:]]
-        assert all(np.array_equal(m, a) for m in stack)
+    assert steps.call_count == len(singular)
+    for call, a in zip(steps.call_args_list, singular):
+        (stack,) = call.args
+        assert 2 * gfp_core.hadamard_bound(a) > q and np.array_equal(stack, a[None])
+    assert not tail.called and not spy.called
     assert canonical(records) == canonical([run_trial(40, 3, 8, primes, t) for t in trials])
     for rec, e in zip(records, exact):
         assert rec.det_zero == (e == 0)

@@ -142,6 +142,9 @@ ORACLE_GRID = [
     (3, 7, 8),
     (4, 7, 5),
     (5, 7, 4),
+    # past p = 7 the digits beyond the two half-key lists are read one at a time
+    (3, 11, 4),
+    (3, 13, 4),
 ]
 
 
@@ -265,10 +268,11 @@ def traced(build):
 
 
 def test_walk_holds_little_beyond_its_table():
-    # each layer is dropped once decoded and only the d*t endpoints are kept,
+    # each layer is dropped once read and only the d*t endpoints are kept,
     # so the walk's traced peak is a small part of the whole endpoint table:
-    # 1.11 / 8.95 MB = 0.12 at (20,3,5), against 1.08 for a walk that keeps
-    # every endpoint; the bound leaves twice that ratio as margin
+    # 1.19 / 9.04 MB = 0.13 at (20,3,5), the two half-key lists included,
+    # against 1.08 for a walk that keeps every endpoint; the bound leaves
+    # about twice that ratio as margin
     counts, _, peak = traced(lambda: walk_endpoint_counts(20, 3, 5))
     assert counts.total_mass_ok and counts.parity_ok
     _, whole, _ = traced(lambda: full_endpoint_table(20, 3, 5))
@@ -284,18 +288,43 @@ def test_class_split_holds_no_ratio_table():
 
 
 def test_mass_and_parity_flags_can_fail(monkeypatch):
-    # (2, 1) sums to d = 3 but has odd weight at p = 2: one more step adds
-    # mass and reaches inadmissible endpoints, and both flags must see it
+    # each extra step sums to d = 3 but has a weight that is nonzero mod p:
+    # one more step adds mass and reaches inadmissible endpoints, and both
+    # flags must see it.  (2, 1) is the one digit at p = 2; at p = 5 and 7
+    # the step's one nonzero digit past x_0 lies in the low half of the key
+    # (x_1 ... x_h) or in its high half (x_(h+1) ... x_(2h)), h = p // 2
     real = walk_census.build_U
+    for n, p, bad in (
+        (4, 2, (2, 1)),
+        (4, 5, (2, 1, 0, 0, 0)),
+        (4, 5, (2, 0, 0, 1, 0)),
+        (3, 7, (2, 0, 1, 0, 0, 0, 0)),
+        (3, 7, (2, 0, 0, 0, 0, 1, 0)),
+    ):
 
-    def with_bad_step(d, p):
-        u = real(d, p)
-        return UMultiset(d, p, u.items + (((2, 1), 1),))
+        def with_bad_step(d, p, bad=bad):
+            u = real(d, p)
+            return UMultiset(d, p, u.items + ((bad, 1),))
 
-    monkeypatch.setattr(walk_census, "build_U", with_bad_step)
-    counts = walk_endpoint_counts(4, 3, 2)
-    assert not counts.total_mass_ok
-    assert not counts.parity_ok
+        monkeypatch.setattr(walk_census, "build_U", with_bad_step)
+        counts = walk_endpoint_counts(n, 3, p)
+        assert not counts.total_mass_ok, (p, bad)
+        assert not counts.parity_ok, (p, bad)
+
+
+def test_an_endpoint_with_one_digit_off_d_is_not_kept():
+    # endpoints whose one key digit that is not a multiple of d lies in the
+    # low half of the key, then in its high half: both occur, and neither
+    # is kept
+    for n, d, p in ((4, 3, 5), (4, 3, 7), (3, 4, 7)):
+        lone = {}  # by whether that digit lies in the low half
+        for e in full_endpoint_table(n, d, p):
+            off = [i for i in range(1, p) if e[i] % d]
+            if len(off) == 1:
+                lone.setdefault(off[0] <= p // 2, []).append(e)
+        assert set(lone) == {True, False}, (n, d, p)
+        kept = walk_endpoint_counts(n, d, p).counts
+        assert not any(e in kept for half in lone.values() for e in half), (n, d, p)
 
 
 def test_lattice_guard():
@@ -313,6 +342,20 @@ def test_lattice_guard():
     for a, b in itertools.product(range(120), range(64)):
         want = math.comb(a + b, b) > walk_census.LATTICE_GUARD
         assert walk_census.over_lattice_guard(a, b) == want, (a, b)
+
+
+def test_a_refused_walk_builds_no_list(monkeypatch):
+    # the half-key lists come after the walk's own checks: at (1000, 3,
+    # 2^31 - 1) each would hold 3001^3 entries
+    monkeypatch.setattr(walk_census, "_half_weights", lambda *args: pytest.fail(f"list built for {args}"))
+    for n, d, p, error in (
+        (1000, 3, 2**31 - 1, GuardError),
+        (35, 3, 5, GuardError),
+        (0, 3, 5, ValueError),
+        (5, 3, 9, ValueError),
+    ):
+        with pytest.raises(error):
+            walk_endpoint_counts(n, d, p)
 
 
 def test_key_sum_values():
