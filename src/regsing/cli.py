@@ -39,8 +39,12 @@ class Artifact(NamedTuple):
     quoting: int = csv.QUOTE_MINIMAL  # a cell holding a comma (a type, a list) is quoted
 
 
+# json.dumps with non-default separators builds an encoder on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _fields(obj, names: str) -> dict:

@@ -20,10 +20,11 @@ per modulus, which picks the elimination kernel (an unfused 2 goes to the
 packed-bit kernel) and, from n = MIN_SCHUR_N on, first shrinks each
 matrix to the integer Schur complement of its +-1 structural pivots, a
 few lanes at a time, and sweeps it sparsest rows and columns first.  Only
-the integer zero test runs per matrix, on the narrow lanes, with one
-stacked sweep for a lane whose first CRT residue is 0.  `run_trial` is a block of one trial.  A record's elapsed is the
-block's wall time divided by its size: diagnostics only, never in the
-canonical records.
+the integer zero test runs per matrix, on the narrow lanes, and only for
+a lane whose first CRT residue is 0: a nonzero one certifies det != 0.
+`run_trial` is a block of one trial.  A record's elapsed is the block's
+wall time divided by its size: diagnostics only, never in the canonical
+records.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     commutes with the determinant), not a separate rational elimination.
     One `fp_dets_stack` over the block's stacked adjacency matrices decides
     the first CRT prime q and the listed prime named by `fused_prime` (the
-    largest p <= 5, if any), mod p*q or q; its residues mod q go to the zero
-    test, one call per matrix, which alone still decides det_zero.  Every
+    largest p <= 5, if any), mod p*q or q.  A nonzero residue mod q
+    certifies det != 0, and every matrix with a zero one goes to the zero
+    test, one call per matrix, which alone decides det_zero there.  Every
     other listed prime gets its own `fp_dets_stack`.
     """
     t0 = time.perf_counter()
@@ -184,13 +186,14 @@ def run_block(n: int, d: int, seed: int, primes: Sequence[int], trials: range) -
     residue = {p: fp_dets_stack(stack, (p,))[:, 0].tolist() for p in primes if p not in fused}
     *dets, first = fp_dets_stack(stack, (*fused, crt_primes(1)[0])).T.tolist()
     residue.update(zip(fused, dets))
-    det_zero = [int_determinant_is_zero(a, f) for a, f in zip(stack, first)]
+    det_zero = [f == 0 and int_determinant_is_zero(stack[k], f) for k, f in enumerate(first)]
     elapsed = (time.perf_counter() - t0) / len(trials)
+    ordered = sorted(primes)
     records = []
     for k, trial in enumerate(trials):
         rec = TrialRecord(
             trial=trial,
-            singular_mod=tuple((p, residue[p][k] == 0) for p in sorted(primes)),
+            singular_mod=tuple((p, residue[p][k] == 0) for p in ordered),
             det_zero=det_zero[k],
             identical_rows=identical[k],
             elapsed=elapsed,

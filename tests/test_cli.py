@@ -1,20 +1,21 @@
 """Command-line interface: outputs, artifacts, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
 
 import regsing
-from regsing import mc_harness, walk_census
+from regsing import cli, mc_harness, walk_census
 from regsing.cli import main
 
 
@@ -65,7 +66,44 @@ def test_oracle_guard_exit_code(monkeypatch):
         assert "refused" in err
 
 
-def test_rate_scan_guard_exit_code(monkeypatch):
+# Address space of a child that runs one refusal: a rate refusal imports
+# numpy and peaks near 150 MB of it with one BLAS thread, and a walk's
+# refusal near 21 MB.
+REFUSAL_AS_LIMIT = 512 * 2**20
+# The child prints the CPU time of its call, alone, on stderr's last line.
+TIMED_MAIN = """
+import sys, time
+from regsing.cli import main
+start = time.process_time()
+code = main(sys.argv[1:])
+print(time.process_time() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (REFUSAL_AS_LIMIT, REFUSAL_AS_LIMIT))
+
+
+def run_refusal(argv):
+    """`regsing argv` run by TIMED_MAIN in a child process whose address
+    space is capped at REFUSAL_AS_LIMIT, so a refusal that allocates before
+    its guard fails with a MemoryError in the child rather than taking the
+    test process down."""
+    env = child_env()
+    env.pop("REGSING_OUT_DIR", None)
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv],
+        env=env,
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_rate_scan_guard_exit_code():
     argvs = [
         # C(1004, 4) ~ 4.2e10 grid points: refused before the grid is built
         "rate --d 3 --p 5 --resolution 1000",
@@ -79,10 +117,10 @@ def test_rate_scan_guard_exit_code(monkeypatch):
         "rate --d 3 --p 1000003 --resolution 10000000",
     ]
     for argv in argvs:
-        start = time.process_time()
-        code, out, err = run_cli(argv.split(), monkeypatch=monkeypatch)
-        assert time.process_time() - start < 1.0, argv
-        assert code == 3 and out == "", argv
+        proc = run_refusal(argv.split())
+        assert proc.returncode == 3 and proc.stdout == "", (argv, proc.stderr)
+        err, _, cpu = proc.stderr.rstrip("\n").rpartition("\n")
+        assert float(cpu) < 1.0, argv
         assert "refused" in err and str(walk_census.LATTICE_GUARD) in err
 
 
@@ -568,6 +606,22 @@ def test_mc_artifacts_and_parallel_identity(tmp_path, monkeypatch):
     summary = json.loads(out1)
     assert summary["kind"] == "mc"
     assert set(summary["singular_mod"]) == {"2", "5"}
+
+
+def test_json_writer_matches_json_dumps():
+    """cli._json, one module-level encoder, writes the bytes of json.dumps
+    with the same compact separators: for mc records and an mc payload
+    (floats in nested dicts), and for an artifact holding a non-ASCII
+    string, which both escape."""
+    args = argparse.Namespace(n=12, d=3, p="2,5", trials=6, seed=4, parallel=1)
+    art = cli._mc(args)
+    records = list(art.records)
+    odd = {"kind": "exact", "claim": "P(A singular) ≤ key_sum/(p − 1)", "rows": [["λ", 1, -0.0, 1e-300]]}
+    objs = [*records, art.payload, odd]
+    assert len(records) == 6 and any(isinstance(v, float) for v in art.payload["rational"].values())
+    for obj in objs:
+        assert cli._json(obj) == json.dumps(obj, separators=(",", ":"))
+    assert "\\u2264" in cli._json(odd) and cli._json(odd).isascii()
 
 
 def test_mc_records_file_keeps_the_whole_stem(tmp_path, monkeypatch):

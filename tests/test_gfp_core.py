@@ -648,6 +648,109 @@ def test_prime_table_rows_are_checked(table):
         fp_dets_stack(np.ones((1, 2, 2), dtype=np.int64), np.array(table))
 
 
+# table rows by length whose M has units other than 1 and M - 1
+PIVOT_ROWS = {1: [(5,), (7,), (Q,), (Q2,)], 2: [(5, Q), (2, Q), (Q, 5), (Q2, 2)]}
+
+
+def lu_lane(diag, lower, upper):
+    """A = L U as a list of rows, for L unit lower triangular with lower[i][j]
+    below its diagonal and U upper triangular with diag on its diagonal and
+    upper[i][j] above it.  While U's diagonal so far is units, the sweep's
+    column c is U[c][c] times L's column c, so its pivot is U[c][c] on the
+    diagonal, with no swap."""
+    n = len(diag)
+    low = [[1 if i == j else lower[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[diag[i] if i == j else upper[i][j] if j > i else 0 for j in range(n)] for i in range(n)]
+    return [[sum(low[i][t] * up[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def pivoted_stacks(draw):
+    """(lanes, table, reached): a stack of `lu_lane`s with a row of
+    PIVOT_ROWS of one length per lane, shared or drawn per lane, and for
+    each lane the kinds of pivot its sweep reaches, in order.  A diagonal entry is 1, -1
+    (a pivot of M - 1, which differs with the lane's M), another unit mod
+    M, the first prime of the lane's row or 0.  A prime splits a lane of
+    two primes (D5) and kills a lane of one, and 0 kills any lane: its
+    column is zero from there on, so no later pivot is reached."""
+    n = draw(st.integers(1, 7))
+    b = draw(st.integers(1, 8))
+    rows = st.sampled_from(PIVOT_ROWS[draw(st.sampled_from([1, 2]))])
+    table = [draw(rows)] * b if draw(st.booleans()) else [draw(rows) for _ in range(b)]
+    kind = st.sampled_from(["1", "M-1", "other", "1", "M-1", "other", "prime", "0"])
+    entries = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    lanes, reached = [], []
+    for row in table:
+        value = {"1": 1, "M-1": -1, "prime": row[0], "0": 0}
+        mod = math.prod(row)
+        others = [x for x in (2, 3, -2, 6, 11) if math.gcd(x, mod) == 1 and x % mod not in (1, mod - 1)]
+        diag, kinds = [], []
+        for _ in range(n):
+            k = draw(kind)
+            diag.append(draw(st.sampled_from(others)) if k == "other" else value[k])
+            if "dead" not in kinds and "split" not in kinds:
+                kinds.append("split" if k == "prime" and len(row) == 2 else "dead" if k in ("prime", "0") else k)
+        lanes.append(lu_lane(diag, draw(entries), draw(entries)))
+        reached.append(kinds)
+    return lanes, table, reached
+
+
+def test_plus_minus_one_pivots_match_bareiss():
+    """The sweep, whose multiplier for a pivot of 1 or M - 1 is M - pv and
+    for any other unit M - pow(pv, -1, M), against Bareiss mod each prime of
+    every lane's row: pivots of 1, M - 1 and other units mixed in one stack,
+    with a shared M or one per lane (M - 1 then differs per lane), D5 split
+    lanes, whose survivors finish in the second sweep with a modulus per
+    lane, and dead lanes.  fp_dets_stack on the integer stack agrees."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pivoted_stacks())
+    def check(case):
+        lanes, table, reached = case
+        mods = np.array([math.prod(row) for row in table], dtype=np.int64)
+        residues = (np.array(lanes, dtype=np.int64) % mods[:, None, None]).astype(np.uint32)
+        got = gfp_core._eliminate_stack(residues, np.array(table))
+        for rows, row, dets in zip(lanes, table, got.tolist()):
+            exact = det_bareiss(rows)
+            assert dets == [exact % p for p in row]
+        assert np.array_equal(fp_dets_stack(np.array(lanes, dtype=np.int64), np.array(table)), got)
+        for kinds in reached:
+            seen.update(kinds)
+        if len({m for m, kinds in zip(mods.tolist(), reached) if "M-1" in kinds}) > 1:
+            seen.add("M-1 per lane")
+
+    check()
+    assert seen == {"1", "M-1", "other", "split", "dead", "M-1 per lane"}
+
+
+def test_plus_minus_one_pivots_take_no_inverse():
+    """A stack whose every pivot is 1 or M - 1 makes no call to pow, with a
+    shared M and with one per lane; one pivot of 3 in one lane makes one
+    call, pow(3, -1, M) for that lane's M.  The dets equal Bareiss."""
+    rnd = random.Random(53)
+    n = 6
+    for table in ([(5, Q)] * 4, [(5, Q), (2, Q), (Q2, 2), (Q, 5)], [(7,), (Q,), (5,), (Q2,)]):
+        diags = [[rnd.choice((1, -1)) for _ in range(n)] for _ in table]
+        for other in (False, True):
+            if other:
+                diags[2][0] = 3
+            lanes = []
+            for diag in diags:
+                lower = [[rnd.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+                lower[1][0] = 1  # every lane has a row to update at column 0
+                lanes.append(lu_lane(diag, lower, [[rnd.randrange(-3, 4) for _ in range(n)] for _ in range(n)]))
+            with mock.patch.object(gfp_core, "pow", create=True, wraps=pow) as spy:
+                got = fp_dets_stack(np.array(lanes, dtype=np.int64), np.array(table))
+            for rows, row, dets in zip(lanes, table, got.tolist()):
+                exact = det_bareiss(rows)
+                assert exact != 0 and dets == [exact % p for p in row]
+            if other:
+                assert spy.call_args_list == [mock.call(3, -1, math.prod(table[2]))]
+            else:
+                assert not spy.called
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
 def test_packed_gf2_kernel_at_word_boundaries(n):
     """fp_dets_stack mod 2 alone, on stacks of 1 to 12 lanes at sizes around

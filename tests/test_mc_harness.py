@@ -143,6 +143,27 @@ def test_block_without_a_fused_prime_stacks_its_first_residue(primes):
         assert rec.singular_mod == tuple((p, e % p == 0) for p in primes)
 
 
+@pytest.mark.parametrize("n, primes", [(30, (2, 5)), (30, (7,)), (40, (5,))])
+def test_zero_test_runs_for_each_zero_residue_mod_q(n, primes):
+    """A block calls the zero test once for each trial whose residue mod q is
+    0, in trial order, with that trial's lane and residue, and for no other
+    trial: a nonzero residue mod q certifies det != 0.  det_zero equals
+    Bareiss on every trial, called or not."""
+    q = gfp_core.crt_primes(1)[0]
+    trials = range(0, 48)
+    with mock.patch.object(mc_harness, "int_determinant_is_zero", wraps=int_determinant_is_zero) as spy:
+        records = run_block(n, 3, 8, primes, trials)
+    mats = [adjacency_from_permutation(sample_configuration(n, 3, 8, stream=t)) for t in trials]
+    exact = [det_bareiss(a.tolist()) for a in mats]
+    zero = [a for a, e in zip(mats, exact) if e % q == 0]
+    assert 0 < len(zero) < len(trials)
+    assert spy.call_count == len(zero)
+    for call, a in zip(spy.call_args_list, zero):
+        lane, first = call.args
+        assert np.array_equal(lane, a) and first == 0
+    assert [rec.det_zero for rec in records] == [e == 0 for e in exact]
+
+
 @pytest.mark.parametrize("n", [30, 64])
 def test_block_eliminations_by_listed_primes(n):
     # a block's own eliminations, in order: one per listed prime that
